@@ -241,35 +241,17 @@ void PageGroup::mark_all_received_dirty() {
 std::size_t PageGroup::solve_to_convergence(double epsilon,
                                             std::size_t max_iterations,
                                             util::ThreadPool& pool) {
-  if (worklist_enabled_) {
-    // Iterate in place on the persistent ranks_/scratch_ pair so the
-    // frontier survives across outer steps: after the first solve, later
-    // solves only touch rows reached from refreshed forcing entries. Same
-    // convergence gating as solve_open_system_worklist.
-    std::size_t iterations = 0;
-    bool confirm = false;
-    for (std::size_t it = 0; it < max_iterations; ++it) {
-      const rank::WorklistSweepStats stats = matrix_.sweep_and_residual_worklist(
-          ranks_, scratch_, forcing_, sweep_scratch_, wl_state_, wl_opts_, pool,
-          /*force_dense=*/confirm);
-      std::swap(ranks_, scratch_);
-      ++iterations;
-      if (stats.l1_delta <= epsilon) {
-        if (stats.dense || wl_opts_.epsilon == 0.0) break;
-        confirm = true;
-      } else {
-        confirm = false;
-      }
-    }
-    return iterations;
-  }
+  // Iterate in place on the persistent ranks_/scratch_ pair: no per-step
+  // allocation, and a worklist frontier survives across outer steps, so
+  // after the first solve later solves only touch rows reached from
+  // refreshed forcing entries.
   rank::SolveOptions opts;
-  opts.alpha = matrix_.alpha();
   opts.epsilon = epsilon;
   opts.max_iterations = max_iterations;
-  auto result = rank::solve_open_system(matrix_, forcing_, ranks_, opts, pool);
-  ranks_ = std::move(result.ranks);
-  return result.iterations;
+  return rank::iterate_open_system(matrix_, forcing_, ranks_, scratch_, opts,
+                                   sweep_scratch_, pool,
+                                   worklist_enabled_ ? &wl_state_ : nullptr, wl_opts_)
+      .iterations;
 }
 
 void PageGroup::sweep_once(util::ThreadPool& pool) {
@@ -281,7 +263,7 @@ void PageGroup::sweep_once(util::ThreadPool& pool) {
             .l1_delta;
   } else {
     last_sweep_delta_ =
-        rank::open_system_sweep(matrix_, ranks_, scratch_, forcing_, sweep_scratch_, pool)
+        matrix_.sweep_and_residual(ranks_, scratch_, forcing_, sweep_scratch_, pool)
             .l1_delta;
   }
   std::swap(ranks_, scratch_);

@@ -14,7 +14,6 @@ std::vector<double> open_system_reference(const graph::WebGraph& g, double alpha
                                           std::size_t max_iterations) {
   const auto matrix = rank::LinkMatrix::from_graph(g, alpha);
   rank::SolveOptions opts;
-  opts.alpha = alpha;
   opts.epsilon = epsilon;
   opts.max_iterations = max_iterations;
   auto result = rank::solve_open_system_uniform(matrix, 1.0, opts, pool);
@@ -43,7 +42,6 @@ std::vector<double> open_system_reference_personalized(const graph::WebGraph& g,
     forcing[i] = beta * e[i];
   }
   rank::SolveOptions opts;
-  opts.alpha = alpha;
   opts.epsilon = epsilon;
   opts.max_iterations = max_iterations;
   auto result = rank::solve_open_system(matrix, forcing, {}, opts, pool);
@@ -70,7 +68,7 @@ std::size_t centralized_iterations_to_error(const graph::WebGraph& g, double alp
   const double ref_norm = util::l1_norm(reference);
 
   for (std::size_t it = 1; it <= max_iterations; ++it) {
-    (void)rank::open_system_sweep(matrix, ranks, next, forcing, scratch, pool);
+    (void)matrix.sweep_and_residual(ranks, next, forcing, scratch, pool);
     std::swap(ranks, next);
     if (util::l1_distance(ranks, reference) <= threshold * ref_norm) return it;
   }

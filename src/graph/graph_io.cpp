@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -162,7 +163,7 @@ void put_varint(std::string& buf, std::uint64_t v) {
 
 class BinaryReader {
  public:
-  explicit BinaryReader(std::string data) : data_(std::move(data)) {}
+  explicit BinaryReader(std::string_view data) : data_(data) {}
 
   [[nodiscard]] std::uint32_t u32() {
     std::uint32_t v;
@@ -213,7 +214,7 @@ class BinaryReader {
     return p;
   }
 
-  std::string data_;
+  std::string_view data_;
   std::size_t pos_ = 0;
 };
 
@@ -267,7 +268,8 @@ class GraphBinaryIo {
   static WebGraph load(std::istream& in) {
     std::ostringstream staging;
     staging << in.rdbuf();
-    BinaryReader r(std::move(staging).str());
+    const std::string bytes = std::move(staging).str();
+    BinaryReader r(bytes);
     r.magic();
 
     const std::uint64_t n = r.u64();

@@ -1,7 +1,7 @@
 // The sparse iteration matrix A of the open-system model (Section 3):
 // A(u,v) = α / d(u) for a link u -> v, 0 otherwise, restricted to a page
-// subset. Stored pull-style (per destination, list of weighted sources) so a
-// Jacobi sweep parallelizes over destinations with no write conflicts.
+// subset. Stored pull-style (per destination, list of sources) so a Jacobi
+// sweep parallelizes over destinations with no write conflicts.
 //
 // d(u) is always the page's *global* out-degree (crawled + external
 // targets): a link to an uncrawled page still divides u's rank, and the
@@ -9,17 +9,14 @@
 // *outside the subset* are not rows of this matrix — their rank share exits
 // the group and is the business of the efferent matrix (engine/).
 //
-// Two multiply kernels exist:
-//   * multiply()  — streams a per-edge weight (weights_). Kept for the
-//     efferent path and as the bitwise reference in tests.
-//   * sweep()/sweep_and_residual() — the hot path. Every edge weight is just
-//     α/d(source), so a per-sweep *contribution* vector
-//     contrib[u] = x[u]·(α/d(u)) replaces the per-edge weight stream: the
-//     edge loop reads 12 bytes/edge (4B source index + 8B gather) instead of
-//     20 (4B index + 8B weight + 8B gather). Because weights_[e] is stored
-//     as the identical double source_weight_[src[e]], the per-edge product
-//     x[src]·w is bit-for-bit the same in both kernels, so they produce
-//     bitwise-identical y. See DESIGN.md "Kernel layout".
+// Every edge weight is just α/d(source), so the matrix keeps one weight per
+// *source*, never per edge: a sweep first forms the contribution vector
+// contrib[u] = x[u]·(α/d(u)), and the edge loop then reads 12 bytes/edge
+// (4B source index + 8B gather). Two kernels run on this layout — the dense
+// fused sweep_and_residual and the residual-driven
+// sweep_and_residual_worklist — and at worklist epsilon 0 they produce
+// bitwise-identical values and residuals for any pool size. See DESIGN.md
+// "Kernel layout".
 #pragma once
 
 #include <cstdint>
@@ -57,10 +54,6 @@ struct WorklistOptions {
   /// Force a dense sweep every N worklist sweeps to flush sub-epsilon
   /// drift. 0 disables periodic refresh (sound only when epsilon == 0).
   std::uint32_t full_interval = 64;
-  /// Push–pull switch: scatter dirty bits along out-edges only while the
-  /// active sources' out-edges are below this fraction of all edges;
-  /// above it a dense pull sweep is cheaper than the scatter.
-  double push_density = 0.125;
 };
 
 /// Result of one worklist sweep: the residual norms plus whether the sweep
@@ -132,24 +125,6 @@ class LinkMatrix {
   [[nodiscard]] std::size_t num_entries() const noexcept { return sources_.size(); }
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
-  /// y = A x (single-threaded, per-edge weight stream). The bitwise
-  /// reference kernel.
-  void multiply(std::span<const double> x, std::span<double> y) const;
-
-  /// y = A x using the pool (row-parallel; deterministic).
-  void multiply(std::span<const double> x, std::span<double> y,
-                util::ThreadPool& pool) const;
-
-  /// y = A x via the contribution vector (single-threaded). Bitwise
-  /// identical to multiply().
-  void sweep(std::span<const double> x, std::span<double> y,
-             SweepScratch& scratch) const;
-
-  /// y = A x via the contribution vector, row-parallel over fixed grains.
-  /// Bitwise identical to multiply() for any pool size.
-  void sweep(std::span<const double> x, std::span<double> y, SweepScratch& scratch,
-             util::ThreadPool& pool) const;
-
   /// Fused Jacobi sweep: out = A·in + forcing (forcing may be empty = zero),
   /// returning the L1/L∞ norms of (out − in) accumulated during the sweep —
   /// no second pass over the vectors. in/out must not alias. The residual is
@@ -188,16 +163,13 @@ class LinkMatrix {
             out_targets_.data() + out_offsets_[u + 1]};
   }
 
-  /// Weighted in-edges of local row v: parallel spans of sources/weights.
+  /// In-edges of local row v: the local source index of each entry.
   [[nodiscard]] std::span<const std::uint32_t> row_sources(std::size_t v) const noexcept {
     return {sources_.data() + offsets_[v], sources_.data() + offsets_[v + 1]};
   }
-  [[nodiscard]] std::span<const double> row_weights(std::size_t v) const noexcept {
-    return {weights_.data() + offsets_[v], weights_.data() + offsets_[v + 1]};
-  }
 
-  /// α/d_global(u) per local source u (0 for pages with no out-links); the
-  /// per-source form of the edge weights the sweep kernels scale x by.
+  /// α/d_global(u) per local source u (0 for pages with no out-links): the
+  /// weight of every edge leaving u, which the sweep kernels scale x by.
   [[nodiscard]] std::span<const double> source_weights() const noexcept {
     return source_weight_;
   }
@@ -215,7 +187,6 @@ class LinkMatrix {
 
   std::vector<std::uint64_t> offsets_;       // size dim+1
   std::vector<std::uint32_t> sources_;       // local source index per entry
-  std::vector<double> weights_;              // alpha / d_global(source), per edge
   std::vector<double> source_weight_;        // alpha / d_global(u), per local source
   std::vector<std::uint64_t> out_offsets_;   // push CSR: size dim+1
   std::vector<std::uint32_t> out_targets_;   // push CSR: destination per out-edge

@@ -1,32 +1,55 @@
 #include "rank/open_system.hpp"
 
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace p2prank::rank {
 
-SweepStats open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                             std::span<double> out, std::span<const double> forcing,
-                             SweepScratch& scratch, util::ThreadPool& pool) {
-  assert(in.size() == A.dimension());
-  assert(out.size() == A.dimension());
-  assert(forcing.size() == A.dimension());
-  assert(in.data() != out.data());
-  return A.sweep_and_residual(in, out, forcing, scratch, pool);
+SolveStats iterate_open_system(const LinkMatrix& A, std::span<const double> forcing,
+                               std::vector<double>& ranks, std::vector<double>& next,
+                               const SolveOptions& opts, SweepScratch& scratch,
+                               util::ThreadPool& pool, WorklistState* frontier,
+                               const WorklistOptions& wl) {
+  SolveStats stats;
+  bool confirm = false;
+  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+    // Fused sweeps: the L1 residual is accumulated inside the sweep, so
+    // there is no second full pass over R per iteration.
+    double delta = 0.0;
+    bool exact = true;
+    if (frontier == nullptr) {
+      delta = A.sweep_and_residual(ranks, next, forcing, scratch, pool).l1_delta;
+    } else {
+      const WorklistSweepStats sweep = A.sweep_and_residual_worklist(
+          ranks, next, forcing, scratch, *frontier, wl, pool,
+          /*force_dense=*/confirm);
+      delta = sweep.l1_delta;
+      // Sparse sweeps under-report the residual when epsilon > 0 (skipped
+      // rows claim zero): only a dense sweep's residual is exact.
+      exact = sweep.dense || wl.epsilon == 0.0;
+    }
+    std::swap(ranks, next);
+    ++stats.iterations;
+    stats.final_delta = delta;
+    if (opts.record_residuals) stats.residual_history.push_back(delta);
+    if (delta <= opts.epsilon && exact) {
+      stats.converged = true;
+      break;
+    }
+    confirm = delta <= opts.epsilon;
+  }
+  return stats;
 }
 
-void open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                       std::span<double> out, std::span<const double> forcing,
-                       util::ThreadPool& pool) {
-  SweepScratch scratch;
-  (void)open_system_sweep(A, in, out, forcing, scratch, pool);
-}
+namespace {
 
-SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forcing,
-                              std::span<const double> initial,
-                              const SolveOptions& opts, util::ThreadPool& pool) {
+/// Shared front end of the allocating solvers: validate sizes, then run the
+/// loop on a fresh buffer pair seeded from `initial` (empty = zero vector).
+SolveResult solve_from(const LinkMatrix& A, std::span<const double> forcing,
+                       std::span<const double> initial, const SolveOptions& opts,
+                       util::ThreadPool& pool, WorklistState* frontier,
+                       const WorklistOptions& wl) {
   const std::size_t n = A.dimension();
   if (forcing.size() != n) {
     throw std::invalid_argument("solve_open_system: forcing size mismatch");
@@ -34,28 +57,21 @@ SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forci
   if (!initial.empty() && initial.size() != n) {
     throw std::invalid_argument("solve_open_system: initial size mismatch");
   }
-
-  SolveResult result;
-  result.ranks.assign(initial.begin(), initial.end());
-  if (result.ranks.empty()) result.ranks.assign(n, 0.0);
+  std::vector<double> ranks(initial.begin(), initial.end());
+  if (ranks.empty()) ranks.assign(n, 0.0);
   std::vector<double> next(n, 0.0);
   SweepScratch scratch;
+  SolveStats stats =
+      iterate_open_system(A, forcing, ranks, next, opts, scratch, pool, frontier, wl);
+  return {std::move(stats), std::move(ranks)};
+}
 
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    // Fused sweep: the L1 residual is accumulated inside the sweep, so
-    // there is no second full pass over R per iteration.
-    const double delta =
-        open_system_sweep(A, result.ranks, next, forcing, scratch, pool).l1_delta;
-    std::swap(result.ranks, next);
-    ++result.iterations;
-    result.final_delta = delta;
-    if (opts.record_residuals) result.residual_history.push_back(delta);
-    if (delta <= opts.epsilon) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
+}  // namespace
+
+SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forcing,
+                              std::span<const double> initial,
+                              const SolveOptions& opts, util::ThreadPool& pool) {
+  return solve_from(A, forcing, initial, opts, pool, nullptr, {});
 }
 
 SolveResult solve_open_system_worklist(const LinkMatrix& A,
@@ -65,43 +81,7 @@ SolveResult solve_open_system_worklist(const LinkMatrix& A,
                                        const WorklistOptions& wl,
                                        WorklistState& state,
                                        util::ThreadPool& pool) {
-  const std::size_t n = A.dimension();
-  if (forcing.size() != n) {
-    throw std::invalid_argument("solve_open_system_worklist: forcing size mismatch");
-  }
-  if (!initial.empty() && initial.size() != n) {
-    throw std::invalid_argument("solve_open_system_worklist: initial size mismatch");
-  }
-
-  SolveResult result;
-  result.ranks.assign(initial.begin(), initial.end());
-  if (result.ranks.empty()) result.ranks.assign(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  SweepScratch scratch;
-
-  bool confirm = false;
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    const WorklistSweepStats stats = A.sweep_and_residual_worklist(
-        result.ranks, next, forcing, scratch, state, wl, pool,
-        /*force_dense=*/confirm);
-    std::swap(result.ranks, next);
-    ++result.iterations;
-    result.final_delta = stats.l1_delta;
-    if (opts.record_residuals) result.residual_history.push_back(stats.l1_delta);
-    if (stats.l1_delta <= opts.epsilon) {
-      // Sparse sweeps under-report the residual when epsilon > 0 (skipped
-      // rows claim zero); accept only a dense sweep's exact residual and
-      // force one to confirm otherwise.
-      if (stats.dense || wl.epsilon == 0.0) {
-        result.converged = true;
-        break;
-      }
-      confirm = true;
-    } else {
-      confirm = false;
-    }
-  }
-  return result;
+  return solve_from(A, forcing, initial, opts, pool, &state, wl);
 }
 
 SolveResult solve_open_system_uniform(const LinkMatrix& A, double e_value,

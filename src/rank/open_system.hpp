@@ -8,6 +8,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "rank/link_matrix.hpp"
 #include "rank/rank_types.hpp"
@@ -15,19 +16,29 @@
 
 namespace p2prank::rank {
 
-/// One Jacobi sweep: out = A·in + forcing. `forcing` is βE + X (the caller
-/// composes it). in/out must not alias. Runs the fused contribution kernel
-/// and returns the sweep's L1/L∞ residual for free; `scratch` carries the
-/// contribution vector across calls (no per-sweep allocation).
-SweepStats open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                             std::span<double> out, std::span<const double> forcing,
-                             SweepScratch& scratch, util::ThreadPool& pool);
-
-/// Convenience overload allocating its own scratch (fine for one-shot
-/// sweeps; hot loops should hold a SweepScratch and use the overload above).
-void open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                       std::span<double> out, std::span<const double> forcing,
-                       util::ThreadPool& pool);
+/// The one Jacobi loop behind every open-system solve: iterate
+/// ranks ← A·ranks + forcing (`forcing` is βE + X, composed by the caller)
+/// until the L1 delta is <= opts.epsilon or max_iterations is hit. It
+/// iterates in place on the caller's buffer pair: the iterate is in `ranks`
+/// on entry and on return, `next` (same size) is the sweep target, and the
+/// two are swapped after every sweep.
+///
+/// With `frontier` null every sweep is the dense fused kernel. Otherwise it
+/// is the worklist kernel with options `wl`, carrying `*frontier` across
+/// sweeps — and across calls, while the caller keeps the same buffer pair.
+/// With wl.epsilon > 0 a sparse sweep under-reports its residual, so
+/// convergence is only accepted at a dense sweep: a confirmation sweep is
+/// forced when a sparse residual first dips under opts.epsilon, and the
+/// reported final_delta is always exact.
+[[nodiscard]] SolveStats iterate_open_system(const LinkMatrix& A,
+                                             std::span<const double> forcing,
+                                             std::vector<double>& ranks,
+                                             std::vector<double>& next,
+                                             const SolveOptions& opts,
+                                             SweepScratch& scratch,
+                                             util::ThreadPool& pool,
+                                             WorklistState* frontier,
+                                             const WorklistOptions& wl);
 
 /// Solve R = A·R + forcing from the given initial vector, iterating until
 /// the L1 delta is <= opts.epsilon or max_iterations is hit. `initial` may
@@ -39,12 +50,10 @@ void open_system_sweep(const LinkMatrix& A, std::span<const double> in,
                                             util::ThreadPool& pool);
 
 /// Worklist variant of solve_open_system: iterates with the residual-driven
-/// frontier kernel, carrying `state` across sweeps (and across calls, when
-/// the caller reuses the same buffers). With wl.epsilon == 0 the iterate
-/// sequence is bitwise-identical to solve_open_system; with wl.epsilon > 0
-/// convergence is only accepted at a dense sweep (a confirmation sweep is
-/// forced when a sparse residual first dips under opts.epsilon), so the
-/// reported final_delta is always an exact residual.
+/// frontier kernel, carrying `state` across sweeps. With wl.epsilon == 0
+/// the iterate sequence is bitwise-identical to solve_open_system; with
+/// wl.epsilon > 0 the reported final_delta is still an exact residual (see
+/// iterate_open_system).
 [[nodiscard]] SolveResult solve_open_system_worklist(
     const LinkMatrix& A, std::span<const double> forcing,
     std::span<const double> initial, const SolveOptions& opts,

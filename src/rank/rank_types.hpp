@@ -6,13 +6,9 @@
 
 namespace p2prank::rank {
 
-/// Options for both the closed-system (Algorithm 1) and open-system
-/// (Algorithm 2) solvers.
+/// Options for the open-system (Algorithm 2) solvers. They take α from the
+/// LinkMatrix, which is built with it.
 struct SolveOptions {
-  /// Fraction of a page's rank transmitted over real links — the paper's α
-  /// (= Google's damping factor c). The remaining β = 1 - α flows over the
-  /// virtual complete graph and reappears as the βE term.
-  double alpha = 0.85;
   /// Termination: stop when the L1 change between successive iterates drops
   /// to or below epsilon (Theorem 3.3 justifies this test).
   double epsilon = 1e-10;
@@ -22,12 +18,16 @@ struct SolveOptions {
   bool record_residuals = false;
 };
 
-struct SolveResult {
-  std::vector<double> ranks;
+/// How a solve loop ran; the iterate itself lives in the caller's buffer.
+struct SolveStats {
   std::size_t iterations = 0;
   double final_delta = 0.0;  ///< last ||R_{i+1} - R_i||_1
   bool converged = false;
   std::vector<double> residual_history;  ///< filled iff record_residuals
+};
+
+struct SolveResult : SolveStats {
+  std::vector<double> ranks;
 };
 
 [[nodiscard]] constexpr double beta_of(double alpha) noexcept { return 1.0 - alpha; }

@@ -42,6 +42,7 @@ std::vector<LinkUpdate> random_batch(const WebGraph& g, std::uint64_t seed,
                                      std::size_t count, bool allow_page_adds) {
   util::Rng rng(seed);
   const auto n = static_cast<std::uint64_t>(g.num_pages());
+  const auto pick = [&] { return static_cast<PageId>(rng.below(n)); };
   std::vector<LinkUpdate> ups;
   std::size_t fresh = 0;
   for (std::size_t i = 0; i < count; ++i) {
@@ -49,11 +50,11 @@ std::vector<LinkUpdate> random_batch(const WebGraph& g, std::uint64_t seed,
     if (allow_page_adds && roll < 0.1) {
       const std::string url = "fresh.edu/p" + std::to_string(fresh++);
       ups.push_back(LinkUpdate::add_page(url));
-      ups.push_back(LinkUpdate::add_link(url, g.url(rng.below(n))));
+      ups.push_back(LinkUpdate::add_link(url, g.url(pick())));
     } else if (roll < 0.55) {
-      ups.push_back(LinkUpdate::add_link(g.url(rng.below(n)), g.url(rng.below(n))));
+      ups.push_back(LinkUpdate::add_link(g.url(pick()), g.url(pick())));
     } else if (roll < 0.8) {
-      const auto u = static_cast<PageId>(rng.below(n));
+      const PageId u = pick();
       const auto links = g.out_links(u);
       if (links.empty()) {
         ups.push_back(LinkUpdate::add_external(g.url(u)));
@@ -66,7 +67,7 @@ std::vector<LinkUpdate> random_batch(const WebGraph& g, std::uint64_t seed,
         ups.push_back(LinkUpdate::remove_link(g.url(u), g.url(v)));
       }
     } else {
-      ups.push_back(LinkUpdate::add_external(g.url(rng.below(n))));
+      ups.push_back(LinkUpdate::add_external(g.url(pick())));
     }
   }
   return ups;

@@ -25,7 +25,6 @@ util::ThreadPool& pool() {
 
 SolveOptions tight_opts() {
   SolveOptions o;
-  o.alpha = kAlpha;
   o.epsilon = 1e-14;
   o.max_iterations = 3000;
   return o;
@@ -195,7 +194,6 @@ TEST_P(AlphaSweep, ConvergesForAllAlpha) {
   const auto g = graph::generate_synthetic_web(graph::google2002_config(2000, 31));
   const auto m = LinkMatrix::from_graph(g, GetParam().alpha);
   SolveOptions opts;
-  opts.alpha = GetParam().alpha;
   opts.epsilon = 1e-12;
   opts.max_iterations = 5000;
   const auto r = solve_open_system_uniform(m, 1.0, opts, pool());

@@ -1,8 +1,8 @@
-// Determinism contract of the contribution-vector sweep kernels: every
-// variant (serial sweep, pooled sweep, fused sweep+residual) must produce
-// bitwise-identical y — and the fused variants identical residuals — to the
-// serial per-edge multiply, for any pool size, on adversarial shapes
-// (empty rows, dangling-heavy graphs, 1-row and 0-row matrices).
+// Determinism contract of the two sweep kernels. The dense fused kernel
+// must produce y bitwise-identical to the naive oracle (test::naive_multiply)
+// and residuals bitwise-identical across pool sizes, on adversarial shapes
+// (empty rows, dangling-heavy graphs, 1-row and 0-row matrices); the
+// worklist kernel at epsilon 0 must match the dense kernel sweep by sweep.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -60,31 +60,19 @@ void check_all_variants(const LinkMatrix& m) {
   std::vector<double> forcing(n);
   for (std::size_t i = 0; i < n; ++i) forcing[i] = 0.15 + 0.01 * static_cast<double>(i % 5);
 
-  // Reference: serial per-edge multiply, then the unfused forcing add.
-  std::vector<double> y_ref(n, -1.0);
-  m.multiply(x, y_ref);
+  // Reference: the naive oracle, then the unfused forcing add.
+  const std::vector<double> y_ref = test::naive_multiply(m, x);
   std::vector<double> y_forced_ref = y_ref;
   for (std::size_t i = 0; i < n; ++i) y_forced_ref[i] += forcing[i];
   const double l1_ref = util::l1_distance(y_forced_ref, x);
 
   SweepScratch scratch;
-  std::vector<double> y(n, -2.0);
-  m.sweep(x, y, scratch);
-  expect_bitwise_equal(y, y_ref, "serial sweep");
-
+  std::vector<double> y(n);
   SweepStats first_stats;
   bool have_stats = false;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     const std::string label = "pool size " + std::to_string(threads);
-
-    std::fill(y.begin(), y.end(), -3.0);
-    m.multiply(x, y, pool);
-    expect_bitwise_equal(y, y_ref, "pooled multiply, " + label);
-
-    std::fill(y.begin(), y.end(), -4.0);
-    m.sweep(x, y, scratch, pool);
-    expect_bitwise_equal(y, y_ref, "pooled sweep, " + label);
 
     std::fill(y.begin(), y.end(), -5.0);
     const SweepStats stats = m.sweep_and_residual(x, y, forcing, scratch, pool);
@@ -164,9 +152,6 @@ TEST(RankSweep, EmptyMatrix) {
   const auto stats = m.sweep_and_residual({}, {}, {}, scratch, pool);
   EXPECT_EQ(stats.l1_delta, 0.0);
   EXPECT_EQ(stats.linf_delta, 0.0);
-  std::vector<double> none;
-  m.sweep({}, none, scratch);
-  m.sweep({}, none, scratch, pool);
 }
 
 TEST(RankSweep, SubsetMatrixAllVariants) {
@@ -391,7 +376,6 @@ TEST(RankSweep, WorklistSolveMatchesDenseSolve) {
     forcing[i] = 0.15 + 0.01 * static_cast<double>(i % 5);
   }
   SolveOptions opts;
-  opts.alpha = kAlpha;
   opts.epsilon = 1e-10;
 
   util::ThreadPool ref_pool(1);
@@ -418,7 +402,6 @@ TEST(RankSweep, WorklistThresholdedDeterministicAndConfirmed) {
   const std::size_t n = m.dimension();
   const std::vector<double> forcing(n, 0.15);
   SolveOptions opts;
-  opts.alpha = kAlpha;
   opts.epsilon = 1e-9;
 
   util::ThreadPool ref_pool(1);
@@ -483,21 +466,6 @@ TEST(RankSweep, SweepGrainIsWordAligned) {
   const auto g = graph::generate_synthetic_web(graph::google2002_config(10000, 17));
   EXPECT_EQ(LinkMatrix::from_graph(g, kAlpha).sweep_grain() % 64, 0u);
   EXPECT_EQ(LinkMatrix::from_graph(test::chain(10), kAlpha).sweep_grain() % 64, 0u);
-}
-
-TEST(RankSweep, SourceWeightsMatchRowWeights) {
-  // weights_[e] must be the *same double* as source_weights()[src[e]] — the
-  // bitwise-identity of the two kernels rests on this.
-  const auto g = graph::generate_synthetic_web(graph::google2002_config(2000, 9));
-  const auto m = LinkMatrix::from_graph(g, kAlpha);
-  const auto sw = m.source_weights();
-  for (std::size_t v = 0; v < m.dimension(); ++v) {
-    const auto src = m.row_sources(v);
-    const auto w = m.row_weights(v);
-    for (std::size_t e = 0; e < src.size(); ++e) {
-      ASSERT_EQ(w[e], sw[src[e]]);
-    }
-  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Shared fixtures for the p2prank test suite: tiny graphs with known
-// closed-form ranks, and helpers for building crawls inline.
+// closed-form ranks, helpers for building crawls inline, and the naive
+// y = A·x oracle the sweep kernels are checked against.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph_builder.hpp"
 #include "graph/web_graph.hpp"
+#include "rank/link_matrix.hpp"
 
 namespace p2prank::test {
 
@@ -55,6 +58,25 @@ inline graph::WebGraph leaky_pair() {
   b.add_link(a, c);
   b.add_external_link(a);
   return std::move(b).build();
+}
+
+/// y = A·x, one row at a time straight off the pull CSR: every edge u -> v
+/// adds x[u]·α/d(u). Edges alternate between two accumulators (even edges
+/// of a row in lane 0, odd in lane 1, summed at the end) — the order the
+/// kernels use — so a kernel's y must equal this bit for bit.
+inline std::vector<double> naive_multiply(const rank::LinkMatrix& m,
+                                          std::span<const double> x) {
+  const auto weight = m.source_weights();
+  std::vector<double> y(m.dimension());
+  for (std::size_t v = 0; v < y.size(); ++v) {
+    const auto sources = m.row_sources(v);
+    double lane[2] = {0.0, 0.0};
+    for (std::size_t e = 0; e < sources.size(); ++e) {
+      lane[e % 2] += x[sources[e]] * weight[sources[e]];
+    }
+    y[v] = lane[0] + lane[1];
+  }
+  return y;
 }
 
 }  // namespace p2prank::test
