@@ -107,16 +107,17 @@ int main(int argc, char** argv) {
     engine::DistributedRanking sim(g, assignment, k, opts, pool);
     sim.set_reference(reference);
     (void)sim.run(60.0, 60.0);
-    if (threshold == 0.0) full_records = sim.records_sent();
+    const engine::EngineCounters c = sim.counters();
+    if (threshold == 0.0) full_records = c.records_sent;
     delta_table.row()
         .cell(threshold == 0.0 ? std::string("0 (paper's algorithms)")
                                : util::format_double(threshold, 8))
-        .cell(sim.records_sent())
-        .cell(util::format_double(100.0 * static_cast<double>(sim.records_sent()) /
+        .cell(c.records_sent)
+        .cell(util::format_double(100.0 * static_cast<double>(c.records_sent) /
                                       static_cast<double>(full_records),
                                   1) +
               "%")
-        .cell(sim.messages_sent())
+        .cell(c.messages_sent)
         .cell(sim.relative_error_now(), 8);
   }
   delta_table.print(std::cout, "Delta-send thresholds after 60 time units (DPR1)");

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
         .cell(rounds, 1)
         .cell(sim.total_inner_sweeps())
         .cell(static_cast<double>(sim.total_inner_sweeps()) /
-                  static_cast<double>(sim.total_outer_steps()),
+                  static_cast<double>(sim.counters().outer_steps),
               1)
         .cell(result.time, 0);
   }

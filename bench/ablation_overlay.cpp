@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
     const auto result = sim.run_until_error(1e-4, 10000.0, 2.0);
     stack.row()
         .cell(row.label)
-        .cell(static_cast<double>(sim.record_hops()) /
-                  static_cast<double>(sim.records_sent()),
+        .cell(static_cast<double>(sim.counters().record_hops) /
+                  static_cast<double>(sim.counters().records_sent),
               2)
         .cell(result.reached ? util::format_double(result.time, 0)
                              : std::string("-"));

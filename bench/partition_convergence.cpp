@@ -61,14 +61,14 @@ int main(int argc, char** argv) {
     sim.set_reference(reference);
     const auto result = sim.run_until_error(1e-4, 5000.0, 2.0);
 
-    const auto records = static_cast<double>(sim.records_sent());
+    const auto records = static_cast<double>(sim.counters().records_sent);
     if (std::string(strategy->name()) == "hash-url") url_records = records;
     totals.emplace_back(std::string(strategy->name()), records);
     table.row()
         .cell(std::string(strategy->name()))
         .cell(std::uint64_t{pstats.cut_links})
         .cell(result.reached ? result.mean_outer_steps : -1.0, 1)
-        .cell(sim.records_sent())
+        .cell(sim.counters().records_sent)
         .cell(util::format_bytes(records * 100.0))
         .cell("");  // filled below once url_records is known
   }

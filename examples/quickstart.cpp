@@ -97,8 +97,8 @@ int main() {
   std::cout << "\ndistributed vs centralized open-system relative error: "
             << sim.relative_error_now() << '\n'
             << "outer rounds per ranker (mean): " << result.mean_outer_steps << '\n'
-            << "messages exchanged: " << sim.messages_sent() << " carrying "
-            << sim.records_sent() << " <from,to,score> records\n\n";
+            << "messages exchanged: " << result.messages_sent << " carrying "
+            << result.records_sent << " <from,to,score> records\n\n";
 
   const auto top = rank::top_pages(open, 3);
   std::cout << "top pages (open-system): ";

@@ -108,8 +108,9 @@ int main(int argc, char** argv) {
         .cell(s.total_outer_steps);
   }
   conv.print(std::cout);
-  std::cout << "messages: " << sim.messages_sent() << " sent, "
-            << sim.messages_lost() << " lost (loss tolerated by design)\n";
+  const auto counts = sim.counters();
+  std::cout << "messages: " << counts.messages_sent << " sent, " << counts.messages_lost
+            << " lost (loss tolerated by design)\n";
 
   // --- 4. serve ---------------------------------------------------------------
   std::cout << "\n4. serve: top pages\n";

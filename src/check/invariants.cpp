@@ -1,6 +1,8 @@
 #include "check/invariants.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -92,67 +94,49 @@ void InvariantChecker::check_sample(std::vector<Violation>& out) {
   // off, keeping it current costs nothing and simplifies re-enabling).
   baseline_.assign(ranks.begin(), ranks.end());
 
-  // counters
-  const std::uint64_t sent = sim_.messages_sent();
-  const std::uint64_t lost = sim_.messages_lost();
-  const std::uint64_t steps = sim_.total_outer_steps();
+  // counters: no tally ever goes backwards, and the cross-tally relations
+  // hold (the reliable-layer tallies are identically 0 with fire-and-forget,
+  // so their checks are free there).
+  const engine::EngineCounters c = sim_.counters();
   const auto per_group = sim_.records_sent_per_group();
   const std::uint64_t group_records =
       std::accumulate(per_group.begin(), per_group.end(), std::uint64_t{0});
+  const auto* backwards = std::find_if(
+      std::begin(engine::kCounterFields), std::end(engine::kCounterFields),
+      [&](const engine::CounterField& f) { return c.*f.field < prev_.*f.field; });
   std::ostringstream counter_fail;
-  if (lost > sent) {
-    counter_fail << "messages_lost " << lost << " > messages_sent " << sent;
-  } else if (sent < prev_sent_ || lost < prev_lost_) {
-    counter_fail << "message counters went backwards (sent " << prev_sent_
-                 << "->" << sent << ", lost " << prev_lost_ << "->" << lost
-                 << ")";
-  } else if (group_records != sim_.records_sent()) {
+  if (backwards != std::end(engine::kCounterFields)) {
+    counter_fail << (backwards->metric.empty() ? "an unexported tally"
+                                               : backwards->metric)
+                 << " went backwards (" << prev_.*backwards->field << "->"
+                 << c.*backwards->field << ")";
+  } else if (c.messages_lost > c.messages_sent) {
+    counter_fail << "messages_lost " << c.messages_lost << " > messages_sent "
+                 << c.messages_sent;
+  } else if (group_records != c.records_sent) {
     counter_fail << "per-group records sum " << group_records
-                 << " != records_sent " << sim_.records_sent();
-  } else if (steps < prev_steps_) {
-    counter_fail << "total_outer_steps went backwards (" << prev_steps_ << "->"
-                 << steps << ")";
-  } else if (expect_status_per_step_ && sim_.status_messages() != steps) {
-    counter_fail << "status_messages " << sim_.status_messages()
-                 << " != total_outer_steps " << steps;
-  }
-  // Reliable-exchange counters (all identically 0 with fire-and-forget, so
-  // these checks are free there).
-  const std::uint64_t rexmit = sim_.retransmissions();
-  const std::uint64_t acks_sent = sim_.acks_sent();
-  const std::uint64_t acks_delivered = sim_.acks_delivered();
-  const std::uint64_t dups = sim_.duplicates_rejected();
-  const std::uint64_t churn = sim_.churn_events();
-  if (counter_fail.str().empty()) {
-    if (rexmit < prev_retransmissions_ || acks_sent < prev_acks_sent_ ||
-        acks_delivered < prev_acks_delivered_ || dups < prev_duplicates_ ||
-        churn < prev_churn_) {
-      counter_fail << "reliability counters went backwards";
-    } else if (acks_delivered > acks_sent) {
-      counter_fail << "acks_delivered " << acks_delivered << " > acks_sent "
-                   << acks_sent;
-    } else if (rexmit > sent) {
-      counter_fail << "retransmissions " << rexmit << " > messages_sent " << sent;
-    }
+                 << " != records_sent " << c.records_sent;
+  } else if (expect_status_per_step_ && c.status_messages != c.outer_steps) {
+    counter_fail << "status_messages " << c.status_messages
+                 << " != total_outer_steps " << c.outer_steps;
+  } else if (c.acks_delivered > c.acks_sent) {
+    counter_fail << "acks_delivered " << c.acks_delivered << " > acks_sent "
+                 << c.acks_sent;
+  } else if (c.retransmissions > c.messages_sent) {
+    counter_fail << "retransmissions " << c.retransmissions << " > messages_sent "
+                 << c.messages_sent;
   }
   if (const auto msg = counter_fail.str(); !msg.empty()) {
     out.push_back({"counters", t, msg});
   }
-  prev_sent_ = sent;
-  prev_lost_ = lost;
-  prev_steps_ = steps;
-  prev_retransmissions_ = rexmit;
-  prev_acks_sent_ = acks_sent;
-  prev_acks_delivered_ = acks_delivered;
-  prev_duplicates_ = dups;
-  prev_churn_ = churn;
+  prev_ = c;
 
   // zombie: a retransmit timer observed its epoch pending AND acked — the
   // ack path failed to clear the pending epoch. Impossible by construction;
   // a nonzero count is a transport regression, flagged immediately.
-  if (sim_.zombie_retransmits() != 0) {
+  if (c.zombie_retransmits != 0) {
     std::ostringstream msg;
-    msg << sim_.zombie_retransmits()
+    msg << c.zombie_retransmits
         << " retransmit timer(s) fired for an already-acked epoch";
     out.push_back({"zombie", t, msg.str()});
   }
@@ -161,18 +145,18 @@ void InvariantChecker::check_sample(std::vector<Violation>& out) {
   // and was applied. A 64-bit FNV collision landing on a valid frame is
   // astronomically unlikely; any nonzero count means the codec's validation
   // order regressed.
-  if (sim_.corrupt_frames_applied() != 0) {
+  if (c.corrupt_frames_applied != 0) {
     std::ostringstream msg;
-    msg << sim_.corrupt_frames_applied()
+    msg << c.corrupt_frames_applied
         << " corrupted frame(s) passed validation and were applied";
     out.push_back({"corrupt-applied", t, msg.str()});
   }
   // slice-guard: the refresh-time NaN/Inf/negative/order guard behind the
   // codec fired. The codec quarantines garbage first, so in simulation this
   // defense-in-depth layer must never be the one that catches it.
-  if (sim_.slices_rejected() != 0) {
+  if (c.slices_rejected != 0) {
     std::ostringstream msg;
-    msg << sim_.slices_rejected()
+    msg << c.slices_rejected
         << " slice(s) rejected by the refresh-time payload guard";
     out.push_back({"slice-guard", t, msg.str()});
   }

@@ -18,24 +18,23 @@
 //                re-arms monotonicity.
 //   bound        per-page rank <= centralized fixed point R* (Thm 4.2).
 //   finite       every rank is finite and non-negative, always.
-//   counters     messages_lost <= messages_sent, both non-decreasing;
-//                per-group records sum to the records total; outer steps
-//                non-decreasing; with stability detection on, one status
-//                message per outer step; reliable-exchange counters
-//                (retransmissions, acks, duplicates) non-decreasing and
-//                acks_delivered <= acks_sent.
+//   counters     every EngineCounters tally non-decreasing;
+//                messages_lost <= messages_sent; per-group records sum to
+//                the records total; with stability detection on, one
+//                status message per outer step; acks_delivered <=
+//                acks_sent and retransmissions <= messages_sent.
 //   epochs       (reliable mode) the receiver-side accepted epoch of every
 //                ordered ranker pair is non-decreasing — unconditionally,
 //                across crashes and churn, because epochs are transport-
 //                session state, not application state.
-//   zombie       zombie_retransmits() stays 0: no retransmit timer ever
+//   zombie       counters().zombie_retransmits stays 0: no retransmit timer ever
 //                finds its epoch both pending and acked (an ack clears the
 //                pending epoch atomically). A nonzero count is a regression
 //                in the ack bookkeeping, not a tunable.
-//   corrupt-applied  corrupt_frames_applied() stays 0: no byte-flipped
+//   corrupt-applied  counters().corrupt_frames_applied stays 0: no byte-flipped
 //                frame ever survives the codec's checksum + header
 //                validation and reaches a ranker's X (DESIGN.md §13).
-//   slice-guard  slices_rejected() stays 0: the refresh-time payload guard
+//   slice-guard  counters().slices_rejected stays 0: the refresh-time payload guard
 //                (NaN/Inf/negative/order) behind the codec never fires —
 //                garbage is quarantined at decode, one layer earlier.
 //   ownership    every page has exactly one owning ranker — churn handoffs
@@ -112,14 +111,7 @@ class InvariantChecker {
   bool monotone_armed_;   ///< currently armed (no un-restored crash)
   bool check_bound_;
   bool expect_status_per_step_;
-  std::uint64_t prev_sent_ = 0;
-  std::uint64_t prev_lost_ = 0;
-  std::uint64_t prev_steps_ = 0;
-  std::uint64_t prev_retransmissions_ = 0;
-  std::uint64_t prev_acks_sent_ = 0;
-  std::uint64_t prev_acks_delivered_ = 0;
-  std::uint64_t prev_duplicates_ = 0;
-  std::uint64_t prev_churn_ = 0;
+  engine::EngineCounters prev_;  ///< counters at the last sample
   /// Row-major k x k accepted-epoch high-water marks from the last sample.
   std::vector<std::uint64_t> prev_epochs_;
   std::uint64_t samples_checked_ = 0;

@@ -472,6 +472,7 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
             delta.incremental ? std::vector<double>(ranks.begin(), ranks.end())
                               : engine::carry_ranks(g, ranks, delta.graph);
         offset += sim->now();
+        result += sim->counters();  // the retiring engine's share of the totals
         checker.reset();  // references sim
         sim.reset();      // references g
         g = std::move(delta.graph);
@@ -563,13 +564,7 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
     opts_.tracer->complete(obs::names::kTracePhase, active_end,
                            result.end_time - active_end, 0, "tail");
   }
-  result.messages_sent = sim->messages_sent();
-  result.messages_lost = sim->messages_lost();
-  result.retransmissions = sim->retransmissions();
-  result.duplicates_rejected = sim->duplicates_rejected();
-  result.churn_events = sim->churn_events();
-  result.partition_drops = sim->partition_drops();
-  result.frames_quarantined = sim->frames_quarantined();
+  result += sim->counters();
   if (supervisor != nullptr) {
     result.evictions += supervisor->evictions();
     result.rejoins += supervisor->rejoins();

@@ -65,19 +65,15 @@ struct RunnerOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-struct ScenarioResult {
+/// The engine counters are summed over every engine the scenario built
+/// (a kGraphUpdate retires one), like the supervisor tallies below — so
+/// they equal what a metrics registry attached to the run accumulates.
+struct ScenarioResult : engine::EngineCounters {
   std::vector<Violation> violations;
   bool converged = false;
   double final_error = 0.0;
   double end_time = 0.0;  ///< total virtual time simulated (across rebuilds)
   std::uint64_t samples_checked = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_lost = 0;
-  std::uint64_t retransmissions = 0;      ///< reliable mode only
-  std::uint64_t duplicates_rejected = 0;  ///< stale slices the epoch filter ate
-  std::uint64_t churn_events = 0;         ///< completed leave/join handoffs
-  std::uint64_t partition_drops = 0;      ///< messages eaten by an active cut
-  std::uint64_t frames_quarantined = 0;   ///< corrupt frames rejected at decode
   std::uint64_t evictions = 0;            ///< supervisor-driven (recovery mode)
   std::uint64_t rejoins = 0;              ///< supervisor-driven (recovery mode)
 

@@ -10,22 +10,9 @@
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "transport/exchange.hpp"
 #include "util/stats.hpp"
 
 namespace p2prank::engine {
-
-namespace {
-
-/// Wire cost of one Y-slice message under the §4.5 format (40-byte
-/// envelope + ~100 bytes per <url_from, url_to, score> record). The
-/// engine ships record *counts*, not payloads; this prices them.
-[[nodiscard]] double slice_wire_bytes(std::uint64_t records) {
-  constexpr transport::WireFormat kWire{};
-  return kWire.header_bytes + static_cast<double>(records) * kWire.record_bytes;
-}
-
-}  // namespace
 
 EngineOptions DistributedRanking::validated(EngineOptions o) {
   // Field-naming messages: a chaos harness (or a config file) that produces
@@ -183,6 +170,7 @@ DistributedRanking::DistributedRanking(const graph::WebGraph& g,
 
   build_groups(assignment);
   init_obs();
+  export_metrics();  // registers every counter, so a never-run engine shows zeros
 
   // --- Kick off every non-empty ranker --------------------------------------
   stable_flag_.assign(k, 0);
@@ -203,24 +191,6 @@ void DistributedRanking::init_obs() {
   obs::MetricsRegistry* m = opts_.metrics;
   if (m == nullptr) return;
   namespace names = obs::names;
-  obs_.outer_steps = &m->counter(names::kEngineOuterSteps);
-  obs_.inner_sweeps = &m->counter(names::kEngineInnerSweeps);
-  obs_.messages_sent = &m->counter(names::kEngineMessagesSent);
-  obs_.messages_lost = &m->counter(names::kEngineMessagesLost);
-  obs_.deliveries = &m->counter(names::kEngineDeliveries);
-  obs_.records_sent = &m->counter(names::kEngineRecordsSent);
-  obs_.record_hops = &m->counter(names::kEngineRecordHops);
-  obs_.churn_events = &m->counter(names::kEngineChurnEvents);
-  obs_.retransmissions = &m->counter(names::kTransportRetransmissions);
-  obs_.retransmit_records = &m->counter(names::kTransportRetransmitRecords);
-  obs_.acks_sent = &m->counter(names::kTransportAcksSent);
-  obs_.acks_delivered = &m->counter(names::kTransportAcksDelivered);
-  obs_.duplicates_rejected = &m->counter(names::kTransportDuplicatesRejected);
-  obs_.suspicions = &m->counter(names::kTransportSuspicions);
-  obs_.partition_drops = &m->counter(names::kTransportPartitionDrops);
-  obs_.frames_quarantined = &m->counter(names::kTransportFramesQuarantined);
-  obs_.data_bytes = &m->gauge(names::kEngineDataBytes);
-  obs_.retransmit_bytes = &m->gauge(names::kTransportRetransmitBytes);
   obs_.slice_records = &m->log2_histogram(names::kEngineSliceRecords);
   obs_.inner_iterations = &m->log2_histogram(names::kEngineInnerIterations);
   // Residuals span ~[1, 1e-16] over a run; bin the log10 so late-
@@ -229,11 +199,46 @@ void DistributedRanking::init_obs() {
   obs_.step_residual =
       &m->linear_histogram(names::kEngineStepResidualLog10, -18.0, 2.0, 40);
   const auto k = static_cast<std::uint32_t>(groups_.size());
-  obs_.group_outer_steps.reserve(k);
   obs_.group_residual.reserve(k);
   for (std::uint32_t grp = 0; grp < k; ++grp) {
-    obs_.group_outer_steps.push_back(&m->counter(names::kEngineGroupOuterSteps, grp));
     obs_.group_residual.push_back(&m->gauge(names::kEngineGroupResidual, grp));
+  }
+  exported_group_steps_.assign(k, 0);
+}
+
+EngineCounters DistributedRanking::counters() const noexcept {
+  EngineCounters c = tally_;
+  c.outer_steps = retired_outer_steps_;
+  for (const auto& grp : groups_) c.outer_steps += grp->outer_steps();
+  for (const std::uint64_t records : records_per_group_) c.records_sent += records;
+  if (reliable_) {
+    c.duplicates_rejected = reliable_->duplicates_rejected();
+    c.suspicions = reliable_->suspicion_events();
+    c.zombie_retransmits = reliable_->zombie_retransmits();
+  }
+  c.partition_drops = fault_plane_.partition_drops();
+  c.frames_corrupted = fault_plane_.frames_corrupted();
+  return c;
+}
+
+void DistributedRanking::export_metrics() {
+  obs::MetricsRegistry* m = opts_.metrics;
+  if (m == nullptr) return;
+  namespace names = obs::names;
+  const EngineCounters now = counters();
+  const EngineCounters added = now - exported_;
+  exported_ = now;
+  for (const CounterField& f : kCounterFields) {
+    if (!f.metric.empty()) m->counter(f.metric) += added.*f.field;
+  }
+  // Integer byte counts are exact in a double, so adding them per export
+  // gives the same gauge bits as adding them per message.
+  m->gauge(names::kEngineDataBytes) += added.data_bytes();
+  m->gauge(names::kTransportRetransmitBytes) += added.retransmit_bytes();
+  for (std::uint32_t grp = 0; grp < groups_.size(); ++grp) {
+    const std::uint64_t steps = groups_[grp]->outer_steps();
+    m->counter(names::kEngineGroupOuterSteps, grp) += steps - exported_group_steps_[grp];
+    exported_group_steps_[grp] = steps;
   }
 }
 
@@ -483,8 +488,11 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
   std::ostringstream text;
   save_ranks(graph_, global_ranks(), text);
 
+  // The per-group step tallies retire with their groups: export them first.
+  export_metrics();
   for (const auto& grp : groups_) retired_outer_steps_ += grp->outer_steps();
   build_groups(assignment);
+  std::fill(exported_group_steps_.begin(), exported_group_steps_.end(), 0);
 
   std::istringstream in(text.str());
   const LoadedRanks loaded = load_ranks(graph_, in);
@@ -503,8 +511,7 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
   std::fill(stable_flag_.begin(), stable_flag_.end(), 0);
   stable_count_ = 0;
 
-  ++churn_events_;
-  if (obs_.churn_events != nullptr) ++*obs_.churn_events;
+  ++tally_.churn_events;
   if (opts_.tracer != nullptr) {
     opts_.tracer->instant(obs::names::kTraceChurn, queue_.now());
   }
@@ -513,6 +520,7 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
       schedule_step(grp);
     }
   }
+  export_metrics();
 }
 
 void DistributedRanking::leave_group(std::uint32_t group, std::uint32_t successor) {
@@ -600,108 +608,65 @@ void DistributedRanking::schedule_step(std::uint32_t group) {
 
 void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t dst,
                                     YSlice slice) {
-  ++messages_sent_;
-  records_sent_ += slice.record_count;
   records_per_group_[src] += slice.record_count;
-  if (obs_.messages_sent != nullptr) {
-    ++*obs_.messages_sent;
-    *obs_.records_sent += slice.record_count;
-    *obs_.data_bytes += slice_wire_bytes(slice.record_count);
-    obs_.slice_records->add(slice.record_count);
-  }
+  if (obs_.slice_records != nullptr) obs_.slice_records->add(slice.record_count);
+  // Reliable exchange: stamp an epoch and buffer the payload if
+  // retransmission is on (a fresh send supersedes the pair's previous
+  // unacked slice — the buffer holds at most one slice per peer). Sends to a
+  // suspected peer still go out: they double as probes. The paper's
+  // fire-and-forget channel ships epoch 0 and buffers nothing.
+  const transport::Epoch epoch = reliable_ ? reliable_->begin_send(src, dst) : 0;
+  auto payload = std::make_shared<YSlice>(std::move(slice));
+  if (opts_.reliability.retransmit) pending_payload_[pair_key(src, dst)] = payload;
+  transmit(src, dst, epoch, std::move(payload), /*retransmission=*/false);
+  if (opts_.reliability.retransmit) schedule_retransmit(src, dst, epoch);
+}
 
-  if (!reliable_) {
-    // The paper's fire-and-forget channel (bit-compatible with the
-    // pre-reliability engine: one loss draw per send, commit on delivery).
-    // The loss draw always comes first; the fault plane draws from its own
-    // RNG and only while a cut is active, so the loss stream never shifts.
-    const bool pass_loss = loss_.delivered();
-    const bool pass_cut = fault_plane_.deliver(src, dst);
-    if (!pass_cut && obs_.partition_drops != nullptr) ++*obs_.partition_drops;
-    if (!pass_loss || !pass_cut) {
-      ++messages_lost_;
-      if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
-      return;
-    }
-    if (opts_.send_threshold > 0.0) groups_[src]->commit_sent(dst, slice);
-    const double delay = delivery_delay(src, dst);
-    if (opts_.overlay != nullptr) {
-      const std::uint64_t hops = slice.record_count * hop_cache_[pair_key(src, dst)];
-      record_hops_ += hops;
-      if (obs_.record_hops != nullptr) *obs_.record_hops += hops;
-    }
-    if (opts_.tracer != nullptr) {
-      opts_.tracer->complete(obs::names::kTraceMsgFlight, queue_.now(), delay, dst,
-                             {}, static_cast<double>(slice.record_count));
-    }
-    if (delay <= 0.0) {
-      if (!frame_survives(src, dst, 0, slice)) return;
-      if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-      inbox_[dst].emplace_back(src, std::move(slice));
-    } else {
-      // Move the slice into the event closure; it lands in the inbox when
-      // the event fires — unless churn rebuilt the wiring meanwhile (the
-      // slice's local indices would be stale, so it is dropped; with no
-      // retransmission that loss is repaired by the sender's next step).
-      auto shared = std::make_shared<YSlice>(std::move(slice));
-      const std::uint64_t gen = generation_;
-      queue_.schedule_in(delay, [this, dst, src, shared, gen] {
-        if (gen != generation_) return;
-        if (!frame_survives(src, dst, 0, *shared)) return;
-        if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-        inbox_[dst].emplace_back(src, std::move(*shared));
-      });
-    }
-    return;
-  }
-
-  // Reliable exchange: stamp an epoch, buffer the payload if retransmission
-  // is on (a fresh send supersedes the pair's previous unacked slice — the
-  // buffer holds at most one slice per peer), then transmit. Sends to a
-  // suspected peer still go out: they double as probes.
-  const transport::Epoch epoch = reliable_->begin_send(src, dst);
-  auto payload = std::make_shared<const YSlice>(std::move(slice));
-  if (opts_.reliability.retransmit) {
-    pending_payload_[pair_key(src, dst)] = payload;
-  }
-
+void DistributedRanking::transmit(std::uint32_t src, std::uint32_t dst,
+                                  transport::Epoch epoch,
+                                  std::shared_ptr<YSlice> payload,
+                                  bool retransmission) {
+  ++tally_.messages_sent;
+  // One loss draw per attempt, always first, and the cut draw always after
+  // it (no short-circuit): the fault plane draws from its own RNG and only
+  // while a cut is active, so the loss stream never shifts.
   const bool pass_loss = loss_.delivered();
   const bool pass_cut = fault_plane_.deliver(src, dst);
-  if (!pass_cut && obs_.partition_drops != nullptr) ++*obs_.partition_drops;
-  const bool delivered = pass_loss && pass_cut;
-  if (!delivered) {
-    ++messages_lost_;
-    if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
+  if (!pass_loss || !pass_cut) {
+    ++tally_.messages_lost;
+    return;
   }
-  if (delivered) {
-    if (opts_.send_threshold > 0.0 && !opts_.reliability.retransmit) {
-      // Without retransmission the loss draw above is the only delivery
-      // knowledge; commit eagerly on it, exactly like fire-and-forget.
-      // (With retransmission the commit happens on ack instead.)
-      groups_[src]->commit_sent(dst, *payload);
-    }
-    const double delay = delivery_delay(src, dst);
-    if (opts_.overlay != nullptr) {
-      const std::uint64_t hops =
-          payload->record_count * hop_cache_[pair_key(src, dst)];
-      record_hops_ += hops;
-      if (obs_.record_hops != nullptr) *obs_.record_hops += hops;
-    }
-    if (opts_.tracer != nullptr) {
-      opts_.tracer->complete(obs::names::kTraceMsgFlight, queue_.now(), delay, dst,
-                             {}, static_cast<double>(payload->record_count));
-    }
-    const std::uint64_t gen = generation_;
-    if (delay <= 0.0) {
-      deliver(src, dst, epoch, *payload);
-    } else {
-      queue_.schedule_in(delay, [this, src, dst, epoch, payload, gen] {
-        if (gen != generation_) return;
-        deliver(src, dst, epoch, *payload);
-      });
-    }
+  if (opts_.send_threshold > 0.0 && !opts_.reliability.retransmit) {
+    // Without retransmission the loss draw above is the only delivery
+    // knowledge; commit eagerly on it. (With retransmission the commit
+    // happens on ack instead.)
+    groups_[src]->commit_sent(dst, *payload);
   }
-  if (opts_.reliability.retransmit) schedule_retransmit(src, dst, epoch);
+  const double delay = delivery_delay(src, dst);
+  const std::uint64_t records = payload->record_count;
+  if (opts_.overlay != nullptr && !retransmission) {
+    tally_.record_hops += records * hop_cache_[pair_key(src, dst)];
+  }
+  if (opts_.tracer != nullptr) {
+    opts_.tracer->complete(
+        retransmission ? obs::names::kTraceRetransmit : obs::names::kTraceMsgFlight,
+        queue_.now(), delay, dst, {}, static_cast<double>(records));
+  }
+  // The slice lands in the inbox when the event fires — unless churn
+  // rebuilt the wiring meanwhile (its local indices would be stale, so it is
+  // dropped; the sender's next step or retransmit timer repairs the loss).
+  // It moves there unless the retransmit buffer may re-ship it.
+  const std::uint64_t gen = generation_;
+  auto arrive = [this, src, dst, epoch, payload = std::move(payload), gen] {
+    if (gen != generation_) return;
+    deliver(src, dst, epoch,
+            opts_.reliability.retransmit ? YSlice(*payload) : std::move(*payload));
+  };
+  if (delay <= 0.0) {
+    arrive();
+  } else {
+    queue_.schedule_in(delay, std::move(arrive));
+  }
 }
 
 void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
@@ -718,34 +683,29 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   if (!frame_survives(src, dst, epoch, slice)) return;
   // Receiving data from src is evidence src is alive: clear any suspicion
   // on the reverse pair and, if a retransmit was parked there, re-arm it.
-  if (reliable_->peer_alive(dst, src)) {
+  if (reliable_ && reliable_->peer_alive(dst, src)) {
     schedule_retransmit(dst, src, reliable_->pending_epoch(dst, src));
   }
-  const bool fresh = reliable_->accept(src, dst, epoch);
-  if (fresh) {
-    if (obs_.deliveries != nullptr) ++*obs_.deliveries;
+  // A stale epoch is counted by the filter itself (duplicates_rejected).
+  if (!reliable_ || reliable_->accept(src, dst, epoch)) {
+    ++tally_.deliveries;
     inbox_[dst].emplace_back(src, std::move(slice));
-  } else if (obs_.duplicates_rejected != nullptr) {
-    ++*obs_.duplicates_rejected;
   }
+  if (!reliable_) return;
   // Ack even a rejected duplicate — the ack is cumulative (it carries the
   // receiver's accept high-water mark), so it also repairs a lost earlier
   // ack. Acks ride their own lossy channel.
-  ++acks_sent_;
-  if (obs_.acks_sent != nullptr) ++*obs_.acks_sent;
+  ++tally_.acks_sent;
   const bool ack_pass_loss = ack_loss_.delivered();
   // The ack crosses the cut in the reverse direction (dst → src), so an
-  // asymmetric partition can pass data one way and starve the acks.
+  // asymmetric partition can pass data one way and starve the acks. A cut
+  // ack counts in partition_drops but not in messages_lost.
   const bool ack_pass_cut = fault_plane_.deliver(dst, src);
-  if (!ack_pass_cut && obs_.partition_drops != nullptr) {
-    ++*obs_.partition_drops;
-  }
   if (!ack_pass_loss || !ack_pass_cut) return;
   const transport::Epoch value = reliable_->accepted_epoch(src, dst);
   const double delay = opts_.reliability.ack_latency;
   auto apply_ack = [this, src, dst, value] {
-    ++acks_delivered_;
-    if (obs_.acks_delivered != nullptr) ++*obs_.acks_delivered;
+    ++tally_.acks_delivered;
     if (reliable_->on_ack(src, dst, value)) {
       // Cleared the pending epoch: the buffered payload is now known
       // delivered — commit it for delta-sending and drop it.
@@ -778,8 +738,7 @@ bool DistributedRanking::frame_survives(std::uint32_t src, std::uint32_t dst,
   transport::DecodedFrame decoded;
   const auto verdict = transport::decode_frame(frame, decoded);
   if (verdict != transport::FrameVerdict::kOk) {
-    ++frames_quarantined_;
-    if (obs_.frames_quarantined != nullptr) ++*obs_.frames_quarantined;
+    ++tally_.frames_quarantined;
     return false;
   }
   if (corrupted || decoded.header.src != src || decoded.header.dst != dst ||
@@ -787,7 +746,7 @@ bool DistributedRanking::frame_survives(std::uint32_t src, std::uint32_t dst,
     // A corrupted frame passed the 64-bit checksum — collision odds are
     // negligible, so this tripwire staying 0 is an invariant the chaos
     // checker enforces ("zero applied corrupt frames").
-    ++corrupt_frames_applied_;
+    ++tally_.corrupt_frames_applied;
   }
   slice.record_count = decoded.header.record_count;
   slice.entries = std::move(decoded.entries);
@@ -827,51 +786,22 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t ds
       if (opts_.reliability.suspect_decay < 1.0) {
         groups_[src]->scale_received(dst, opts_.reliability.suspect_decay);
       }
-      if (obs_.suspicions != nullptr) ++*obs_.suspicions;
       return;
     case transport::ReliableExchange::TimerVerdict::kRetransmit:
       break;
   }
   const auto it = pending_payload_.find(pair_key(src, dst));
   if (it == pending_payload_.end()) return;  // crash dropped the buffer
-  const std::shared_ptr<const YSlice> payload = it->second;
-  ++retransmissions_;
-  ++messages_sent_;
+  ++tally_.retransmissions;
   // Accounting fix: a retransmit re-ships the *same* logical records, so it
-  // must not inflate records_sent_ / records_per_group_ / record_hops_ —
+  // must not inflate records_sent / records_per_group_ / record_hops —
   // those feed the §4.5 cost model's W and h·l·W, which price logical
   // records, not channel attempts. (It used to, overstating the cost model
   // by exactly the loss-driven retransmit rate.) Re-shipped records and
   // their wire bytes are tallied apart as overhead.
-  retransmit_records_ += payload->record_count;
-  if (obs_.retransmissions != nullptr) {
-    ++*obs_.retransmissions;
-    ++*obs_.messages_sent;
-    *obs_.retransmit_records += payload->record_count;
-    *obs_.retransmit_bytes += slice_wire_bytes(payload->record_count);
-  }
-  const bool pass_loss = loss_.delivered();
-  const bool pass_cut = fault_plane_.deliver(src, dst);
-  if (!pass_cut && obs_.partition_drops != nullptr) ++*obs_.partition_drops;
-  if (!pass_loss || !pass_cut) {
-    ++messages_lost_;
-    if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
-  } else {
-    const double delay = delivery_delay(src, dst);
-    if (opts_.tracer != nullptr) {
-      opts_.tracer->complete(obs::names::kTraceRetransmit, queue_.now(), delay, dst,
-                             {}, static_cast<double>(payload->record_count));
-    }
-    const std::uint64_t gen = generation_;
-    if (delay <= 0.0) {
-      deliver(src, dst, epoch, *payload);
-    } else {
-      queue_.schedule_in(delay, [this, src, dst, epoch, payload, gen] {
-        if (gen != generation_) return;
-        deliver(src, dst, epoch, *payload);
-      });
-    }
-  }
+  tally_.retransmit_records += it->second->record_count;
+  // By value: an immediate delivery's ack may erase the buffer entry.
+  transmit(src, dst, epoch, it->second, /*retransmission=*/true);
   schedule_retransmit(src, dst, epoch);
 }
 
@@ -894,7 +824,7 @@ void DistributedRanking::run_step(std::uint32_t group) {
       // NaN/Inf/negative or misordered payload must never reach refresh_x,
       // where it would propagate through every subsequent sweep.
       if (!transport::entries_valid(slice.entries)) {
-        ++slices_rejected_;
+        ++tally_.slices_rejected;
         continue;
       }
       pg.refresh_x(source, std::move(slice));
@@ -917,25 +847,16 @@ void DistributedRanking::run_step(std::uint32_t group) {
   }
 
   // Compute R.
+  std::size_t sweeps = 1;
   if (dpr1) {
-    const std::size_t used = pg.solve_to_convergence(opts_.inner_epsilon,
-                                                     opts_.inner_max_iterations,
-                                                     pool_);
-    inner_sweeps_ += used;
-    if (obs_.inner_sweeps != nullptr) {
-      *obs_.inner_sweeps += used;
-      obs_.inner_iterations->add(used);
-    }
+    sweeps = pg.solve_to_convergence(opts_.inner_epsilon, opts_.inner_max_iterations,
+                                     pool_);
+    if (obs_.inner_iterations != nullptr) obs_.inner_iterations->add(sweeps);
   } else {
     pg.sweep_once(pool_);
-    ++inner_sweeps_;
-    if (obs_.inner_sweeps != nullptr) ++*obs_.inner_sweeps;
   }
+  tally_.inner_sweeps += sweeps;
   pg.count_outer_step();
-  if (obs_.outer_steps != nullptr) {
-    ++*obs_.outer_steps;
-    ++*obs_.group_outer_steps[group];
-  }
 
   if (want_residual) {
     const double delta = dpr1 ? util::l1_distance(pg.ranks(), step_scratch_)
@@ -951,7 +872,7 @@ void DistributedRanking::run_step(std::uint32_t group) {
       // Report this step's stability to the coordinator (reliable control
       // message; the simulator applies it immediately).
       const bool stable = delta <= opts_.stability_epsilon;
-      ++status_messages_;
+      ++tally_.status_messages;
       if (stable != (stable_flag_[group] != 0)) {
         stable_flag_[group] = stable ? 1 : 0;
         stable_count_ += stable ? 1 : -1;
@@ -1035,15 +956,9 @@ std::vector<std::uint64_t> DistributedRanking::outer_steps_per_group() const {
   return steps;
 }
 
-std::uint64_t DistributedRanking::total_outer_steps() const noexcept {
-  std::uint64_t total = retired_outer_steps_;
-  for (const auto& grp : groups_) total += grp->outer_steps();
-  return total;
-}
-
 double DistributedRanking::mean_outer_steps() const noexcept {
   if (nonempty_ == 0) return 0.0;
-  return static_cast<double>(total_outer_steps()) / static_cast<double>(nonempty_);
+  return static_cast<double>(counters().outer_steps) / static_cast<double>(nonempty_);
 }
 
 std::vector<Sample> DistributedRanking::run(double t_end, double sample_interval) {
@@ -1071,10 +986,11 @@ std::vector<Sample> DistributedRanking::run(double t_end, double sample_interval
       min_delta = std::min(min_delta, ranks[i] - prev_sample_ranks_[i]);
     }
     s.min_rank_delta = min_delta;
-    s.total_outer_steps = total_outer_steps();
+    s.total_outer_steps = counters().outer_steps;
     prev_sample_ranks_ = ranks;
     samples.push_back(s);
   }
+  export_metrics();
   return samples;
 }
 
@@ -1084,7 +1000,6 @@ ConvergenceResult DistributedRanking::run_until_error(double threshold,
   if (reference_.empty()) {
     throw std::logic_error("DistributedRanking: reference not set");
   }
-  ConvergenceResult result;
   double err = relative_error_now();
   double t = queue_.now();
   while (err > threshold && t < max_time) {
@@ -1092,20 +1007,13 @@ ConvergenceResult DistributedRanking::run_until_error(double threshold,
     queue_.run_until(t);
     err = relative_error_now();
   }
+  ConvergenceResult result;
+  static_cast<EngineCounters&>(result) = counters();
   result.reached = err <= threshold;
   result.time = t;
   result.mean_outer_steps = mean_outer_steps();
-  for (const auto& grp : groups_) {
-    result.max_outer_steps = std::max(result.max_outer_steps, grp->outer_steps());
-  }
-  result.messages_sent = messages_sent_;
-  result.messages_lost = messages_lost_;
-  result.records_sent = records_sent_;
-  result.retransmit_records = retransmit_records_;
-  result.retransmissions = retransmissions_;
-  result.acks_sent = acks_sent_;
-  result.duplicates_rejected = duplicates_rejected();
   result.final_relative_error = err;
+  export_metrics();
   return result;
 }
 

@@ -162,9 +162,6 @@ class DistributedRanking {
   /// a non-empty joining group, or a donor with fewer than two pages.
   void join_group(std::uint32_t group, std::uint32_t donor);
 
-  /// Completed leave/join operations.
-  [[nodiscard]] std::uint64_t churn_events() const noexcept { return churn_events_; }
-
   /// Current page -> group ownership map (exactly one owner per page).
   [[nodiscard]] std::vector<std::uint32_t> current_assignment() const;
 
@@ -184,7 +181,6 @@ class DistributedRanking {
   /// Change the per-message delivery-latency jitter from now on (reorder
   /// bursts). Must be >= 0.
   void set_latency_jitter(double jitter);
-  [[nodiscard]] double latency_jitter() const noexcept { return latency_jitter_; }
 
   // --- Fault plane: partitions + frame corruption (DESIGN.md §13) ----------
   /// Install a network cut: groups in `side_a_mask` form side A; messages
@@ -197,9 +193,6 @@ class DistributedRanking {
     fault_plane_.set_partition(side_a_mask, deliver_ab, deliver_ba);
   }
   void heal_partition() { fault_plane_.heal(); }
-  [[nodiscard]] bool partition_active() const noexcept {
-    return fault_plane_.partitioned();
-  }
   /// Per-frame byte-corruption probability. While > 0 every Y slice
   /// round-trips through the checksummed frame codec at delivery; corrupted
   /// frames are quarantined (counted, never applied, never acked).
@@ -219,29 +212,6 @@ class DistributedRanking {
   }
   /// Whether src has cut edges into dst (i.e. sends it Y slices).
   [[nodiscard]] bool has_cut_edges(std::uint32_t src, std::uint32_t dst) const;
-  /// Messages dropped by the active cut (also counted in messages_lost).
-  [[nodiscard]] std::uint64_t partition_drops() const noexcept {
-    return fault_plane_.partition_drops();
-  }
-  /// Frames the fault plane corrupted in flight.
-  [[nodiscard]] std::uint64_t frames_corrupted() const noexcept {
-    return fault_plane_.frames_corrupted();
-  }
-  /// Corrupted/garbage frames rejected by the codec at delivery.
-  [[nodiscard]] std::uint64_t frames_quarantined() const noexcept {
-    return frames_quarantined_;
-  }
-  /// Corrupted frames that survived validation and were applied — a
-  /// checksum collision, impossible in practice; the invariant checker
-  /// asserts this stays 0.
-  [[nodiscard]] std::uint64_t corrupt_frames_applied() const noexcept {
-    return corrupt_frames_applied_;
-  }
-  /// Slices rejected by the NaN/Inf/negative/order guard at refresh time
-  /// (defense in depth behind the codec; must stay 0 in simulation).
-  [[nodiscard]] std::uint64_t slices_rejected() const noexcept {
-    return slices_rejected_;
-  }
 
   /// Advance virtual time to t_end, recording a Sample every
   /// `sample_interval` time units (Fig. 6 / Fig. 7 series). May be called
@@ -264,46 +234,13 @@ class DistributedRanking {
   }
   [[nodiscard]] const PageGroup& group(std::uint32_t i) const { return *groups_.at(i); }
   [[nodiscard]] std::uint32_t nonempty_groups() const noexcept { return nonempty_; }
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return messages_sent_; }
-  [[nodiscard]] std::uint64_t messages_lost() const noexcept { return messages_lost_; }
-  /// Fresh Y-slice records only — the paper's W (and the W inside §4.5's
-  /// D_dt/D_it). Retransmitted copies of a buffered slice are accounted in
-  /// retransmit_records(), never here: a retransmit re-ships bytes, it does
-  /// not create new logical records, and counting it here would inflate the
-  /// cost model exactly when the channel is lossy.
-  [[nodiscard]] std::uint64_t records_sent() const noexcept { return records_sent_; }
-  /// Records re-shipped by the reliable layer's retransmit timers (0 with
-  /// fire-and-forget). Overhead traffic, kept apart from records_sent().
-  [[nodiscard]] std::uint64_t retransmit_records() const noexcept {
-    return retransmit_records_;
-  }
-  /// Σ records × overlay hops, the D_it = h·l·W quantity (full-stack mode
-  /// only; 0 with the abstract channel).
-  [[nodiscard]] std::uint64_t record_hops() const noexcept { return record_hops_; }
   [[nodiscard]] sim::SimTime now() const noexcept { return queue_.now(); }
 
-  // --- Reliable-exchange diagnostics (all 0 with fire-and-forget) ----------
-  /// Re-sends of an unacked epoch (each is also counted in messages_sent).
-  [[nodiscard]] std::uint64_t retransmissions() const noexcept {
-    return retransmissions_;
-  }
-  [[nodiscard]] std::uint64_t acks_sent() const noexcept { return acks_sent_; }
-  [[nodiscard]] std::uint64_t acks_delivered() const noexcept {
-    return acks_delivered_;
-  }
-  /// Stale (reordered or already-delivered) slices rejected by the epoch
-  /// filter at the receiver.
-  [[nodiscard]] std::uint64_t duplicates_rejected() const noexcept {
-    return reliable_ ? reliable_->duplicates_rejected() : 0;
-  }
-  /// Retransmit timers that fired for an already-acked epoch — impossible
-  /// by construction; the invariant checker asserts this stays 0.
-  [[nodiscard]] std::uint64_t zombie_retransmits() const noexcept {
-    return reliable_ ? reliable_->zombie_retransmits() : 0;
-  }
-  [[nodiscard]] std::uint64_t suspicion_events() const noexcept {
-    return reliable_ ? reliable_->suspicion_events() : 0;
-  }
+  /// Every tally of this engine since construction, read from the object
+  /// that observes each event (see EngineCounters).
+  [[nodiscard]] EngineCounters counters() const noexcept;
+
+  // --- Reliable-exchange state (all 0 with fire-and-forget) ----------------
   [[nodiscard]] std::uint32_t suspected_pairs() const noexcept {
     return reliable_ ? reliable_->suspected_pairs() : 0;
   }
@@ -318,19 +255,17 @@ class DistributedRanking {
     return reliable_ ? reliable_->accepted_epoch(src, dst) : 0;
   }
 
-  /// Total outer loop steps executed across all groups (including steps by
-  /// rankers that have since departed in churn).
-  [[nodiscard]] std::uint64_t total_outer_steps() const noexcept;
-  /// Mean outer steps per non-empty group.
+  /// Mean outer steps per non-empty group (counters().outer_steps counts
+  /// steps by rankers that have since departed in churn too).
   [[nodiscard]] double mean_outer_steps() const noexcept;
-  /// Total inner Jacobi sweeps across all groups (DPR1's hidden cost; for
-  /// DPR2 this equals total_outer_steps()).
+  /// counters().inner_sweeps without assembling the rest.
   [[nodiscard]] std::uint64_t total_inner_sweeps() const noexcept {
-    return inner_sweeps_;
+    return tally_.inner_sweeps;
   }
 
   /// Per-group diagnostics: loop steps and wire records emitted by each
-  /// group so far (straggler/hot-spot analysis).
+  /// group so far (straggler/hot-spot analysis). The records are the one
+  /// tally counters().records_sent sums.
   [[nodiscard]] std::vector<std::uint64_t> outer_steps_per_group() const;
   [[nodiscard]] std::span<const std::uint64_t> records_sent_per_group() const noexcept {
     return records_per_group_;
@@ -345,9 +280,6 @@ class DistributedRanking {
   [[nodiscard]] double termination_time() const noexcept {
     return termination_time_;
   }
-  [[nodiscard]] std::uint64_t status_messages() const noexcept {
-    return status_messages_;
-  }
 
  private:
   struct InboxMessage {
@@ -360,12 +292,20 @@ class DistributedRanking {
   void schedule_step(std::uint32_t group);
   void run_step(std::uint32_t group);
   void init_obs();
+  /// Add counters() − exported_ (and the per-group step deltas) into
+  /// opts_.metrics, if any. Runs at the end of run, run_until_error and
+  /// churn, so the registry is current whenever control is outside.
+  void export_metrics();
   /// Push the current (ranks, ownership) into opts_.snapshot_sink (no-op
   /// without one) and restart the publish-cadence clock.
   void publish_snapshot();
 
-  // Reliable-exchange plumbing.
+  // Y-slice channel, fire-and-forget or reliable.
   void send_slice(std::uint32_t src, std::uint32_t dst, YSlice slice);
+  /// One channel attempt (fresh send or retransmission): counted, loss and
+  /// cut drawn, and on survival delivered now or after the delivery delay.
+  void transmit(std::uint32_t src, std::uint32_t dst, transport::Epoch epoch,
+                std::shared_ptr<YSlice> payload, bool retransmission);
   void deliver(std::uint32_t src, std::uint32_t dst, transport::Epoch epoch,
                YSlice slice);
   void schedule_retransmit(std::uint32_t src, std::uint32_t dst,
@@ -405,7 +345,7 @@ class DistributedRanking {
   std::optional<transport::ReliableExchange> reliable_ P2P_EXTERNALLY_SYNCHRONIZED;
   /// Buffered newest unacked slice per (src, dst) — shared with in-flight
   /// delivery events so retransmits do not copy the payload.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const YSlice>> pending_payload_
+  std::unordered_map<std::uint64_t, std::shared_ptr<YSlice>> pending_payload_
       P2P_EXTERNALLY_SYNCHRONIZED;
   /// Wiring generation: bumped by churn; deliveries stamped with an older
   /// generation carry dest-local indices of dead wiring and are dropped.
@@ -417,21 +357,17 @@ class DistributedRanking {
   /// scheduling across resume/churn).
   std::vector<char> active_;
   std::uint32_t nonempty_ = 0;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t messages_lost_ = 0;
-  std::uint64_t records_sent_ = 0;
-  std::uint64_t retransmit_records_ = 0;
-  std::uint64_t inner_sweeps_ = 0;
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t acks_delivered_ = 0;
-  std::uint64_t churn_events_ = 0;
-  std::uint64_t frames_quarantined_ = 0;
-  std::uint64_t corrupt_frames_applied_ = 0;
-  std::uint64_t slices_rejected_ = 0;
+  /// The events the engine observes itself. Fields other objects own (outer
+  /// steps, records per group, reliable-layer and fault-plane counts) stay
+  /// 0 here; counters() reads them from their owners.
+  EngineCounters tally_;
   /// Outer steps performed by group objects retired in churn rebuilds.
   std::uint64_t retired_outer_steps_ = 0;
   std::vector<std::uint64_t> records_per_group_;
+  /// What export_metrics() last added to the registry, in total and per
+  /// group index (the per-group part restarts with each churn rebuild).
+  EngineCounters exported_;
+  std::vector<std::uint64_t> exported_group_steps_;
 
   // Termination detection (stability_epsilon > 0): per-group latest
   // stability flag as seen by the coordinator, plus scratch for measuring a
@@ -447,40 +383,20 @@ class DistributedRanking {
   /// Bumped by build_groups() on every membership change; handed to the
   /// snapshot sink so it can keep ownership-derived state across publishes.
   std::uint64_t ownership_version_ = 0;
-  std::uint64_t status_messages_ = 0;
   std::vector<double> step_scratch_;
 
   // Full-stack mode: cached overlay hop counts per (src group, dst group).
   std::unordered_map<std::uint64_t, std::uint32_t> hop_cache_;
-  std::uint64_t record_hops_ = 0;
 
-  // Observability hooks (EngineOptions::metrics/tracer; DESIGN.md §11).
-  // Registry cells are resolved once at construction — std::map nodes are
-  // stable — so the hot path pays one null check + increment per metric.
-  // All-null when metrics is off.
+  // Per-event observations the counters cannot carry (EngineOptions::
+  // metrics; DESIGN.md §11): distributions and the latest residual per
+  // group. Registry cells are resolved once at construction — std::map
+  // nodes are stable — so a step pays one null check. All-null when
+  // metrics is off.
   struct ObsHooks {
-    std::uint64_t* outer_steps = nullptr;
-    std::uint64_t* inner_sweeps = nullptr;
-    std::uint64_t* messages_sent = nullptr;
-    std::uint64_t* messages_lost = nullptr;
-    std::uint64_t* deliveries = nullptr;
-    std::uint64_t* records_sent = nullptr;
-    std::uint64_t* record_hops = nullptr;
-    std::uint64_t* churn_events = nullptr;
-    std::uint64_t* retransmissions = nullptr;
-    std::uint64_t* retransmit_records = nullptr;
-    std::uint64_t* acks_sent = nullptr;
-    std::uint64_t* acks_delivered = nullptr;
-    std::uint64_t* duplicates_rejected = nullptr;
-    std::uint64_t* suspicions = nullptr;
-    std::uint64_t* partition_drops = nullptr;
-    std::uint64_t* frames_quarantined = nullptr;
-    double* data_bytes = nullptr;
-    double* retransmit_bytes = nullptr;
     util::Log2Histogram* slice_records = nullptr;
     util::Log2Histogram* inner_iterations = nullptr;
     util::LinearHistogram* step_residual = nullptr;
-    std::vector<std::uint64_t*> group_outer_steps;
     std::vector<double*> group_residual;
   };
   ObsHooks obs_ P2P_EXTERNALLY_SYNCHRONIZED;

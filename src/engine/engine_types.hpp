@@ -2,10 +2,14 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "obs/metric_names.hpp"
 #include "overlay/overlay.hpp"
+#include "transport/exchange.hpp"
 #include "transport/reliable.hpp"
 
 namespace p2prank::obs {
@@ -108,9 +112,9 @@ enum class Algorithm {
 /// fire-and-forget; these knobs add the reliability layer it hand-waves.
 struct ReliabilityOptions {
   /// Stamp every Y slice with a per-(src,dst) epoch and reject stale
-  /// reordered slices at the receiver (counted in duplicates_rejected()).
-  /// Without this, jittered latency lets a delayed older Y silently replace
-  /// a newer X entry.
+  /// reordered slices at the receiver (counted in
+  /// EngineCounters::duplicates_rejected). Without this, jittered latency
+  /// lets a delayed older Y silently replace a newer X entry.
   bool epochs = false;
   /// Acknowledge delivered slices and retransmit unacked ones with
   /// exponential backoff + jitter. Implies `epochs` (retransmission without
@@ -233,8 +237,10 @@ struct EngineOptions {
   /// leaves the engine correct.
   std::uint32_t fault_skip_refresh_group = UINT32_MAX;
 
-  /// Observability (DESIGN.md §11): when non-null, the engine publishes its
-  /// counters/gauges/histograms into this registry and emits virtual-time
+  /// Observability (DESIGN.md §11): when non-null, the engine adds its
+  /// EngineCounters into this registry at the end of run(), run_until_error()
+  /// and every churn handoff (so a registry shared by several engines holds
+  /// their sum), feeds its histograms as it steps, and emits virtual-time
   /// trace events into this tracer. Both must outlive the engine. Pure
   /// observation — enabling them never changes rank results, RNG streams,
   /// or event ordering. nullptr (default) = off, zero overhead.
@@ -271,23 +277,112 @@ struct Sample {
   std::uint64_t total_outer_steps = 0;
 };
 
-struct ConvergenceResult {
+/// The engine's tallies, each kept once (DESIGN.md §11): the §4.5 cost
+/// quantities (messages and records — W, D_dt = l·W, D_it = h·l·W) plus the
+/// reliable layer's overhead and the fault plane's drops.
+/// DistributedRanking::counters() reads each from the object that observes
+/// the event; the metrics registry receives them as deltas at run boundaries.
+struct EngineCounters {
+  std::uint64_t outer_steps = 0;    ///< all groups, incl. rankers retired by churn
+  std::uint64_t inner_sweeps = 0;   ///< DPR1's hidden cost; = outer_steps for DPR2
+  std::uint64_t messages_sent = 0;  ///< Y-slice sends, fresh and retransmitted
+  std::uint64_t messages_lost = 0;  ///< dropped by the loss model or an active cut
+  std::uint64_t deliveries = 0;     ///< slices that reached an inbox
+  /// Fresh records only — the paper's W. A retransmit re-ships bytes, not
+  /// logical records, so its copies go to retransmit_records instead.
+  std::uint64_t records_sent = 0;
+  std::uint64_t record_hops = 0;   ///< Σ records × overlay hops (full-stack mode)
+  std::uint64_t churn_events = 0;  ///< completed leave/join handoffs
+
+  // Reliable exchange (all 0 with fire-and-forget).
+  std::uint64_t retransmissions = 0;  ///< also counted in messages_sent
+  std::uint64_t retransmit_records = 0;
+  std::uint64_t acks_sent = 0;
+  std::uint64_t acks_delivered = 0;
+  std::uint64_t duplicates_rejected = 0;  ///< stale slices the epoch filter ate
+  std::uint64_t suspicions = 0;           ///< peers newly suspected dead
+  std::uint64_t zombie_retransmits = 0;   ///< timers of acked epochs; stays 0
+
+  // Fault plane, codec and guards.
+  /// Data slices and acks the active cut dropped. A dropped slice is also in
+  /// messages_lost, a dropped ack is not, so this can exceed messages_lost.
+  std::uint64_t partition_drops = 0;
+  std::uint64_t frames_corrupted = 0;        ///< frames the plane flipped bytes in
+  std::uint64_t frames_quarantined = 0;      ///< rejected by the codec at delivery
+  std::uint64_t corrupt_frames_applied = 0;  ///< checksum collisions; stays 0
+  std::uint64_t slices_rejected = 0;  ///< refresh-time payload guard; stays 0
+  std::uint64_t status_messages = 0;  ///< termination-detection reports
+
+  /// §4.5 wire cost of the fresh sends: a 40-byte envelope per message plus
+  /// ~100 bytes per <url_from, url_to, score> record. Exact in a double.
+  [[nodiscard]] double data_bytes() const noexcept {
+    constexpr transport::WireFormat kWire{};
+    return kWire.header_bytes * static_cast<double>(messages_sent - retransmissions) +
+           kWire.record_bytes * static_cast<double>(records_sent);
+  }
+  /// The same price for the reliable layer's re-shipped slices.
+  [[nodiscard]] double retransmit_bytes() const noexcept {
+    constexpr transport::WireFormat kWire{};
+    return kWire.header_bytes * static_cast<double>(retransmissions) +
+           kWire.record_bytes * static_cast<double>(retransmit_records);
+  }
+
+  EngineCounters& operator+=(const EngineCounters& o) noexcept;
+  /// Per-interval tallies, e.g. what a run added since the last export.
+  friend EngineCounters operator-(EngineCounters a, const EngineCounters& b) noexcept;
+  friend bool operator==(const EngineCounters&, const EngineCounters&) = default;
+};
+
+/// Every EngineCounters field with its registry name; an empty name marks a
+/// tally the registry does not carry (the invariant checker reads those).
+struct CounterField {
+  std::string_view metric;
+  std::uint64_t EngineCounters::*field;
+};
+inline constexpr CounterField kCounterFields[] = {
+    {obs::names::kEngineOuterSteps, &EngineCounters::outer_steps},
+    {obs::names::kEngineInnerSweeps, &EngineCounters::inner_sweeps},
+    {obs::names::kEngineMessagesSent, &EngineCounters::messages_sent},
+    {obs::names::kEngineMessagesLost, &EngineCounters::messages_lost},
+    {obs::names::kEngineDeliveries, &EngineCounters::deliveries},
+    {obs::names::kEngineRecordsSent, &EngineCounters::records_sent},
+    {obs::names::kEngineRecordHops, &EngineCounters::record_hops},
+    {obs::names::kEngineChurnEvents, &EngineCounters::churn_events},
+    {obs::names::kTransportRetransmissions, &EngineCounters::retransmissions},
+    {obs::names::kTransportRetransmitRecords, &EngineCounters::retransmit_records},
+    {obs::names::kTransportAcksSent, &EngineCounters::acks_sent},
+    {obs::names::kTransportAcksDelivered, &EngineCounters::acks_delivered},
+    {obs::names::kTransportDuplicatesRejected, &EngineCounters::duplicates_rejected},
+    {obs::names::kTransportSuspicions, &EngineCounters::suspicions},
+    {{}, &EngineCounters::zombie_retransmits},
+    {obs::names::kTransportPartitionDrops, &EngineCounters::partition_drops},
+    {{}, &EngineCounters::frames_corrupted},
+    {obs::names::kTransportFramesQuarantined, &EngineCounters::frames_quarantined},
+    {{}, &EngineCounters::corrupt_frames_applied},
+    {{}, &EngineCounters::slices_rejected},
+    {{}, &EngineCounters::status_messages},
+};
+static_assert(sizeof(EngineCounters) == std::size(kCounterFields) * sizeof(std::uint64_t),
+              "every EngineCounters field needs a kCounterFields row");
+
+inline EngineCounters& EngineCounters::operator+=(const EngineCounters& o) noexcept {
+  for (const CounterField& f : kCounterFields) this->*f.field += o.*f.field;
+  return *this;
+}
+
+inline EngineCounters operator-(EngineCounters a, const EngineCounters& b) noexcept {
+  for (const CounterField& f : kCounterFields) a.*f.field -= b.*f.field;
+  return a;
+}
+
+/// run_until_error's report: the engine's counters when it returned, plus
+/// the convergence measurement itself.
+struct ConvergenceResult : EngineCounters {
   bool reached = false;
   double time = 0.0;
   /// Mean outer loop steps per (non-empty) group when the threshold was
   /// first met — the paper's Fig. 8 y-axis.
   double mean_outer_steps = 0.0;
-  std::uint64_t max_outer_steps = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_lost = 0;
-  std::uint64_t records_sent = 0;  ///< fresh cut-link <from,to,score> records
-  /// Reliable-exchange traffic (0 with the fire-and-forget channel).
-  /// Retransmitted records are accounted here, never in records_sent — the
-  /// §4.5 cost model's W is fresh records only.
-  std::uint64_t retransmit_records = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t duplicates_rejected = 0;
   double final_relative_error = 0.0;
 };
 

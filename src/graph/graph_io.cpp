@@ -203,6 +203,16 @@ class BinaryReader {
   }
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
+
+  /// Reject a header count before anything is sized from it: `count`
+  /// items of at least `min_bytes` each must fit in the unread bytes.
+  void expect_fits(std::uint64_t count, std::size_t min_bytes, const char* what) const {
+    if (count > remaining() / min_bytes) {
+      throw std::runtime_error(std::string("load_graph_binary: ") + what +
+                               " count exceeds the stream size");
+    }
+  }
 
  private:
   const char* need(std::size_t count) {
@@ -280,10 +290,14 @@ class GraphBinaryIo {
       throw std::runtime_error("load_graph_binary: page count out of range");
     }
 
+    // Smallest encodings: a site name is a u32 length, a page at least its
+    // u32 site id and u32 url length, a link one varint byte.
+    r.expect_fits(num_sites, 4, "site");
     std::vector<std::string> site_names;
     site_names.reserve(num_sites);
     for (std::uint64_t s = 0; s < num_sites; ++s) site_names.push_back(r.str());
 
+    r.expect_fits(n, 8, "page");
     std::vector<SiteId> sites(n);
     for (std::uint64_t p = 0; p < n; ++p) {
       sites[p] = r.u32();
@@ -310,6 +324,7 @@ class GraphBinaryIo {
       throw std::runtime_error("load_graph_binary: external link total mismatch");
     }
 
+    r.expect_fits(m, 1, "link");
     g.out_offsets_.assign(n + 1, 0);
     g.out_targets_.reserve(m);
     g.in_offsets_.assign(n + 1, 0);

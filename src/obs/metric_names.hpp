@@ -52,7 +52,8 @@ inline constexpr std::string_view kTransportAcksDelivered =
 inline constexpr std::string_view kTransportDuplicatesRejected =
     "transport.duplicates_rejected";
 inline constexpr std::string_view kTransportSuspicions = "transport.suspicions";
-/// Messages dropped by an active partition cut (also in messages_lost).
+/// Data slices and acks dropped by an active cut. A dropped slice is also in
+/// engine.messages_lost; a dropped ack is not.
 inline constexpr std::string_view kTransportPartitionDrops =
     "transport.partition_drops";
 /// Corrupted/garbage frames rejected by the codec at delivery.

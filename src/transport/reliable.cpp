@@ -45,10 +45,7 @@ void ReliableExchange::clear_suspicion(PairState& st) {
 }
 
 void ReliableExchange::reset_transient(PairState& st) {
-  if (st.pending != 0) {
-    st.pending = 0;
-    --pending_pairs_;
-  }
+  st.pending = 0;
   clear_suspicion(st);
 }
 
@@ -56,7 +53,6 @@ Epoch ReliableExchange::begin_send(std::uint32_t src, std::uint32_t dst) {
   PairState& st = state(src, dst);
   const Epoch epoch = st.next_epoch++;
   if (st.pending == 0) {
-    ++pending_pairs_;
     // Healthy pair (nothing outstanding): start from a fresh backoff.
     st.attempts = 0;
     st.rto = opts_.rto_initial;
@@ -124,7 +120,6 @@ bool ReliableExchange::on_ack(std::uint32_t src, std::uint32_t dst, Epoch value)
   clear_suspicion(st);  // an ack is definite evidence the peer is alive
   if (st.pending != 0 && st.acked >= st.pending) {
     st.pending = 0;
-    --pending_pairs_;
     return true;
   }
   return false;

@@ -145,9 +145,6 @@ class ReliableExchange {
   [[nodiscard]] std::uint32_t suspected_pairs() const noexcept {
     return suspected_pairs_;
   }
-  [[nodiscard]] std::uint64_t pending_pairs() const noexcept {
-    return pending_pairs_;
-  }
 
  private:
   struct PairState {
@@ -179,7 +176,6 @@ class ReliableExchange {
   std::uint64_t zombie_retransmits_ P2P_EXTERNALLY_SYNCHRONIZED = 0;
   std::uint64_t suspicion_events_ P2P_EXTERNALLY_SYNCHRONIZED = 0;
   std::uint32_t suspected_pairs_ P2P_EXTERNALLY_SYNCHRONIZED = 0;
-  std::uint64_t pending_pairs_ P2P_EXTERNALLY_SYNCHRONIZED = 0;
 };
 
 }  // namespace p2prank::transport

@@ -18,6 +18,8 @@
 #include "check/scenario.hpp"
 #include "engine/distributed.hpp"
 #include "engine/reference.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/metrics.hpp"
 #include "partition/partitioner.hpp"
 #include "test_support.hpp"
 #include "util/thread_pool.hpp"
@@ -216,6 +218,40 @@ TEST(SmokeCorpus, AllScenariosInvariantClean) {
     EXPECT_TRUE(result.ok()) << "seed " << seed << ": " << result.summary();
     EXPECT_TRUE(result.converged) << "seed " << seed << ": " << result.summary();
     EXPECT_GT(result.samples_checked, 0u);
+  }
+}
+
+// The result and an attached registry count the same events: a graph update
+// retires an engine mid-scenario, and its tallies must reach both totals —
+// not only the registry's.
+TEST(SmokeCorpus, ResultTotalsMatchTheRegistry) {
+  for (const std::uint64_t seed : corpus_seeds()) {
+    obs::MetricsRegistry metrics;
+    RunnerOptions opts;
+    opts.metrics = &metrics;
+    ScenarioRunner runner(pool(), opts);
+    const Scenario scenario = Scenario::from_seed(seed);
+    const ScenarioResult result = runner.run(scenario);
+    for (const engine::CounterField& f : engine::kCounterFields) {
+      if (f.metric.empty()) continue;
+      EXPECT_EQ(result.*f.field, metrics.counter_value(f.metric))
+          << "seed " << seed << ": " << f.metric;
+    }
+    // The per-group step counters add up to the total across churn rebuilds.
+    std::uint64_t group_steps = 0;
+    for (std::uint32_t g = 0; g < scenario.k; ++g) {
+      group_steps += metrics.counter(obs::names::kEngineGroupOuterSteps, g);
+    }
+    EXPECT_EQ(group_steps, result.outer_steps) << "seed " << seed;
+    EXPECT_EQ(result.data_bytes(), metrics.gauge_value(obs::names::kEngineDataBytes))
+        << "seed " << seed;
+    EXPECT_EQ(result.retransmit_bytes(),
+              metrics.gauge_value(obs::names::kTransportRetransmitBytes))
+        << "seed " << seed;
+    EXPECT_EQ(result.evictions, metrics.counter_value(obs::names::kRecoverEvictions))
+        << "seed " << seed;
+    EXPECT_EQ(result.rejoins, metrics.counter_value(obs::names::kRecoverRejoins))
+        << "seed " << seed;
   }
 }
 

@@ -123,7 +123,7 @@ TEST_F(DistributedFixture, ConvergesDespiteMessageLoss) {
   sim.set_reference(*reference_);
   const auto result = sim.run_until_error(1e-4, 2000.0, 5.0);
   EXPECT_TRUE(result.reached);
-  EXPECT_GT(sim.messages_lost(), 0u);
+  EXPECT_GT(sim.counters().messages_lost, 0u);
 }
 
 TEST_F(DistributedFixture, LossySimConvergesSlowerThanLossless) {
@@ -160,7 +160,7 @@ TEST_F(DistributedFixture, SamplesReportOuterStepProgress) {
   const auto samples = sim.run(20.0, 5.0);
   ASSERT_GE(samples.size(), 2u);
   EXPECT_GT(samples.back().total_outer_steps, samples.front().total_outer_steps);
-  EXPECT_EQ(samples.back().total_outer_steps, sim.total_outer_steps());
+  EXPECT_EQ(samples.back().total_outer_steps, sim.counters().outer_steps);
 }
 
 TEST_F(DistributedFixture, MessageAccountingIsConsistent) {
@@ -168,11 +168,12 @@ TEST_F(DistributedFixture, MessageAccountingIsConsistent) {
   DistributedRanking sim(*graph_, a, 8, options(Algorithm::kDPR1, 0.6), pool());
   sim.set_reference(*reference_);
   (void)sim.run(30.0, 10.0);
-  EXPECT_GT(sim.messages_sent(), 0u);
-  EXPECT_GT(sim.records_sent(), sim.messages_sent());  // slices carry many records
-  EXPECT_LT(sim.messages_lost(), sim.messages_sent());
-  const double loss_rate = static_cast<double>(sim.messages_lost()) /
-                           static_cast<double>(sim.messages_sent());
+  const EngineCounters c = sim.counters();
+  EXPECT_GT(c.messages_sent, 0u);
+  EXPECT_GT(c.records_sent, c.messages_sent);  // slices carry many records
+  EXPECT_LT(c.messages_lost, c.messages_sent);
+  const double loss_rate =
+      static_cast<double>(c.messages_lost) / static_cast<double>(c.messages_sent);
   EXPECT_NEAR(loss_rate, 0.4, 0.05);
 }
 

@@ -124,7 +124,7 @@ TEST_F(ExtensionsFixture, SendThresholdCutsRecordsButKeepsConvergence) {
   delta.set_reference(*reference_);
   (void)delta.run(40.0, 40.0);
 
-  EXPECT_LT(delta.records_sent(), plain.records_sent() / 2);
+  EXPECT_LT(delta.counters().records_sent, plain.counters().records_sent / 2);
   // Error floor stays tiny for a tiny threshold.
   EXPECT_LT(delta.relative_error_now(), 1e-3);
 }
@@ -142,7 +142,7 @@ TEST_F(ExtensionsFixture, LargerThresholdTradesAccuracyForTraffic) {
   sim_large.set_reference(*reference_);
   (void)sim_large.run(40.0, 40.0);
 
-  EXPECT_LT(sim_large.records_sent(), sim_small.records_sent());
+  EXPECT_LT(sim_large.counters().records_sent, sim_small.counters().records_sent);
   EXPECT_LE(sim_small.relative_error_now(),
             sim_large.relative_error_now() + 1e-12);
 }

@@ -81,8 +81,9 @@ TEST_F(FullStackFixture, ConvergesOverPastry) {
   opts.seed = 4;
   DistributedRanking sim(*graph_, *assignment_, kRankers, opts, pool());
   sim.set_reference(*reference_);
-  EXPECT_TRUE(sim.run_until_error(1e-4, 3000.0, 2.0).reached);
-  EXPECT_GT(sim.record_hops(), sim.records_sent());  // multi-hop routes exist
+  const ConvergenceResult r = sim.run_until_error(1e-4, 3000.0, 2.0);
+  EXPECT_TRUE(r.reached);
+  EXPECT_GT(r.record_hops, r.records_sent);  // multi-hop routes exist
 }
 
 TEST_F(FullStackFixture, ConvergesOverChordAndCan) {
@@ -140,8 +141,8 @@ TEST_F(FullStackFixture, RecordHopsMatchDitAccounting) {
   DistributedRanking sim(*graph_, *assignment_, kRankers, opts, pool());
   sim.set_reference(*reference_);
   (void)sim.run(30.0, 30.0);
-  const double mean_hops = static_cast<double>(sim.record_hops()) /
-                           static_cast<double>(sim.records_sent());
+  const double mean_hops = static_cast<double>(sim.counters().record_hops) /
+                           static_cast<double>(sim.counters().records_sent);
   EXPECT_GT(mean_hops, 0.5);
   EXPECT_LT(mean_hops, 3.0);  // log16(16) = 1, leaf shortcuts below
 }
@@ -154,7 +155,7 @@ TEST_F(FullStackFixture, AbstractChannelReportsZeroHops) {
   DistributedRanking sim(*graph_, *assignment_, kRankers, opts, pool());
   sim.set_reference(*reference_);
   (void)sim.run(10.0, 10.0);
-  EXPECT_EQ(sim.record_hops(), 0u);
+  EXPECT_EQ(sim.counters().record_hops, 0u);
 }
 
 }  // namespace

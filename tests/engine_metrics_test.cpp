@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "engine/distributed.hpp"
@@ -45,7 +46,7 @@ TEST_F(MetricsFixture, PerGroupStepsSumToTotal) {
   const auto steps = sim.outer_steps_per_group();
   ASSERT_EQ(steps.size(), 8u);
   const auto sum = std::accumulate(steps.begin(), steps.end(), std::uint64_t{0});
-  EXPECT_EQ(sum, sim.total_outer_steps());
+  EXPECT_EQ(sum, sim.counters().outer_steps);
   // With random waits, groups step different numbers of times.
   EXPECT_NE(*std::min_element(steps.begin(), steps.end()),
             *std::max_element(steps.begin(), steps.end()));
@@ -61,7 +62,7 @@ TEST_F(MetricsFixture, PerGroupRecordsSumToTotal) {
   const auto per_group = sim.records_sent_per_group();
   std::uint64_t sum = 0;
   for (const auto r : per_group) sum += r;
-  EXPECT_EQ(sum, sim.records_sent());
+  EXPECT_EQ(sum, sim.counters().records_sent);
   // Every group has cut edges at K=8 with url hashing, so all send.
   for (const auto r : per_group) EXPECT_GT(r, 0u);
 }
@@ -90,8 +91,7 @@ TEST_F(MetricsFixture, Dpr1WithLossIsSeedDeterministic) {
     DistributedRanking sim(*graph_, assignment_, 8, opts, pool());
     sim.set_reference(reference_);
     (void)sim.run(25.0, 25.0);
-    return std::tuple(sim.messages_sent(), sim.messages_lost(),
-                      sim.records_sent(), sim.relative_error_now());
+    return std::pair(sim.counters(), sim.relative_error_now());
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -61,7 +61,8 @@ std::vector<double>* ReliableFixture::reference_ = nullptr;
 // arrive after a newer one and silently replace the newer X entry — ranks
 // regress between samples, breaking Thm 4.1 monotonicity from R0 = 0. The
 // epoch filter rejects exactly those slices (counted in
-// duplicates_rejected()), restoring monotone growth under the same channel.
+// EngineCounters::duplicates_rejected), restoring monotone growth under the
+// same channel.
 EngineOptions jittery_options(bool epochs) {
   EngineOptions o;
   o.algorithm = Algorithm::kDPR2;
@@ -84,7 +85,7 @@ TEST_F(ReliableFixture, JitterWithoutEpochsBreaksMonotonicity) {
   for (const Sample& s : samples) worst = std::min(worst, s.min_rank_delta);
   EXPECT_LT(worst, -kTol)
       << "stale reordered Y slices should have dragged some rank down";
-  EXPECT_EQ(sim.duplicates_rejected(), 0u);  // no filter installed
+  EXPECT_EQ(sim.counters().duplicates_rejected, 0u);  // no filter installed
 }
 
 TEST_F(ReliableFixture, EpochsRejectStaleSlicesAndRestoreMonotonicity) {
@@ -96,8 +97,8 @@ TEST_F(ReliableFixture, EpochsRejectStaleSlicesAndRestoreMonotonicity) {
     EXPECT_GE(s.min_rank_delta, -kTol) << "t=" << s.time;
   }
   // The channel really did reorder: the filter had stale slices to reject.
-  EXPECT_GT(sim.duplicates_rejected(), 0u);
-  EXPECT_EQ(sim.zombie_retransmits(), 0u);
+  EXPECT_GT(sim.counters().duplicates_rejected, 0u);
+  EXPECT_EQ(sim.counters().zombie_retransmits, 0u);
   // Epoch high-water marks are populated and survive the whole run.
   std::uint64_t total_epochs = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
@@ -186,8 +187,8 @@ TEST_F(ReliableFixture, RetransmitImpliesEpochs) {
   sim.set_reference(*reference_);
   (void)sim.run(20.0, 5.0);
   // The dup filter must be live: retransmits of delivered epochs land here.
-  EXPECT_GT(sim.retransmissions(), 0u);
-  EXPECT_EQ(sim.zombie_retransmits(), 0u);
+  EXPECT_GT(sim.counters().retransmissions, 0u);
+  EXPECT_EQ(sim.counters().zombie_retransmits, 0u);
 }
 
 // --- Satellite 3: lossy-channel convergence, reliable vs fire-and-forget -
@@ -231,8 +232,27 @@ TEST_F(ReliableFixture, RetransmissionBeatsFireAndForgetAtHalfDelivery) {
   EXPECT_GT(rr.retransmissions, 0u);
   EXPECT_GT(rr.acks_sent, 0u);
   EXPECT_LE(rr.retransmissions, rr.messages_sent);
-  EXPECT_LE(rel.acks_delivered(), rel.acks_sent());
-  EXPECT_EQ(rel.zombie_retransmits(), 0u);
+  EXPECT_LE(rr.acks_delivered, rr.acks_sent);
+  EXPECT_EQ(rr.zombie_retransmits, 0u);
+}
+
+// A cut drops acks as well as data. A dropped data slice is a lost message;
+// an ack never counts in messages_sent, so partition_drops is not a
+// subset of messages_lost. One-way cut: A→B data arrives and is acked, and
+// every ack (B→A) dies at the cut, as does every B→A data slice.
+TEST_F(ReliableFixture, CutAcksCountInPartitionDropsButNotMessagesLost) {
+  const auto a = assignment(2);
+  EngineOptions o;
+  o.alpha = kAlpha;
+  o.reliability.retransmit = true;
+  DistributedRanking sim(*graph_, a, 2, o, pool());
+  sim.set_reference(*reference_);
+  sim.set_partition(/*side_a_mask=*/0b1, /*deliver_ab=*/1.0, /*deliver_ba=*/0.0);
+  (void)sim.run(30.0);
+  const EngineCounters c = sim.counters();
+  ASSERT_GT(c.acks_sent, 0u);
+  EXPECT_EQ(c.acks_delivered, 0u);
+  EXPECT_EQ(c.partition_drops, c.messages_lost + c.acks_sent);
 }
 
 // --- Ranker churn: leave/join conserve ownership and rank state ---------
@@ -250,7 +270,7 @@ TEST_F(ReliableFixture, LeaveAndJoinConservePagesAndRanks) {
 
   const std::vector<double> before = sim.global_ranks();
   sim.leave_group(1, 2);
-  EXPECT_EQ(sim.churn_events(), 1u);
+  EXPECT_EQ(sim.counters().churn_events, 1u);
   std::vector<std::uint32_t> owners = sim.current_assignment();
   ASSERT_EQ(owners.size(), graph_->num_pages());
   for (std::size_t p = 0; p < owners.size(); ++p) {
@@ -266,7 +286,7 @@ TEST_F(ReliableFixture, LeaveAndJoinConservePagesAndRanks) {
   }
 
   sim.join_group(1, 2);  // the emptied slot rejoins, taking half of group 2
-  EXPECT_EQ(sim.churn_events(), 2u);
+  EXPECT_EQ(sim.counters().churn_events, 2u);
   owners = sim.current_assignment();
   std::vector<std::size_t> sizes(4, 0);
   for (const std::uint32_t g : owners) {
@@ -284,7 +304,7 @@ TEST_F(ReliableFixture, LeaveAndJoinConservePagesAndRanks) {
   // pre-churn sub-fixed-point state keeps the monotone/bound theorems alive.
   const ConvergenceResult res = sim.run_until_error(1e-5, 2000.0, 1.0);
   EXPECT_TRUE(res.reached);
-  EXPECT_EQ(sim.zombie_retransmits(), 0u);
+  EXPECT_EQ(res.zombie_retransmits, 0u);
 }
 
 TEST_F(ReliableFixture, ChurnArgumentErrors) {
@@ -328,26 +348,26 @@ TEST(ReliableSuspicion, SilentPeerGetsSuspectedAndAcksRecoverIt) {
   sim.set_reference(open_system_reference(g, kAlpha, pool()));
   (void)sim.run(5.0, 5.0);  // pair (0 -> 1) now holds an unacked epoch
   ASSERT_GT(sim.pending_retransmits(), 0u);
-  EXPECT_GT(sim.acks_sent(), 0u);
-  EXPECT_EQ(sim.acks_delivered(), 0u);
+  EXPECT_GT(sim.counters().acks_sent, 0u);
+  EXPECT_EQ(sim.counters().acks_delivered, 0u);
 
   sim.pause_group(0);  // no more fresh sends to reset the attempt counter
   (void)sim.run(25.0, 5.0);
 
-  EXPECT_GT(sim.retransmissions(), 0u);
-  EXPECT_GT(sim.suspicion_events(), 0u);
+  EXPECT_GT(sim.counters().retransmissions, 0u);
+  EXPECT_GT(sim.counters().suspicions, 0u);
   EXPECT_GT(sim.suspected_pairs(), 0u);
   // Retransmits of already-delivered epochs bounce off the dup filter (a
   // paused ranker's transport still accepts and acks).
-  EXPECT_GT(sim.duplicates_rejected(), 0u);
-  EXPECT_EQ(sim.zombie_retransmits(), 0u);
+  EXPECT_GT(sim.counters().duplicates_rejected, 0u);
+  EXPECT_EQ(sim.counters().zombie_retransmits, 0u);
 
   // Heal the ack channel and wake the sender: fresh sends double as probes,
   // their acks land, and the suspected pair recovers.
   sim.set_ack_delivery_probability(1.0);
   sim.resume_group(0);
   (void)sim.run(60.0, 10.0);
-  EXPECT_GT(sim.acks_delivered(), 0u);
+  EXPECT_GT(sim.counters().acks_delivered, 0u);
   EXPECT_EQ(sim.suspected_pairs(), 0u);
 }
 

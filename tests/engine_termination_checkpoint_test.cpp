@@ -65,7 +65,7 @@ TEST_F(TerminationFixture, DisabledByDefault) {
   sim.set_reference(*reference_);
   (void)sim.run(60.0, 60.0);
   EXPECT_FALSE(sim.termination_detected());
-  EXPECT_EQ(sim.status_messages(), 0u);
+  EXPECT_EQ(sim.counters().status_messages, 0u);
 }
 
 TEST_F(TerminationFixture, DetectsConvergence) {
@@ -75,7 +75,7 @@ TEST_F(TerminationFixture, DetectsConvergence) {
   ASSERT_TRUE(sim.termination_detected());
   EXPECT_GT(sim.termination_time(), 0.0);
   EXPECT_LE(sim.termination_time(), 120.0);
-  EXPECT_GT(sim.status_messages(), 0u);
+  EXPECT_GT(sim.counters().status_messages, 0u);
 }
 
 TEST_F(TerminationFixture, DetectionImpliesSmallError) {
@@ -114,7 +114,7 @@ TEST_F(TerminationFixture, StatusMessagesTrackSteps) {
   DistributedRanking sim(*graph_, *assignment_, 8, opts_with_detection(1e-9), pool());
   sim.set_reference(*reference_);
   (void)sim.run(30.0, 30.0);
-  EXPECT_EQ(sim.status_messages(), sim.total_outer_steps());
+  EXPECT_EQ(sim.counters().status_messages, sim.counters().outer_steps);
 }
 
 // ------------------------------------------------------------- checkpointing

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -233,6 +235,41 @@ TEST(GraphBinaryIo, RejectsTruncatedAndTrailingStreams) {
 
   std::stringstream trailing(bytes + "x");
   EXPECT_THROW((void)load_graph_binary(trailing), std::runtime_error);
+}
+
+/// A p2pgrb1 header claiming `pages` / `sites` / `links` (no externals)
+/// with nothing behind it. The loader must reject the claim with its
+/// documented runtime_error before sizing an allocation from it — not
+/// with bad_alloc or length_error, and not after zero-filling gigabytes.
+std::stringstream forged_header(std::uint64_t pages, std::uint64_t sites,
+                                std::uint64_t links) {
+  std::string bytes("p2pgrb1\n");
+  for (const std::uint64_t count : {pages, sites, links, std::uint64_t{0}}) {
+    char raw[8];
+    std::memcpy(raw, &count, 8);
+    bytes.append(raw, 8);
+  }
+  return std::stringstream(bytes);
+}
+
+TEST(GraphBinaryIo, RejectsForgedSiteCount) {
+  auto in = forged_header(0, std::uint64_t{1} << 40, 0);
+  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+}
+
+TEST(GraphBinaryIo, RejectsForgedSiteCountBeyondVectorMaxSize) {
+  auto in = forged_header(0, std::uint64_t{1} << 62, 0);
+  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+}
+
+TEST(GraphBinaryIo, RejectsForgedLinkCount) {
+  auto in = forged_header(0, 0, std::uint64_t{1} << 60);
+  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+}
+
+TEST(GraphBinaryIo, RejectsForgedPageCount) {
+  auto in = forged_header(std::uint64_t{1} << 31, 0, 0);
+  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
 }
 
 }  // namespace

@@ -89,9 +89,9 @@ TEST(Integration, RecordsSentMatchCutLinkAccounting) {
   // Every outer step of a group ships its cut edges once; total records
   // sent must be a multiple-ish of the cut-link count (groups step at
   // slightly different rates, so bound it instead of equality).
-  EXPECT_GE(sim.records_sent(), pstats.cut_links);
+  EXPECT_GE(sim.counters().records_sent, pstats.cut_links);
   const double per_step =
-      static_cast<double>(sim.records_sent()) / sim.mean_outer_steps();
+      static_cast<double>(sim.counters().records_sent) / sim.mean_outer_steps();
   EXPECT_NEAR(per_step, static_cast<double>(pstats.cut_links),
               0.2 * static_cast<double>(pstats.cut_links));
 }

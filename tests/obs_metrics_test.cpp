@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/runner.hpp"
@@ -203,8 +204,8 @@ TEST(ObsDeterminism, AttachingSinksDoesNotChangeTheRun) {
     engine::DistributedRanking sim(g, assignment, 4, eo, pool);
     sim.set_reference(engine::open_system_reference(g, eo.alpha, pool));
     (void)sim.run(25.0);
-    return std::tuple{sim.messages_sent(), sim.records_sent(),
-                      sim.retransmissions(), sim.global_ranks()};
+    sim.leave_group(1, 2);  // a handoff is an export boundary, like a run's end
+    return std::pair{sim.counters(), sim.global_ranks()};
   };
   MetricsRegistry metrics;
   Tracer tracer;
@@ -212,31 +213,21 @@ TEST(ObsDeterminism, AttachingSinksDoesNotChangeTheRun) {
   const auto instrumented = run(&metrics, &tracer);
   EXPECT_EQ(bare, instrumented);
   // And the registry mirrors the engine's own counters exactly.
-  EXPECT_EQ(metrics.counter_value(names::kEngineMessagesSent),
-            std::get<0>(instrumented));
-  EXPECT_EQ(metrics.counter_value(names::kEngineRecordsSent),
-            std::get<1>(instrumented));
-  EXPECT_EQ(metrics.counter_value(names::kTransportRetransmissions),
-            std::get<2>(instrumented));
+  for (const engine::CounterField& f : engine::kCounterFields) {
+    if (f.metric.empty()) continue;
+    EXPECT_EQ(metrics.counter_value(f.metric), instrumented.first.*f.field) << f.metric;
+  }
 }
 
 // --- Retransmit cost-accounting regression ------------------------------
-
-struct AccountingProbe {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t records_sent = 0;
-  std::uint64_t record_hops = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t retransmit_records = 0;
-  std::uint64_t duplicates_rejected = 0;
-  std::vector<std::uint64_t> records_per_group;
-};
 
 /// Fixed-duration reliable run with a perfect data channel and the given
 /// ack channel. Data loss and ack loss draw from separate seeded streams,
 /// so the fresh slice flow is identical whatever the ack channel does —
 /// every retransmission a dead ack channel forces is a pure duplicate.
-AccountingProbe run_with_ack_probability(double ack_p, MetricsRegistry* metrics) {
+/// Returns the counters and the per-group fresh records.
+std::pair<engine::EngineCounters, std::vector<std::uint64_t>> run_with_ack_probability(
+    double ack_p, MetricsRegistry* metrics) {
   const auto g = graph::generate_synthetic_web(graph::google2002_config(1000, 9));
   std::vector<std::uint32_t> assignment(g.num_pages());
   for (std::uint32_t p = 0; p < g.num_pages(); ++p) assignment[p] = p % 4;
@@ -250,22 +241,14 @@ AccountingProbe run_with_ack_probability(double ack_p, MetricsRegistry* metrics)
   engine::DistributedRanking sim(g, assignment, 4, eo, pool);
   sim.set_reference(engine::open_system_reference(g, eo.alpha, pool));
   (void)sim.run(40.0);
-  AccountingProbe probe;
-  probe.messages_sent = sim.messages_sent();
-  probe.records_sent = sim.records_sent();
-  probe.record_hops = sim.record_hops();
-  probe.retransmissions = sim.retransmissions();
-  probe.retransmit_records = sim.retransmit_records();
-  probe.duplicates_rejected = sim.duplicates_rejected();
   const auto per_group = sim.records_sent_per_group();
-  probe.records_per_group.assign(per_group.begin(), per_group.end());
-  return probe;
+  return {sim.counters(), {per_group.begin(), per_group.end()}};
 }
 
 TEST(RetransmitAccounting, DeadAckChannelDoesNotInflateFreshRecordCounters) {
   MetricsRegistry metrics;
-  const AccountingProbe clean = run_with_ack_probability(1.0, nullptr);
-  const AccountingProbe lossy = run_with_ack_probability(0.0, &metrics);
+  const auto [clean, clean_per_group] = run_with_ack_probability(1.0, nullptr);
+  const auto [lossy, lossy_per_group] = run_with_ack_probability(0.0, &metrics);
 
   // The forcing worked: no retransmissions with perfect acks, plenty with
   // none — and with a perfect data channel every retransmit is a duplicate.
@@ -279,7 +262,7 @@ TEST(RetransmitAccounting, DeadAckChannelDoesNotInflateFreshRecordCounters) {
   // — before the fix these were inflated by every re-shipped payload.
   EXPECT_EQ(lossy.records_sent, clean.records_sent);
   EXPECT_EQ(lossy.record_hops, clean.record_hops);
-  EXPECT_EQ(lossy.records_per_group, clean.records_per_group);
+  EXPECT_EQ(lossy_per_group, clean_per_group);
   EXPECT_EQ(lossy.messages_sent, clean.messages_sent + lossy.retransmissions);
 
   // Metrics mirror the split: fresh records under engine.*, re-shipped

@@ -186,17 +186,17 @@ TEST(RecoverySupervisor, TenThousandStepPartitionIsBoundedAndDetected) {
   sim.set_reference(engine::open_system_reference(g, kAlpha, pool()));
 
   sim.set_partition(0b1, 0.0, 0.0);
-  while (sim.total_outer_steps() < 10000) {
+  while (sim.counters().outer_steps < 10000) {
     (void)sim.run(sim.now() + 50.0, 50.0);
   }
-  EXPECT_GE(sim.total_outer_steps(), 10000u);
+  EXPECT_GE(sim.counters().outer_steps, 10000u);
   EXPECT_GT(sim.suspected_pairs(), 0u)
       << "a hard partition must trip the failure detector";
-  EXPECT_EQ(sim.zombie_retransmits(), 0u);
+  EXPECT_EQ(sim.counters().zombie_retransmits, 0u);
   // Suspicion parks the cut pairs' retransmits after a handful of strikes;
   // everything left is ordinary loss-free ack traffic. Pre-fix this was a
   // storm at rto_initial cadence (tens of thousands).
-  EXPECT_LT(sim.retransmissions(), sim.messages_sent() / 10)
+  EXPECT_LT(sim.counters().retransmissions, sim.counters().messages_sent / 10)
       << "retransmit volume looks like a storm";
 
   // Heal: probes clear suspicion and the pairs drain back to normal.

@@ -806,11 +806,12 @@ std::string render_recovery_run(const Options& opts, std::size_t edges,
   os << "      \"unavailable\": " << server.unavailable() << ",\n";
   os << "      \"torn_reads\": " << server.torn_reads() << ",\n";
   os << "      \"stale_bound_violations\": " << stale_bound_violations << ",\n";
-  os << "      \"partition_drops\": " << sim.partition_drops() << ",\n";
-  os << "      \"frames_corrupted\": " << sim.frames_corrupted() << ",\n";
-  os << "      \"frames_quarantined\": " << sim.frames_quarantined() << ",\n";
-  os << "      \"retransmissions\": " << sim.retransmissions() << ",\n";
-  os << "      \"messages_sent\": " << sim.messages_sent() << ",\n";
+  const engine::EngineCounters c = sim.counters();
+  os << "      \"partition_drops\": " << c.partition_drops << ",\n";
+  os << "      \"frames_corrupted\": " << c.frames_corrupted << ",\n";
+  os << "      \"frames_quarantined\": " << c.frames_quarantined << ",\n";
+  os << "      \"retransmissions\": " << c.retransmissions << ",\n";
+  os << "      \"messages_sent\": " << c.messages_sent << ",\n";
   os << "      \"reconverged\": " << (reconverge.reached ? "true" : "false")
      << ",\n";
   os << "      \"reconverge_time\": " << json_number(reconverge.time) << ",\n";
@@ -943,11 +944,12 @@ int run_recovery_bench(const Options& opts) {
 
   std::size_t edges = 0;
   for (graph::PageId u = 0; u < g.num_pages(); ++u) edges += g.out_degree(u);
+  const engine::EngineCounters counts = sim.counters();
   std::cout << "graph: " << opts.pages << " pages, " << edges << " edges; k="
             << opts.k << "; " << episodes.size() << " episode(s)\n"
             << "  evictions=" << sup.evictions() << " rejoins=" << sup.rejoins()
-            << " partition_drops=" << sim.partition_drops()
-            << " frames_quarantined=" << sim.frames_quarantined() << "\n"
+            << " partition_drops=" << counts.partition_drops
+            << " frames_quarantined=" << counts.frames_quarantined << "\n"
             << "  queries=" << server.queries() << " degraded="
             << server.degraded_reads() << " shard_down="
             << server.shard_down_reads() << " stale_bound_violations="
@@ -972,8 +974,8 @@ int run_recovery_bench(const Options& opts) {
               << " torn-epoch read(s)\n";
     ok = false;
   }
-  if (sim.corrupt_frames_applied() != 0) {
-    std::cerr << "bench_report: FAIL — " << sim.corrupt_frames_applied()
+  if (counts.corrupt_frames_applied != 0) {
+    std::cerr << "bench_report: FAIL — " << counts.corrupt_frames_applied
               << " corrupted frame(s) applied past the checksum\n";
     ok = false;
   }

@@ -70,7 +70,8 @@ echo "TSan: chaos-scenario smoke corpus clean (--partition)"
 # on, so every retransmit/ack/churn code path runs under the checks.
 cmake --preset asan
 cmake --build --preset asan --target scenario_fuzz graph_builder_test \
-  graph_io_test graph_updates_test streaming_builder_test -j"$(nproc)"
+  graph_io_test graph_updates_test streaming_builder_test rankmeter \
+  obs_metrics_test -j"$(nproc)"
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
 # WebGraph accessors (the old out_links(0) UB), loader reject paths, binary
@@ -100,3 +101,10 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
   --partition
 echo "ASan: chaos-scenario smoke corpus clean (base + --reliable + --worklist + --serve + --partition)"
+
+# The instrumented path: engines export counters into a registry that
+# outlives them (graph-update rebuilds, churn retiring groups).
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/obs_metrics_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/rankmeter --smoke \
+  --quiet --seeds-file tests/corpus/scenario_seeds.txt
+echo "ASan: instrumented runs clean (obs_metrics_test + rankmeter --smoke)"

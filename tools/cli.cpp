@@ -213,8 +213,9 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   table.print(out, algorithm + " over " + std::to_string(k) + " rankers (" +
                        strategy + " partition)");
-  out << "messages " << sim.messages_sent() << " (lost " << sim.messages_lost()
-      << "), records " << sim.records_sent() << ", final rel err "
+  const engine::EngineCounters c = sim.counters();
+  out << "messages " << c.messages_sent << " (lost " << c.messages_lost
+      << "), records " << c.records_sent << ", final rel err "
       << sim.relative_error_now() << '\n';
   return 0;
 }
