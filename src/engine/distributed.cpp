@@ -306,33 +306,43 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
   ++ownership_version_;
 }
 
-void DistributedRanking::warm_start(std::span<const double> global_ranks) {
-  if (global_ranks.size() != graph_.num_pages()) {
-    throw std::invalid_argument("DistributedRanking: warm_start size mismatch");
-  }
-  std::vector<double> local;
-  for (auto& grp : groups_) {
-    const auto members = grp->members();
-    local.clear();
-    local.reserve(members.size());
-    for (const graph::PageId p : members) local.push_back(global_ranks[p]);
-    grp->set_ranks(local);
-  }
-  // Restore afferent state too: in a running deployment each ranker's X
-  // survives a crawl update — it is received state, not recomputed. Prime
-  // it by delivering every group's Y (computed from the warm ranks)
-  // directly, outside the message accounting (and outside the epoch filter:
-  // priming is state transfer, not a channel send). The chaos harness's
-  // deliberately broken ranker skips priming like it skips its inbox — its
-  // whole afferent-update path is dead, so churn and restore state
-  // transfers must not silently heal it (the --broken self-test depends on
-  // the fault surviving every recovery mechanism).
+void DistributedRanking::gather_local_ranks(std::uint32_t group,
+                                            std::span<const double> global_ranks,
+                                            std::vector<double>& local) const {
+  const auto members = groups_[group]->members();
+  local.clear();
+  local.reserve(members.size());
+  for (const graph::PageId p : members) local.push_back(global_ranks[p]);
+}
+
+void DistributedRanking::prime_afferents() {
+  // In a running deployment each ranker's X survives a crawl update — it is
+  // received state, not recomputed. Prime it by delivering every group's Y
+  // (computed from the warm ranks) directly, outside the message accounting
+  // (and outside the epoch filter: priming is state transfer, not a channel
+  // send). The chaos harness's deliberately broken ranker skips priming
+  // like it skips its inbox — its whole afferent-update path is dead, so
+  // churn and restore state transfers must not silently heal it (the
+  // --broken self-test depends on the fault surviving every recovery
+  // mechanism).
   for (std::uint32_t src = 0; src < groups_.size(); ++src) {
     for (const std::uint32_t dest : groups_[src]->efferent_destinations()) {
       if (dest == opts_.fault_skip_refresh_group) continue;
       groups_[dest]->refresh_x(src, groups_[src]->compute_y(dest));
     }
   }
+}
+
+void DistributedRanking::warm_start(std::span<const double> global_ranks) {
+  if (global_ranks.size() != graph_.num_pages()) {
+    throw std::invalid_argument("DistributedRanking: warm_start size mismatch");
+  }
+  std::vector<double> local;
+  for (std::uint32_t i = 0; i < groups_.size(); ++i) {
+    gather_local_ranks(i, global_ranks, local);
+    groups_[i]->set_ranks(local);
+  }
+  prime_afferents();
   // A warm start changes the served state wholesale (initial seeding, churn
   // handoff, restore) — republish instead of waiting out the cadence.
   publish_snapshot();
@@ -381,10 +391,7 @@ void DistributedRanking::warm_start_incremental(
   // refresh_x's forcing-dirty marks land on primed state.
   std::vector<double> local;
   for (std::uint32_t i = 0; i < groups_.size(); ++i) {
-    const auto members = groups_[i]->members();
-    local.clear();
-    local.reserve(members.size());
-    for (const graph::PageId p : members) local.push_back(global_ranks[p]);
+    gather_local_ranks(i, global_ranks, local);
     if (carry_usable) {
       groups_[i]->install_worklist_carry(local, std::move(carry.groups[i]),
                                          rows_local[i], sources_local[i]);
@@ -392,14 +399,7 @@ void DistributedRanking::warm_start_incremental(
       groups_[i]->set_ranks(local);
     }
   }
-  // X re-prime: identical to warm_start (state transfer, not channel sends;
-  // the deliberately broken ranker stays broken).
-  for (std::uint32_t src = 0; src < groups_.size(); ++src) {
-    for (const std::uint32_t dest : groups_[src]->efferent_destinations()) {
-      if (dest == opts_.fault_skip_refresh_group) continue;
-      groups_[dest]->refresh_x(src, groups_[src]->compute_y(dest));
-    }
-  }
+  prime_afferents();
   // Conservative frontier repair: every received X row recomputes next
   // sweep, covering entries the delta-based marks cannot see (bitwise-0.0
   // slice values superseding a nonzero pre-swap X).
@@ -461,15 +461,20 @@ std::vector<std::uint32_t> DistributedRanking::current_assignment() const {
   return assignment;
 }
 
-void DistributedRanking::drop_in_flight() {
-  // The generation stamp kills undelivered slice events; the buffered
-  // retransmit payloads and pending-epoch records go with them. Queued
-  // inbox messages are already-delivered state and stay (a restore's crash
-  // wave clears them anyway). Accepted-epoch high-water marks survive: the
-  // channel session outlives a rollback just like it outlives a crash.
+void DistributedRanking::discard_in_flight() {
+  // The generation stamp kills undelivered slice events and retransmit
+  // timers; the buffered payloads and pending-epoch records go with them.
   ++generation_;
   pending_payload_.clear();
   if (reliable_) reliable_->reset_pending();
+}
+
+void DistributedRanking::drop_in_flight() {
+  // Queued inbox messages are already-delivered state and stay (a
+  // restore's crash wave clears them anyway). Accepted-epoch high-water
+  // marks survive: the channel session outlives a rollback just like it
+  // outlives a crash.
+  discard_in_flight();
   // A restore is a global rollback for the serving layer too: every epoch
   // published from the rolled-back timeline is stale. The sink keeps
   // serving it (availability over freshness) until the restore's
@@ -499,12 +504,10 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
   warm_start(loaded.ranks);
 
   // In-flight slices and retransmit timers reference the *old* wiring's
-  // local indices: invalidate them wholesale via the generation stamp and
-  // drop the buffered payloads. Epoch counters survive (transport-session
-  // state), so "accepted epoch non-decreasing" holds across churn.
-  ++generation_;
-  pending_payload_.clear();
-  if (reliable_) reliable_->reset_pending();
+  // local indices: invalidate them wholesale. Epoch counters survive
+  // (transport-session state), so "accepted epoch non-decreasing" holds
+  // across churn.
+  discard_in_flight();
   for (auto& box : inbox_) box.clear();
 
   // Every ranker re-reports stability against the new ownership.

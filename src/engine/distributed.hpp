@@ -299,6 +299,17 @@ class DistributedRanking {
   /// Push the current (ranks, ownership) into opts_.snapshot_sink (no-op
   /// without one) and restart the publish-cadence clock.
   void publish_snapshot();
+  /// `group`'s entries of a global rank vector, in local order, into
+  /// `local` (cleared first, so one buffer serves every group).
+  void gather_local_ranks(std::uint32_t group, std::span<const double> global_ranks,
+                          std::vector<double>& local) const;
+  /// Warm-start X: deliver every group's Y, computed from its current
+  /// ranks, straight into each destination's X (state transfer, not a
+  /// channel send). Skips opts_.fault_skip_refresh_group.
+  void prime_afferents();
+  /// Kill every undelivered slice and retransmit timer and drop the
+  /// buffered payloads and pending epochs; accepted epochs survive.
+  void discard_in_flight();
 
   // Y-slice channel, fire-and-forget or reliable.
   void send_slice(std::uint32_t src, std::uint32_t dst, YSlice slice);

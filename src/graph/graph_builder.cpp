@@ -79,7 +79,7 @@ std::optional<PageId> GraphBuilder::find(std::string_view url) const {
   return it->second;
 }
 
-WebGraph GraphBuilder::build(bool dedup_links) && {
+WebGraph GraphBuilder::build() && {
   // Resolve deferred targets: anything interned by now is internal.
   for (auto& [from, url] : unresolved_links_) {
     const auto it = url_to_page_.find(url);
@@ -96,12 +96,9 @@ WebGraph GraphBuilder::build(bool dedup_links) && {
   }
   unresolved_links_.clear();
 
-  // Canonical form (web_graph.hpp): rows sorted by (from, to) regardless of
-  // dedup, so splice/streaming paths can reproduce these arrays bitwise.
+  // Canonical form (web_graph.hpp): rows sorted by (from, to), so
+  // splice/streaming paths can reproduce these arrays bitwise.
   std::sort(links_.begin(), links_.end());
-  if (dedup_links) {
-    links_.erase(std::unique(links_.begin(), links_.end()), links_.end());
-  }
 
   const std::size_t n = urls_.size();
   WebGraph g;

@@ -54,9 +54,9 @@ class GraphBuilder {
 
   [[nodiscard]] std::size_t num_pages() const noexcept { return urls_.size(); }
 
-  /// Consume the builder and produce the CSR graph. When `dedup_links` is
-  /// true, duplicate (from, to) internal links collapse to one edge.
-  [[nodiscard]] WebGraph build(bool dedup_links = false) &&;
+  /// Consume the builder and produce the CSR graph. Duplicate (from, to)
+  /// internal links stay parallel edges.
+  [[nodiscard]] WebGraph build() &&;
 
  private:
   PageId intern(std::string_view url, std::string_view site);

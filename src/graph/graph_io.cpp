@@ -1,8 +1,9 @@
 #include "graph/graph_io.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "graph/graph_builder.hpp"
+#include "util/bytes.hpp"
 
 namespace p2prank::graph {
 
@@ -135,105 +137,44 @@ WebGraph load_graph_file(const std::string& path) {
 //             (first target absolute, the rest as gaps from the previous)
 // The whole stream is staged through one in-memory buffer in both
 // directions: varint decode from a flat byte array is what makes reload
-// I/O-bound rather than parse-bound.
+// I/O-bound rather than parse-bound. The bytes go through util/bytes.hpp,
+// so a read that cannot complete is this loader's runtime_error.
 
 namespace {
 
-constexpr char kBinaryMagic[8] = {'p', '2', 'p', 'g', 'r', 'b', '1', '\n'};
+constexpr std::string_view kBinaryMagic("p2pgrb1\n", 8);
 
-void put_u32(std::string& buf, std::uint32_t v) {
-  char raw[4];
-  std::memcpy(raw, &v, 4);
-  buf.append(raw, 4);
+/// The value of a read, or the loader's documented error when the stream
+/// ends early or holds a varint the writer never emits.
+template <class T>
+T need(std::optional<T> read) {
+  if (!read) {
+    throw std::runtime_error(
+        "load_graph_binary: truncated stream or malformed varint");
+  }
+  return *read;
 }
 
-void put_u64(std::string& buf, std::uint64_t v) {
-  char raw[8];
-  std::memcpy(raw, &v, 8);
-  buf.append(raw, 8);
+std::string read_string(util::ByteReader& r) {
+  return std::string(need(r.bytes(need(r.u32()))));
 }
 
-void put_varint(std::string& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
+/// Reject a header count before anything is sized from it: `count` items
+/// of at least `min_bytes` each must fit in the unread bytes.
+void expect_fits(const util::ByteReader& r, std::uint64_t count,
+                 std::size_t min_bytes, const char* what) {
+  if (!r.fits(count, min_bytes)) {
+    throw std::runtime_error(std::string("load_graph_binary: ") + what +
+                             " count exceeds the stream size");
   }
-  buf.push_back(static_cast<char>(v));
 }
-
-class BinaryReader {
- public:
-  explicit BinaryReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint32_t u32() {
-    std::uint32_t v;
-    std::memcpy(&v, need(4), 4);
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t u64() {
-    std::uint64_t v;
-    std::memcpy(&v, need(8), 8);
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      const auto byte = static_cast<unsigned char>(*need(1));
-      if (shift >= 63 && byte > 1) {
-        throw std::runtime_error("load_graph_binary: varint overflow");
-      }
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return v;
-      shift += 7;
-    }
-  }
-
-  [[nodiscard]] std::string str() {
-    const std::uint32_t len = u32();
-    return {need(len), len};
-  }
-
-  void magic() {
-    if (std::memcmp(need(8), kBinaryMagic, 8) != 0) {
-      throw std::runtime_error("load_graph_binary: bad magic");
-    }
-  }
-
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
-
-  /// Reject a header count before anything is sized from it: `count`
-  /// items of at least `min_bytes` each must fit in the unread bytes.
-  void expect_fits(std::uint64_t count, std::size_t min_bytes, const char* what) const {
-    if (count > remaining() / min_bytes) {
-      throw std::runtime_error(std::string("load_graph_binary: ") + what +
-                               " count exceeds the stream size");
-    }
-  }
-
- private:
-  const char* need(std::size_t count) {
-    if (data_.size() - pos_ < count) {
-      throw std::runtime_error("load_graph_binary: truncated stream");
-    }
-    const char* p = data_.data() + pos_;
-    pos_ += count;
-    return p;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
 class GraphBinaryIo {
  public:
   static void save(const WebGraph& g, std::ostream& out) {
-    std::string buf;
+    std::vector<std::uint8_t> buf;
     // Reserve a rough upper bound: fixed header + urls/site names + ~2 bytes
     // per link gap + site ids + a few varints per page.
     std::size_t reserve = 40 + 4 * g.num_links() + 16 * g.num_pages();
@@ -241,37 +182,36 @@ class GraphBinaryIo {
     for (SiteId s = 0; s < g.num_sites(); ++s) reserve += g.site_name(s).size();
     buf.reserve(reserve);
 
-    buf.append(kBinaryMagic, 8);
-    put_u64(buf, g.num_pages());
-    put_u64(buf, g.num_sites());
-    put_u64(buf, g.num_links());
-    put_u64(buf, g.num_external_links());
+    util::put_bytes(buf, kBinaryMagic);
+    util::put_u64(buf, g.num_pages());
+    util::put_u64(buf, g.num_sites());
+    util::put_u64(buf, g.num_links());
+    util::put_u64(buf, g.num_external_links());
     for (SiteId s = 0; s < g.num_sites(); ++s) {
       const std::string& name = g.site_name(s);
-      put_u32(buf, static_cast<std::uint32_t>(name.size()));
-      buf.append(name);
+      util::put_u32(buf, static_cast<std::uint32_t>(name.size()));
+      util::put_bytes(buf, name);
     }
-    for (PageId p = 0; p < g.num_pages(); ++p) put_u32(buf, g.site(p));
+    for (PageId p = 0; p < g.num_pages(); ++p) util::put_u32(buf, g.site(p));
     for (PageId p = 0; p < g.num_pages(); ++p) {
       const std::string& url = g.url(p);
-      put_u32(buf, static_cast<std::uint32_t>(url.size()));
-      buf.append(url);
+      util::put_u32(buf, static_cast<std::uint32_t>(url.size()));
+      util::put_bytes(buf, url);
     }
     for (PageId p = 0; p < g.num_pages(); ++p) {
-      put_varint(buf, g.external_out_degree(p));
+      util::put_varint(buf, g.external_out_degree(p));
     }
     for (PageId p = 0; p < g.num_pages(); ++p) {
       const auto row = g.out_links(p);
-      put_varint(buf, row.size());
+      util::put_varint(buf, row.size());
       PageId prev = 0;
-      bool first = true;
       for (const PageId t : row) {
-        put_varint(buf, first ? t : t - prev);
+        util::put_varint(buf, t - prev);
         prev = t;
-        first = false;
       }
     }
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    out.write(reinterpret_cast<const char*>(buf.data()),
+              static_cast<std::streamsize>(buf.size()));
     if (!out) throw std::runtime_error("save_graph_binary: write failed");
   }
 
@@ -279,28 +219,31 @@ class GraphBinaryIo {
     std::ostringstream staging;
     staging << in.rdbuf();
     const std::string bytes = std::move(staging).str();
-    BinaryReader r(bytes);
-    r.magic();
+    util::ByteReader r(std::span(
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+    if (need(r.bytes(kBinaryMagic.size())) != kBinaryMagic) {
+      throw std::runtime_error("load_graph_binary: bad magic");
+    }
 
-    const std::uint64_t n = r.u64();
-    const std::uint64_t num_sites = r.u64();
-    const std::uint64_t m = r.u64();
-    const std::uint64_t total_external = r.u64();
+    const std::uint64_t n = need(r.u64());
+    const std::uint64_t num_sites = need(r.u64());
+    const std::uint64_t m = need(r.u64());
+    const std::uint64_t total_external = need(r.u64());
     if (n >= static_cast<std::uint64_t>(kInvalidPage)) {
       throw std::runtime_error("load_graph_binary: page count out of range");
     }
 
     // Smallest encodings: a site name is a u32 length, a page at least its
     // u32 site id and u32 url length, a link one varint byte.
-    r.expect_fits(num_sites, 4, "site");
+    expect_fits(r, num_sites, 4, "site");
     std::vector<std::string> site_names;
     site_names.reserve(num_sites);
-    for (std::uint64_t s = 0; s < num_sites; ++s) site_names.push_back(r.str());
+    for (std::uint64_t s = 0; s < num_sites; ++s) site_names.push_back(read_string(r));
 
-    r.expect_fits(n, 8, "page");
+    expect_fits(r, n, 8, "page");
     std::vector<SiteId> sites(n);
     for (std::uint64_t p = 0; p < n; ++p) {
-      sites[p] = r.u32();
+      sites[p] = need(r.u32());
       if (sites[p] >= num_sites) {
         throw std::runtime_error("load_graph_binary: site id out of range");
       }
@@ -308,12 +251,12 @@ class GraphBinaryIo {
 
     std::vector<std::string> urls;
     urls.reserve(n);
-    for (std::uint64_t p = 0; p < n; ++p) urls.push_back(r.str());
+    for (std::uint64_t p = 0; p < n; ++p) urls.push_back(read_string(r));
 
     WebGraph g;
     g.external_out_.resize(n);
     for (std::uint64_t p = 0; p < n; ++p) {
-      const std::uint64_t count = r.varint();
+      const std::uint64_t count = need(r.varint());
       if (count > std::numeric_limits<std::uint32_t>::max()) {
         throw std::runtime_error("load_graph_binary: external count out of range");
       }
@@ -324,20 +267,20 @@ class GraphBinaryIo {
       throw std::runtime_error("load_graph_binary: external link total mismatch");
     }
 
-    r.expect_fits(m, 1, "link");
+    expect_fits(r, m, 1, "link");
     g.out_offsets_.assign(n + 1, 0);
     g.out_targets_.reserve(m);
     g.in_offsets_.assign(n + 1, 0);
     for (std::uint64_t p = 0; p < n; ++p) {
-      const std::uint64_t degree = r.varint();
+      const std::uint64_t degree = need(r.varint());
       PageId prev = 0;
       for (std::uint64_t k = 0; k < degree; ++k) {
-        const std::uint64_t gap = r.varint();
-        const std::uint64_t target = (k == 0) ? gap : gap + prev;
-        if (target >= n) {
+        // Compared before adding, so a huge gap cannot wrap below n.
+        const std::uint64_t gap = need(r.varint());
+        if (gap >= n - prev) {
           throw std::runtime_error("load_graph_binary: link target out of range");
         }
-        prev = static_cast<PageId>(target);
+        prev += static_cast<PageId>(gap);
         g.out_targets_.push_back(prev);
         ++g.in_offsets_[prev + 1];
       }
@@ -346,7 +289,7 @@ class GraphBinaryIo {
     if (g.out_targets_.size() != m) {
       throw std::runtime_error("load_graph_binary: link count mismatch");
     }
-    if (!r.exhausted()) {
+    if (!r.at_end()) {
       throw std::runtime_error("load_graph_binary: trailing bytes");
     }
 

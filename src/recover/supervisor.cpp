@@ -90,6 +90,15 @@ void RecoverySupervisor::evict(std::uint32_t r, std::uint32_t successor,
   trace("evict", now, r, static_cast<double>(successor));
 }
 
+void RecoverySupervisor::readmit(std::uint32_t r) {
+  states_[r] = RankerState::kHealthy;
+  probe_streak_[r] = 0;
+  ++epochs_[r];
+  if (opts_.serve_store != nullptr) {
+    opts_.serve_store->set_shard_health(r, true);
+  }
+}
+
 void RecoverySupervisor::rejoin(std::uint32_t r, double now) {
   // Donor = the largest live group (lowest index on ties) with at least two
   // pages — the same overlay arrival split join_group performs.
@@ -121,14 +130,9 @@ void RecoverySupervisor::rejoin(std::uint32_t r, double now) {
       ++seen;
     }
   }
-  states_[r] = RankerState::kHealthy;
-  probe_streak_[r] = 0;
-  ++epochs_[r];
+  readmit(r);
   ++rejoins_;
   if (rejoins_cell_ != nullptr) ++*rejoins_cell_;
-  if (opts_.serve_store != nullptr) {
-    opts_.serve_store->set_shard_health(r, true);
-  }
   trace("rejoin", now, r, static_cast<double>(donor));
 }
 
@@ -160,12 +164,7 @@ void RecoverySupervisor::tick(double now) {
     if (sim_.group(r).size() != 0) {
       // Scripted churn re-populated an evicted ranker between resyncs;
       // treat it as readmitted (the runner's resync also handles this).
-      states_[r] = RankerState::kHealthy;
-      probe_streak_[r] = 0;
-      ++epochs_[r];
-      if (opts_.serve_store != nullptr) {
-        opts_.serve_store->set_shard_health(r, true);
-      }
+      readmit(r);
       trace("readmit", now, r, 0.0);
       continue;
     }
@@ -185,12 +184,7 @@ void RecoverySupervisor::resync(double now) {
   ledger_ = sim_.current_assignment();
   for (std::uint32_t r = 0; r < k_; ++r) {
     if (states_[r] == RankerState::kEvicted && sim_.group(r).size() != 0) {
-      states_[r] = RankerState::kHealthy;
-      probe_streak_[r] = 0;
-      ++epochs_[r];
-      if (opts_.serve_store != nullptr) {
-        opts_.serve_store->set_shard_health(r, true);
-      }
+      readmit(r);
     }
   }
   ++resyncs_;

@@ -130,6 +130,9 @@ class RecoverySupervisor {
   [[nodiscard]] bool probes_clean(std::uint32_t r) const;
 
   void evict(std::uint32_t r, std::uint32_t successor, double now);
+  /// Mark r healthy again: probe streak reset, recovery epoch bumped, shard
+  /// health up. Shared by rejoin and the two scripted-churn readmissions.
+  void readmit(std::uint32_t r);
   void rejoin(std::uint32_t r, double now);
 
   engine::DistributedRanking& sim_;

@@ -9,7 +9,9 @@
 // and returns a verdict instead of throwing — a corrupted frame must be
 // quarantinable on the hot path without unwinding.
 //
-// Format (all integers varint/LEB128 unless noted):
+// Format (all integers varint/LEB128 unless noted; bytes via
+// util/bytes.hpp, whose reader accepts only the minimal varint the writer
+// emits):
 //   magic (4 bytes LE) | version | src | dst | epoch | record_count |
 //   entry_count | entries: (index delta, score as 8-byte LE double)* |
 //   checksum (8 bytes LE, FNV-1a over all preceding bytes)
@@ -29,7 +31,7 @@ inline constexpr std::uint64_t kFrameVersion = 1;
 /// Why a frame was accepted or quarantined.
 enum class FrameVerdict : std::uint8_t {
   kOk,
-  kTruncated,      ///< ran out of bytes mid-field
+  kTruncated,      ///< ran out of bytes mid-field, or a non-minimal varint
   kBadMagic,       ///< first four bytes are not kFrameMagic
   kBadVersion,     ///< version != kFrameVersion
   kBadChecksum,    ///< trailing FNV-1a mismatch

@@ -1,10 +1,12 @@
 #include "transport/wire.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
+
+#include "util/bytes.hpp"
 
 namespace p2prank::transport {
 
@@ -41,61 +43,29 @@ std::size_t shared_prefix(std::string_view a, std::string_view b) noexcept {
 void put_front_coded(std::vector<std::uint8_t>& out, std::string_view prev,
                      std::string_view cur, bool front_coding) {
   const std::size_t shared = front_coding ? shared_prefix(prev, cur) : 0;
-  put_varint(out, shared);
-  put_varint(out, cur.size() - shared);
-  const auto* data = reinterpret_cast<const std::uint8_t*>(cur.data());
-  out.insert(out.end(), data + shared, data + cur.size());
+  util::put_varint(out, shared);
+  util::put_varint(out, cur.size() - shared);
+  util::put_bytes(out, cur.substr(shared));
 }
 
-void put_double(std::vector<std::uint8_t>& out, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  }
+/// The value of a read, or the decoder's documented error.
+template <class T>
+T need(std::optional<T> read) {
+  if (!read) throw std::runtime_error("wire: truncated or malformed batch");
+  return *read;
+}
+
+/// One front-coded URL: `prev`'s first `shared` bytes, then the suffix.
+std::string read_front_coded(util::ByteReader& reader, std::string_view prev) {
+  const std::uint64_t shared = need(reader.varint());
+  const std::uint64_t suffix = need(reader.varint());
+  if (shared > prev.size()) throw std::runtime_error("wire: bad shared prefix");
+  std::string url(prev.substr(0, shared));
+  url += need(reader.bytes(suffix));
+  return url;
 }
 
 }  // namespace
-
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
-std::uint64_t WireReader::read_varint() {
-  std::uint64_t value = 0;
-  int shift = 0;
-  while (true) {
-    if (pos_ >= bytes_.size()) throw std::runtime_error("wire: truncated varint");
-    const std::uint8_t byte = bytes_[pos_++];
-    if (shift >= 64) throw std::runtime_error("wire: varint overflow");
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-}
-
-std::string_view WireReader::read_bytes(std::size_t n) {
-  if (pos_ + n > bytes_.size()) throw std::runtime_error("wire: truncated bytes");
-  const auto* data = reinterpret_cast<const char*>(bytes_.data() + pos_);
-  pos_ += n;
-  return {data, n};
-}
-
-double WireReader::read_double() {
-  if (pos_ + 8 > bytes_.size()) throw std::runtime_error("wire: truncated double");
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
 
 std::vector<std::uint8_t> encode_records(std::span<const ScoreRecord> records,
                                          const WireOptions& opts) {
@@ -116,9 +86,9 @@ std::vector<std::uint8_t> encode_records(std::span<const ScoreRecord> records,
 
   std::vector<std::uint8_t> out;
   out.reserve(records.size() * 32 + 16);
-  put_varint(out, opts.front_coding ? kFlagFrontCoding : 0);
-  put_varint(out, static_cast<std::uint64_t>(opts.quantize_bits));
-  put_varint(out, records.size());
+  util::put_varint(out, opts.front_coding ? kFlagFrontCoding : 0);
+  util::put_varint(out, static_cast<std::uint64_t>(opts.quantize_bits));
+  util::put_varint(out, records.size());
 
   const double scale = std::ldexp(1.0, opts.quantize_bits);
   std::string_view prev_from;
@@ -128,9 +98,9 @@ std::vector<std::uint8_t> encode_records(std::span<const ScoreRecord> records,
     put_front_coded(out, prev_from, r.url_from, opts.front_coding);
     put_front_coded(out, prev_to, r.url_to, opts.front_coding);
     if (opts.quantize_bits > 0) {
-      put_varint(out, zigzag(std::llround(r.score * scale)));
+      util::put_varint(out, zigzag(std::llround(r.score * scale)));
     } else {
-      put_double(out, r.score);
+      util::put_f64(out, r.score);
     }
     prev_from = r.url_from;
     prev_to = r.url_to;
@@ -139,49 +109,34 @@ std::vector<std::uint8_t> encode_records(std::span<const ScoreRecord> records,
 }
 
 std::vector<OwnedScoreRecord> decode_records(std::span<const std::uint8_t> bytes) {
-  WireReader reader(bytes);
-  const std::uint64_t flags = reader.read_varint();
-  const auto quantize_bits = static_cast<int>(reader.read_varint());
-  if (quantize_bits < 0 || quantize_bits > 40) {
-    throw std::runtime_error("wire: bad quantize_bits");
-  }
-  const std::uint64_t count = reader.read_varint();
-  (void)flags;  // front coding is self-describing via the shared lengths
-
-  const double inv_scale =
-      quantize_bits > 0 ? std::ldexp(1.0, -quantize_bits) : 0.0;
-  std::vector<OwnedScoreRecord> records;
+  util::ByteReader reader(bytes);
+  // Front coding is self-describing via the shared lengths: the flags
+  // varint is read but not needed.
+  (void)need(reader.varint());
+  const std::uint64_t quantize_bits = need(reader.varint());
+  if (quantize_bits > 40) throw std::runtime_error("wire: bad quantize_bits");
+  const std::uint64_t count = need(reader.varint());
   // Every record consumes at least 5 bytes, so a count beyond that is
   // malformed — reject it before reserving (hostile headers must not drive
   // allocation).
-  if (count > bytes.size() / 5 + 1) {
+  if (!reader.fits(count, 5)) {
     throw std::runtime_error("wire: record count exceeds payload");
   }
+
+  const double inv_scale =
+      quantize_bits > 0 ? std::ldexp(1.0, -static_cast<int>(quantize_bits)) : 0.0;
+  std::vector<OwnedScoreRecord> records;
   records.reserve(count);
   std::string prev_from;
   std::string prev_to;
   for (std::uint64_t i = 0; i < count; ++i) {
     OwnedScoreRecord r;
-    const std::uint64_t shared_from = reader.read_varint();
-    const std::uint64_t suffix_from = reader.read_varint();
-    if (shared_from > prev_from.size()) {
-      throw std::runtime_error("wire: bad shared prefix");
-    }
-    r.url_from = prev_from.substr(0, shared_from);
-    r.url_from += reader.read_bytes(suffix_from);
-
-    const std::uint64_t shared_to = reader.read_varint();
-    const std::uint64_t suffix_to = reader.read_varint();
-    if (shared_to > prev_to.size()) {
-      throw std::runtime_error("wire: bad shared prefix");
-    }
-    r.url_to = prev_to.substr(0, shared_to);
-    r.url_to += reader.read_bytes(suffix_to);
-
+    r.url_from = read_front_coded(reader, prev_from);
+    r.url_to = read_front_coded(reader, prev_to);
     if (quantize_bits > 0) {
-      r.score = static_cast<double>(unzigzag(reader.read_varint())) * inv_scale;
+      r.score = static_cast<double>(unzigzag(need(reader.varint()))) * inv_scale;
     } else {
-      r.score = reader.read_double();
+      r.score = need(reader.f64());
     }
     prev_from = r.url_from;
     prev_to = r.url_to;

@@ -5,7 +5,7 @@
 // roughly 100 bytes", and its conclusion names compression as future work.
 // This module implements that future work:
 //
-//   * varint (LEB128) integer coding,
+//   * varint (LEB128) integer coding (util/bytes.hpp),
 //   * front-coding of URLs — records sorted by (url_from, url_to) share
 //     long prefixes (hash-by-site means a ranker's outgoing records are
 //     dominated by a handful of sites), so each URL stores only
@@ -45,26 +45,6 @@ struct OwnedScoreRecord {
   double score = 0.0;
 };
 
-/// Append a varint (LEB128) to out.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
-
-/// Cursor-based reader with bounds checking; throws std::runtime_error on
-/// truncated input.
-class WireReader {
- public:
-  explicit WireReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint64_t read_varint();
-  [[nodiscard]] std::string_view read_bytes(std::size_t n);
-  [[nodiscard]] double read_double();  ///< 8-byte little-endian IEEE 754
-  [[nodiscard]] bool at_end() const noexcept { return pos_ == bytes_.size(); }
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
 struct WireOptions {
   /// Sort + front-code URLs (lossless). Off stores every URL in full.
   bool front_coding = true;
@@ -80,6 +60,8 @@ struct WireOptions {
     std::span<const ScoreRecord> records, const WireOptions& opts = {});
 
 /// Decode a batch. Order matches encoding order (sorted when front-coded).
+/// Throws std::runtime_error on a truncated or malformed batch, including a
+/// varint not in the minimal form the encoder writes (util/bytes.hpp).
 [[nodiscard]] std::vector<OwnedScoreRecord> decode_records(
     std::span<const std::uint8_t> bytes);
 

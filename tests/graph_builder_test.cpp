@@ -96,16 +96,6 @@ TEST(GraphBuilder, DeferredLinkToUnknownBecomesExternal) {
   EXPECT_EQ(g.external_out_degree(a), 1u);
 }
 
-TEST(GraphBuilder, DedupCollapsesDuplicateLinks) {
-  GraphBuilder b;
-  const auto a = b.add_page("s.edu/a", "s.edu");
-  const auto c = b.add_page("s.edu/b", "s.edu");
-  b.add_link(a, c);
-  b.add_link(a, c);
-  const auto g = std::move(b).build(/*dedup_links=*/true);
-  EXPECT_EQ(g.num_links(), 1u);
-}
-
 TEST(GraphBuilder, WithoutDedupKeepsParallelEdges) {
   GraphBuilder b;
   const auto a = b.add_page("s.edu/a", "s.edu");

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,7 +197,9 @@ TEST(GraphBinaryIo, RoundTripsTinyAndEmptyGraphs) {
   expect_binary_round_trip(std::move(empty).build());
 }
 
-TEST(GraphBinaryIo, RoundTripsParallelEdgesAndExternals) {
+/// Two sites, two pages, a parallel edge and externals: a small graph
+/// whose encoding has every p2pgrb1 section.
+WebGraph parallel_edges_and_externals() {
   GraphBuilder b;
   const auto a = b.add_page("s.edu/a", "s.edu");
   const auto c = b.add_page("t.edu/b", "t.edu");
@@ -203,7 +207,35 @@ TEST(GraphBinaryIo, RoundTripsParallelEdgesAndExternals) {
   b.add_link(a, c);
   b.add_link(c, a);
   b.add_external_link(a, 7);
-  expect_binary_round_trip(std::move(b).build());
+  return std::move(b).build();
+}
+
+std::string binary_of(const WebGraph& g) {
+  std::stringstream buffer;
+  save_graph_binary(g, buffer);
+  return buffer.str();
+}
+
+WebGraph load_binary(const std::string& bytes) {
+  std::stringstream in(bytes);
+  return load_graph_binary(in);
+}
+
+// parallel_edges_and_externals() encodes to 95 bytes: the 40-byte header,
+// site names to 58, site ids to 66, urls to 88, external counts 7 and 0 at
+// 88-89, page 0's row (degree 2, gaps 1 and 0) at 90-92, page 1's row
+// (degree 1, target 0) at 93-94.
+constexpr std::size_t kFirstExternal = 88;
+constexpr std::size_t kSecondGap = 92;
+
+/// `bytes` with the one-byte varint at `at` replaced by `varint`.
+std::string splice(std::string bytes, std::size_t at,
+                   const std::vector<unsigned char>& varint) {
+  return bytes.replace(at, 1, std::string(varint.begin(), varint.end()));
+}
+
+TEST(GraphBinaryIo, RoundTripsParallelEdgesAndExternals) {
+  expect_binary_round_trip(parallel_edges_and_externals());
 }
 
 TEST(GraphBinaryIo, RoundTripsSyntheticCrawl) {
@@ -270,6 +302,64 @@ TEST(GraphBinaryIo, RejectsForgedLinkCount) {
 TEST(GraphBinaryIo, RejectsForgedPageCount) {
   auto in = forged_header(std::uint64_t{1} << 31, 0, 0);
   EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+}
+
+TEST(GraphBinaryIo, RejectsNonMinimalVarints) {
+  const std::string bytes = binary_of(parallel_edges_and_externals());
+  ASSERT_EQ(bytes.size(), 95u);
+  ASSERT_EQ(bytes[kFirstExternal], 7);
+  // Both spell the external count 7 in a reader that tolerates them, and
+  // neither is what the writer emits, so a load would re-save other bytes.
+  const std::vector<unsigned char> padded{0x87, 0x00};
+  const std::vector<unsigned char> tenth_byte_0x7e{0x87, 0x80, 0x80, 0x80, 0x80,
+                                                   0x80, 0x80, 0x80, 0x80, 0x7e};
+  for (const auto& count : {padded, tenth_byte_0x7e}) {
+    EXPECT_THROW((void)load_binary(splice(bytes, kFirstExternal, count)),
+                 std::runtime_error)
+        << count.size() << "-byte count";
+  }
+}
+
+TEST(GraphBinaryIo, RejectsWrappingLinkGap) {
+  const std::string bytes = binary_of(parallel_edges_and_externals());
+  ASSERT_EQ(bytes[kSecondGap], 0);  // the parallel edge 0 -> 1
+  // 2^64 - 1: a sum that wraps would land on page 0 after page 1 and load
+  // an unsorted row.
+  const std::vector<unsigned char> wrapping{0xff, 0xff, 0xff, 0xff, 0xff,
+                                            0xff, 0xff, 0xff, 0xff, 0x01};
+  EXPECT_THROW((void)load_binary(splice(bytes, kSecondGap, wrapping)),
+               std::runtime_error);
+}
+
+TEST(GraphBinaryIo, EveryPrefixTruncationThrows) {
+  const std::string bytes = binary_of(parallel_edges_and_externals());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW((void)load_binary(bytes.substr(0, len)), std::runtime_error)
+        << "prefix length " << len;
+  }
+}
+
+TEST(GraphBinaryIo, EverySingleByteFlipReloadsIdenticallyOrThrows) {
+  // Mirrors Frame.EverySingleByteFlipQuarantined. p2pgrb1 has no checksum,
+  // so a flipped stream may load — but then it must re-save to exactly its
+  // own bytes; otherwise the only failure allowed is std::runtime_error.
+  const std::string bytes = binary_of(parallel_edges_and_externals());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (const unsigned char mask : {static_cast<unsigned char>(0x01),
+                                     static_cast<unsigned char>(0x80),
+                                     static_cast<unsigned char>(0xff)}) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      try {
+        EXPECT_EQ(binary_of(load_binary(flipped)), flipped)
+            << "byte " << i << " ^ " << int{mask};
+      } catch (const std::runtime_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "byte " << i << " ^ " << int{mask} << " threw "
+                      << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Shared fixtures for the p2prank test suite: tiny graphs with known
-// closed-form ranks, helpers for building crawls inline, and the naive
-// y = A·x oracle the sweep kernels are checked against.
+// closed-form ranks, helpers for building crawls inline, the naive
+// y = A·x oracle the sweep kernels are checked against, and a byte splice
+// for forging encodings.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,6 +80,16 @@ inline std::vector<double> naive_multiply(const rank::LinkMatrix& m,
     y[v] = lane[0] + lane[1];
   }
   return y;
+}
+
+/// `bytes` with the one byte at `at` replaced by `field` (e.g. a one-byte
+/// varint respelled in a form its encoder never writes).
+inline std::vector<std::uint8_t> splice(std::vector<std::uint8_t> bytes,
+                                        std::size_t at,
+                                        const std::vector<std::uint8_t>& field) {
+  const auto pos = bytes.begin() + static_cast<std::ptrdiff_t>(at);
+  bytes.insert(bytes.erase(pos), field.begin(), field.end());
+  return bytes;
 }
 
 }  // namespace p2prank::test

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "test_support.hpp"
 #include "transport/fault_plane.hpp"
 #include "util/hash.hpp"
 
@@ -125,6 +126,39 @@ TEST(Frame, PayloadShapeRejectedEvenWithValidChecksum) {
   const Entries duplicate_index = {{3, 0.5}, {3, 0.5}};
   EXPECT_EQ(decode_frame(encode_frame(kHeader, duplicate_index), decoded),
             FrameVerdict::kBadIndexOrder);
+}
+
+TEST(Frame, NonMinimalVarintsQuarantinedUnderAValidChecksum) {
+  const auto bytes = encode_frame(kHeader, kEntries);
+  // Magic (4 bytes), version, src, dst, then the epoch.
+  ASSERT_EQ(bytes[7], kHeader.epoch);
+  // Both spell epoch 41 in a reader that tolerates them, and neither is
+  // what the encoder writes.
+  const std::vector<std::uint8_t> padded{0xa9, 0x00};
+  const std::vector<std::uint8_t> tenth_byte_0x7e{0xa9, 0x80, 0x80, 0x80, 0x80,
+                                                  0x80, 0x80, 0x80, 0x80, 0x7e};
+  for (const auto& epoch : {padded, tenth_byte_0x7e}) {
+    auto forged = test::splice(bytes, 7, epoch);
+    restamp_checksum(forged);
+    DecodedFrame decoded;
+    EXPECT_EQ(decode_frame(forged, decoded), FrameVerdict::kTruncated)
+        << epoch.size() << "-byte epoch";
+  }
+}
+
+TEST(Frame, WrappingIndexDeltaQuarantined) {
+  const Entries ascending = {{5, 0.5}, {6, 0.5}};
+  const auto bytes = encode_frame(kHeader, ascending);
+  // Magic and six one-byte header varints fill bytes 0-9; delta 5 is byte
+  // 10 and its score 11-18.
+  ASSERT_EQ(bytes[19], 1u);  // the second delta
+  // 2^64 - 3: a sum that wraps would land on index 2, after index 5.
+  const std::vector<std::uint8_t> wrapping{0xfd, 0xff, 0xff, 0xff, 0xff,
+                                           0xff, 0xff, 0xff, 0xff, 0x01};
+  auto forged = test::splice(bytes, 19, wrapping);
+  restamp_checksum(forged);
+  DecodedFrame decoded;
+  EXPECT_EQ(decode_frame(forged, decoded), FrameVerdict::kBadIndexOrder);
 }
 
 TEST(Frame, EntriesValidMatchesDecodeRules) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "test_support.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace p2prank::transport {
@@ -32,35 +37,6 @@ std::vector<OwnedScoreRecord> sample_records(std::size_t count, std::uint64_t se
     records.push_back(std::move(r));
   }
   return records;
-}
-
-TEST(Varint, RoundTripsBoundaryValues) {
-  for (const std::uint64_t v :
-       {0ULL, 1ULL, 127ULL, 128ULL, 16383ULL, 16384ULL, ~0ULL}) {
-    std::vector<std::uint8_t> buf;
-    put_varint(buf, v);
-    WireReader reader(buf);
-    EXPECT_EQ(reader.read_varint(), v);
-    EXPECT_TRUE(reader.at_end());
-  }
-}
-
-TEST(Varint, SmallValuesAreOneByte) {
-  std::vector<std::uint8_t> buf;
-  put_varint(buf, 100);
-  EXPECT_EQ(buf.size(), 1u);
-}
-
-TEST(WireReaderT, ThrowsOnTruncatedInput) {
-  const std::vector<std::uint8_t> cont{0x80};  // continuation bit, no next byte
-  WireReader r1(cont);
-  EXPECT_THROW((void)r1.read_varint(), std::runtime_error);
-
-  const std::vector<std::uint8_t> few{1, 2, 3};
-  WireReader r2(few);
-  EXPECT_THROW((void)r2.read_bytes(4), std::runtime_error);
-  WireReader r3(few);
-  EXPECT_THROW((void)r3.read_double(), std::runtime_error);
 }
 
 TEST(Wire, EmptyBatchRoundTrips) {
@@ -199,12 +175,91 @@ TEST(Wire, TruncatedValidStreamThrows) {
 TEST(Wire, DecodeRejectsBadSharedPrefix) {
   // Handcraft: flags=1, qbits=0, count=1, shared_from=5 (> prev "" size).
   std::vector<std::uint8_t> bytes;
-  put_varint(bytes, 1);
-  put_varint(bytes, 0);
-  put_varint(bytes, 1);
-  put_varint(bytes, 5);
-  put_varint(bytes, 0);
+  util::put_varint(bytes, 1);
+  util::put_varint(bytes, 0);
+  util::put_varint(bytes, 1);
+  util::put_varint(bytes, 5);
+  util::put_varint(bytes, 0);
   EXPECT_THROW((void)decode_records(bytes), std::runtime_error);
+}
+
+TEST(Wire, DecodeRejectsSuffixLengthPastTheEnd) {
+  // A suffix length of 2^64 - 1 once wrapped the reader's `pos + n` bound
+  // and escaped as std::length_error instead of the documented error.
+  std::vector<std::uint8_t> bytes;
+  util::put_varint(bytes, 1);  // front coding
+  util::put_varint(bytes, 0);  // exact scores
+  util::put_varint(bytes, 1);  // one record
+  util::put_varint(bytes, 0);  // shared_from
+  util::put_varint(bytes, ~std::uint64_t{0});  // suffix_from
+  bytes.resize(bytes.size() + 8, 'x');
+  EXPECT_THROW((void)decode_records(bytes), std::runtime_error);
+}
+
+TEST(Wire, DecodeRejectsNonMinimalVarints) {
+  const std::vector<ScoreRecord> records{{"a.edu/x", "b.edu/y", 0.5}};
+  const auto bytes = encode_records(records);
+  ASSERT_EQ(bytes[2], 1u);  // the record count
+  // Both spell the count 1 in a reader that tolerates them, and neither is
+  // what the encoder writes.
+  const std::vector<std::uint8_t> padded{0x81, 0x00};
+  const std::vector<std::uint8_t> tenth_byte_0x7e{0x81, 0x80, 0x80, 0x80, 0x80,
+                                                  0x80, 0x80, 0x80, 0x80, 0x7e};
+  for (const auto& count : {padded, tenth_byte_0x7e}) {
+    EXPECT_THROW((void)decode_records(test::splice(bytes, 2, count)), std::runtime_error)
+        << count.size() << "-byte count";
+  }
+}
+
+TEST(Wire, DecodeRejectsQuantizeBitsOutsideTheEncodersRange) {
+  // 2^32 once narrowed to int 0 and decoded as an exact-score batch.
+  std::vector<std::uint8_t> bytes;
+  util::put_varint(bytes, 1);
+  util::put_varint(bytes, std::uint64_t{1} << 32);
+  util::put_varint(bytes, 0);
+  EXPECT_THROW((void)decode_records(bytes), std::runtime_error);
+}
+
+/// Small valid batches for the sweeps: three front-coded records, with
+/// exact and with quantized scores.
+std::vector<std::vector<std::uint8_t>> sweep_batches() {
+  const std::vector<ScoreRecord> records{{"a.edu/x", "b.edu/y", 0.5},
+                                         {"a.edu/x", "b.edu/z", 1.25},
+                                         {"a.edu/w", "c.edu/", 0.0}};
+  return {encode_records(records),
+          encode_records(records, {.front_coding = true, .quantize_bits = 20})};
+}
+
+TEST(Wire, EveryPrefixTruncationThrows) {
+  for (const auto& bytes : sweep_batches()) {
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_THROW((void)decode_records(std::span(bytes.data(), len)),
+                   std::runtime_error)
+          << "prefix length " << len;
+    }
+  }
+}
+
+TEST(Wire, EverySingleByteFlipDecodesOrThrowsRuntimeError) {
+  // Mirrors Frame.EverySingleByteFlipQuarantined: a flipped batch may still
+  // decode (it has no checksum), but the only failure allowed is the
+  // documented one.
+  for (const auto& bytes : sweep_batches()) {
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80},
+                                      std::uint8_t{0xff}}) {
+        auto flipped = bytes;
+        flipped[i] ^= mask;
+        try {
+          (void)decode_records(flipped);
+        } catch (const std::runtime_error&) {
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "byte " << i << " ^ " << int{mask} << " threw "
+                        << e.what();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

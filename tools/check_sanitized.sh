@@ -71,7 +71,8 @@ echo "TSan: chaos-scenario smoke corpus clean (--partition)"
 cmake --preset asan
 cmake --build --preset asan --target scenario_fuzz graph_builder_test \
   graph_io_test graph_updates_test streaming_builder_test rankmeter \
-  obs_metrics_test -j"$(nproc)"
+  obs_metrics_test util_bytes_test transport_frame_test transport_wire_test \
+  -j"$(nproc)"
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
 # WebGraph accessors (the old out_links(0) UB), loader reject paths, binary
@@ -83,6 +84,15 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/graph_io_test "
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/graph_updates_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/streaming_builder_test "$@"
 echo "ASan: graph edge-case suites clean"
+
+# The byte codec and the two transport decoders built on it (DESIGN.md §3,
+# §13): table rows of malformed varints and out-of-range lengths, plus the
+# prefix-truncation and byte-flip sweeps — every read must stay inside its
+# span whatever the input.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/util_bytes_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/transport_frame_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/transport_wire_test "$@"
+echo "ASan: byte codec and transport decoder suites clean"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
