@@ -245,22 +245,19 @@ void DistributedRanking::export_metrics() {
 void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment) {
   const auto k = static_cast<std::uint32_t>(inbox_.size());
 
-  // --- Collect members per group -------------------------------------------
+  // --- Place every page: its group's members and its local row there -------
   std::vector<std::vector<graph::PageId>> members(k);
+  std::vector<std::uint32_t> local_index(graph_.num_pages());
   for (graph::PageId p = 0; p < graph_.num_pages(); ++p) {
     if (assignment[p] >= k) {
       throw std::invalid_argument("DistributedRanking: assignment value >= k");
     }
-    members[assignment[p]].push_back(p);  // ascending because p ascends
+    auto& group_members = members[assignment[p]];
+    local_index[p] = static_cast<std::uint32_t>(group_members.size());
+    group_members.push_back(p);  // ascending because p ascends
   }
-
-  // Local index of every page within its group.
-  std::vector<std::uint32_t> local_index(graph_.num_pages(), 0);
-  for (std::uint32_t grp = 0; grp < k; ++grp) {
-    for (std::uint32_t i = 0; i < members[grp].size(); ++i) {
-      local_index[members[grp][i]] = i;
-    }
-  }
+  // Each group reads its matrix and its cut edges off these two maps.
+  const rank::PagePlacement placement{assignment, local_index};
 
   groups_.clear();
   groups_.reserve(k);
@@ -276,7 +273,8 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
       }
     }
     groups_.push_back(std::make_unique<PageGroup>(graph_, std::move(members[grp]),
-                                                  opts_.alpha, e_local));
+                                                  placement, grp, opts_.alpha,
+                                                  e_local));
     if (opts_.worklist) {
       // Fresh groups start unprimed (first sweep dense), which is exactly
       // the frontier-reset rule for churn/graph-update rebuilds.
@@ -286,20 +284,6 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
       groups_.back()->configure_worklist(wl);
     }
   }
-
-  // --- Wire efferent (cut) edges -------------------------------------------
-  for (graph::PageId u = 0; u < graph_.num_pages(); ++u) {
-    const std::uint32_t gu = assignment[u];
-    const auto d = graph_.out_degree(u);
-    if (d == 0) continue;
-    const double weight = opts_.alpha / static_cast<double>(d);
-    for (const graph::PageId v : graph_.out_links(u)) {
-      const std::uint32_t gv = assignment[v];
-      if (gv == gu) continue;
-      groups_[gu]->add_efferent_edge(gv, local_index[v], local_index[u], weight);
-    }
-  }
-  for (auto& grp : groups_) grp->finalize_efferents();
 
   // Every membership change funnels through here (construction, churn);
   // the bump tells snapshot sinks their cached page → shard maps are stale.
@@ -825,8 +809,11 @@ void DistributedRanking::run_step(std::uint32_t group) {
     for (auto& [source, slice] : inbox) {
       // Poisoned-slice guard (defense in depth behind the frame codec): a
       // NaN/Inf/negative or misordered payload must never reach refresh_x,
-      // where it would propagate through every subsequent sweep.
-      if (!transport::entries_valid(slice.entries)) {
+      // where it would propagate through every subsequent sweep, and an
+      // index past this group (the last one is the largest) would make
+      // refresh_x throw.
+      if (!transport::entries_valid(slice.entries) ||
+          (!slice.entries.empty() && slice.entries.back().first >= pg.size())) {
         ++tally_.slices_rejected;
         continue;
       }
@@ -933,6 +920,7 @@ void DistributedRanking::set_reference(std::vector<double> reference) {
     throw std::invalid_argument("DistributedRanking: reference size mismatch");
   }
   reference_ = std::move(reference);
+  reference_l1_ = util::l1_norm(reference_);
 }
 
 std::vector<double> DistributedRanking::global_ranks() const {
@@ -949,7 +937,7 @@ double DistributedRanking::relative_error_now() const {
   if (reference_.empty()) {
     throw std::logic_error("DistributedRanking: reference not set");
   }
-  return util::relative_error(global_ranks(), reference_);
+  return util::relative_error(global_ranks(), reference_, reference_l1_);
 }
 
 std::vector<std::uint64_t> DistributedRanking::outer_steps_per_group() const {
@@ -980,7 +968,7 @@ std::vector<Sample> DistributedRanking::run(double t_end, double sample_interval
     Sample s;
     s.time = t;
     const auto ranks = global_ranks();
-    s.relative_error = util::relative_error(ranks, reference_);
+    s.relative_error = util::relative_error(ranks, reference_, reference_l1_);
     s.average_rank = ranks.empty() ? 0.0
                                    : util::accurate_sum(ranks) /
                                          static_cast<double>(ranks.size());

@@ -362,6 +362,7 @@ class DistributedRanking {
   /// generation carry dest-local indices of dead wiring and are dropped.
   std::uint64_t generation_ = 0;
   std::vector<double> reference_;
+  double reference_l1_ = 0.0;  // ||reference_||_1, summed once per set_reference
   std::vector<double> prev_sample_ranks_;
   std::vector<char> paused_;
   /// Whether a loop-step event is pending for the group (prevents double

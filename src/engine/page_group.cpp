@@ -15,11 +15,35 @@ PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> member
                      double alpha, std::span<const double> e_local)
     : members_(std::move(members)),
       matrix_(rank::LinkMatrix::from_subset(g, members_, alpha)) {
+  init_state(e_local);
+}
+
+PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
+                     const rank::PagePlacement& placement, std::uint32_t group,
+                     double alpha, std::span<const double> e_local)
+    : members_(std::move(members)),
+      matrix_(rank::LinkMatrix::from_group(g, members_, placement, group, alpha)) {
+  init_state(e_local);
+  // Cut edges go in source-major order: members ascending, each one's
+  // out-links in CSR order. The order finalize_efferents' std::sort leaves
+  // among edges into one page depends on this input order, and it is
+  // compute_y's summation order: changing either changes Y bits.
+  const auto weight = matrix_.source_weights();  // α/d(u), as on inner edges
+  for (std::uint32_t i = 0; i < members_.size(); ++i) {
+    for (const graph::PageId v : g.out_links(members_[i])) {
+      const std::uint32_t dest = placement.group_of[v];
+      if (dest != group) add_efferent_edge(dest, placement.local_of[v], i, weight[i]);
+    }
+  }
+  finalize_efferents();
+}
+
+void PageGroup::init_state(std::span<const double> e_local) {
   assert(std::is_sorted(members_.begin(), members_.end()));
   if (!e_local.empty() && e_local.size() != members_.size()) {
     throw std::invalid_argument("PageGroup: e_local size mismatch");
   }
-  const double beta = rank::beta_of(alpha);
+  const double beta = rank::beta_of(matrix_.alpha());
   beta_e_.resize(members_.size());
   for (std::size_t i = 0; i < members_.size(); ++i) {
     beta_e_[i] = beta * (e_local.empty() ? 1.0 : e_local[i]);
@@ -63,20 +87,18 @@ void PageGroup::add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_l
                                   std::uint32_t src_local, double weight) {
   assert(!finalized_);
   assert(src_local < members_.size());
-  // Blocks arrive grouped in practice; linear search from the back is fine
-  // during wiring.
-  auto it = std::find_if(blocks_.begin(), blocks_.end(), [&](const EfferentBlock& b) {
-    return b.dest_group == dest_group;
-  });
-  if (it == blocks_.end()) {
-    EfferentBlock block;
-    block.dest_group = dest_group;
-    blocks_.push_back(std::move(block));
-    it = std::prev(blocks_.end());
+  if (dest_group >= block_of_dest_.size()) {
+    block_of_dest_.resize(std::size_t{dest_group} + 1, kNoBlock);
   }
-  it->dst_local.push_back(dest_local);
-  it->src_local.push_back(src_local);
-  it->weight.push_back(weight);
+  std::uint32_t& slot = block_of_dest_[dest_group];
+  if (slot == kNoBlock) {
+    slot = static_cast<std::uint32_t>(blocks_.size());
+    blocks_.emplace_back().dest_group = dest_group;
+  }
+  EfferentBlock& block = blocks_[slot];
+  block.dst_local.push_back(dest_local);
+  block.src_local.push_back(src_local);
+  block.weight.push_back(weight);
 }
 
 void PageGroup::finalize_efferents() {
@@ -85,9 +107,12 @@ void PageGroup::finalize_efferents() {
             [](const EfferentBlock& a, const EfferentBlock& b) {
               return a.dest_group < b.dest_group;
             });
-  for (auto& block : blocks_) {
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t bi = 0; bi < blocks_.size(); ++bi) {
+    EfferentBlock& block = blocks_[bi];
+    block_of_dest_[block.dest_group] = bi;
     // Sort edges by destination page so compute_y can merge runs.
-    std::vector<std::uint32_t> order(block.dst_local.size());
+    order.resize(block.dst_local.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
       return block.dst_local[a] < block.dst_local[b];
@@ -118,11 +143,10 @@ void PageGroup::finalize_efferents() {
 }
 
 const PageGroup::EfferentBlock* PageGroup::find_block(std::uint32_t dest_group) const {
-  const auto it = std::lower_bound(
-      blocks_.begin(), blocks_.end(), dest_group,
-      [](const EfferentBlock& b, std::uint32_t d) { return b.dest_group < d; });
-  if (it == blocks_.end() || it->dest_group != dest_group) return nullptr;
-  return &*it;
+  if (dest_group >= block_of_dest_.size() || block_of_dest_[dest_group] == kNoBlock) {
+    return nullptr;
+  }
+  return &blocks_[block_of_dest_[dest_group]];
 }
 
 PageGroup::EfferentBlock* PageGroup::find_block(std::uint32_t dest_group) {
@@ -134,9 +158,11 @@ void PageGroup::refresh_x(std::uint32_t source_group, const YSlice& slice) {
   // X(v) = Σ over (source group, page) of the latest received contribution.
   // Maintain the dense sum incrementally: each incoming entry supersedes
   // the stored value for its (source, page) pair.
+  if (!slice.entries.empty() && slice.entries.back().first >= x_.size()) {
+    throw std::out_of_range("PageGroup::refresh_x: slice index past the group");
+  }
   auto& stored = received_[source_group];
   for (const auto& [local, value] : slice.entries) {
-    assert(local < x_.size());
     double& slot = stored.try_emplace(local, 0.0).first->second;
     const double delta = value - slot;
     x_[local] += delta;

@@ -41,8 +41,17 @@ class PageGroup {
  public:
   /// `members`: ascending global PageIds owned by this group. `e_local`
   /// optionally personalizes the rank source: E(members[i]) = e_local[i]
-  /// (empty = uniform E = 1, the paper's default).
+  /// (empty = uniform E = 1, the paper's default). No efferent edges: add
+  /// them with add_efferent_edge, then call finalize_efferents.
   PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
+            double alpha, std::span<const double> e_local = {});
+
+  /// Group `group` of a partition (engine wiring): `members` are the pages
+  /// `placement` puts in that group, ascending. Builds the local matrix and
+  /// every efferent block from the placement, one lookup per link, and
+  /// finalizes the blocks.
+  PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
+            const rank::PagePlacement& placement, std::uint32_t group,
             double alpha, std::span<const double> e_local = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
@@ -62,8 +71,9 @@ class PageGroup {
   void reset_state();
 
   /// Register a cut edge (global u in this group) -> (global v in `dest`);
-  /// local index of v within dest is `dest_local`. Called during engine
-  /// wiring, before the first step.
+  /// local index of v within dest is `dest_local`. Called during wiring,
+  /// before finalize_efferents. The order of calls is the order in which
+  /// the edges' shares are summed among those of one destination page.
   void add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_local,
                          std::uint32_t src_local, double weight);
   /// Sort/pack efferent blocks after all edges are added.
@@ -78,6 +88,8 @@ class PageGroup {
   /// that (source group, page) pair. This is the "Refresh X" of Algorithms
   /// 3/4 (the engine drains the network inbox into this). Keeps
   /// X = Σ_sources latest-per-entry exact for full and delta slices alike.
+  /// Entries must be ascending. Throws std::out_of_range, applying nothing,
+  /// when the last index is not a page of this group.
   void refresh_x(std::uint32_t source_group, const YSlice& slice);
 
   /// Graceful degradation on suspected peer death: scale every stored X
@@ -180,8 +192,12 @@ class PageGroup {
     std::vector<double> last_sent;  // NaN = never sent
   };
 
+  /// Shared tail of both constructors: βE, zero R and X, sweep buffers.
+  void init_state(std::span<const double> e_local);
   [[nodiscard]] const EfferentBlock* find_block(std::uint32_t dest_group) const;
   [[nodiscard]] EfferentBlock* find_block(std::uint32_t dest_group);
+
+  static constexpr std::uint32_t kNoBlock = UINT32_MAX;
 
   std::vector<graph::PageId> members_;
   rank::LinkMatrix matrix_;
@@ -195,7 +211,9 @@ class PageGroup {
   rank::WorklistOptions wl_opts_;
   rank::WorklistState wl_state_;        // frontier bitmaps, pinned to ranks_/scratch_
   double last_sweep_delta_ = 0.0;       // L1 residual of the last sweep_once
-  std::vector<EfferentBlock> blocks_;   // sorted by dest_group
+  std::vector<EfferentBlock> blocks_;   // sorted by dest_group once finalized
+  // blocks_ index per destination group (kNoBlock: no cut edges into it).
+  std::vector<std::uint32_t> block_of_dest_;
   std::vector<std::uint32_t> efferent_dests_;
   // Latest received value per (source group, local page) — patch semantics.
   std::unordered_map<std::uint32_t, std::unordered_map<std::uint32_t, double>>

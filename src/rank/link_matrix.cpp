@@ -5,7 +5,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace p2prank::rank {
@@ -17,8 +16,6 @@ void check_alpha(double alpha) {
     throw std::invalid_argument("LinkMatrix: alpha must be in (0, 1)");
   }
 }
-
-constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -80,65 +77,58 @@ LinkMatrix LinkMatrix::from_graph(const graph::WebGraph& g, double alpha) {
   return m;
 }
 
-LinkMatrix LinkMatrix::from_subset(const graph::WebGraph& g,
-                                   std::span<const graph::PageId> pages,
-                                   double alpha) {
+LinkMatrix LinkMatrix::from_group(const graph::WebGraph& g,
+                                  std::span<const graph::PageId> pages,
+                                  const PagePlacement& placement,
+                                  std::uint32_t group, double alpha) {
   check_alpha(alpha);
-  assert(std::is_sorted(pages.begin(), pages.end()));
-
-  // Global -> local index. Pages are sorted, so membership is a binary
-  // search; when the id range is tight, a dense table is cheaper still. No
-  // hashing either way — this runs on every crash/rewire in the engine.
-  const graph::PageId base = pages.empty() ? 0 : pages.front();
-  const std::uint64_t range =
-      pages.empty() ? 0
-                    : static_cast<std::uint64_t>(pages.back()) - base + 1;
-  const bool use_dense =
-      !pages.empty() &&
-      range <= std::max<std::uint64_t>(4096, 8 * static_cast<std::uint64_t>(pages.size()));
-  std::vector<std::uint32_t> dense;
-  if (use_dense) {
-    dense.assign(range, kAbsent);
-    for (std::uint32_t i = 0; i < pages.size(); ++i) dense[pages[i] - base] = i;
+  if (placement.group_of.size() != g.num_pages() ||
+      placement.local_of.size() != g.num_pages()) {
+    throw std::invalid_argument("LinkMatrix: placement must cover every page");
   }
-  const auto local_of = [&](graph::PageId u) -> std::uint32_t {
-    if (use_dense) {
-      if (u < base || u - base >= range) return kAbsent;
-      return dense[u - base];
-    }
-    const auto it = std::lower_bound(pages.begin(), pages.end(), u);
-    if (it == pages.end() || *it != u) return kAbsent;
-    return static_cast<std::uint32_t>(it - pages.begin());
-  };
+  const std::uint32_t* const group_of = placement.group_of.data();
+  const std::uint32_t* const local_of = placement.local_of.data();
 
   LinkMatrix m;
   m.alpha_ = alpha;
   m.offsets_.assign(pages.size() + 1, 0);
   m.source_weight_.resize(pages.size());
   for (std::uint32_t i = 0; i < pages.size(); ++i) {
+    assert(group_of[pages[i]] == group && local_of[pages[i]] == i);
     const auto d = g.out_degree(pages[i]);
     m.source_weight_[i] = d > 0 ? alpha / static_cast<double>(d) : 0.0;
-  }
-
-  // Count in-subset in-edges per local destination.
-  for (std::uint32_t i = 0; i < pages.size(); ++i) {
     std::uint64_t count = 0;
     for (const graph::PageId u : g.in_links(pages[i])) {
-      if (local_of(u) != kAbsent) ++count;
+      count += group_of[u] == group ? 1 : 0;
     }
     m.offsets_[i + 1] = m.offsets_[i] + count;
   }
   m.sources_.resize(m.offsets_.back());
-  std::uint64_t pos = 0;
-  for (std::uint32_t i = 0; i < pages.size(); ++i) {
-    for (const graph::PageId u : g.in_links(pages[i])) {
-      const std::uint32_t local = local_of(u);
-      if (local != kAbsent) m.sources_[pos++] = local;
+  std::uint32_t* out = m.sources_.data();
+  for (const graph::PageId v : pages) {
+    for (const graph::PageId u : g.in_links(v)) {
+      if (group_of[u] == group) *out++ = local_of[u];
     }
   }
-  assert(pos == m.sources_.size());
+  assert(out == m.sources_.data() + m.sources_.size());
   m.finish_layout();
   return m;
+}
+
+LinkMatrix LinkMatrix::from_subset(const graph::WebGraph& g,
+                                   std::span<const graph::PageId> pages,
+                                   double alpha) {
+  assert(std::is_sorted(pages.begin(), pages.end()));
+  if (!pages.empty() && pages.back() >= g.num_pages()) {
+    throw std::out_of_range("LinkMatrix: subset page outside the crawl");
+  }
+  std::vector<std::uint32_t> group_of(g.num_pages(), 1);
+  std::vector<std::uint32_t> local_of(g.num_pages(), 0);
+  for (std::uint32_t i = 0; i < pages.size(); ++i) {
+    group_of[pages[i]] = 0;
+    local_of[pages[i]] = i;
+  }
+  return from_group(g, pages, {group_of, local_of}, 0, alpha);
 }
 
 namespace {

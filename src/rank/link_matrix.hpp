@@ -110,13 +110,30 @@ struct WorklistState {
   }
 };
 
+/// Where every page of a crawl sits in a partition: page p is local row
+/// `local_of[p]` of group `group_of[p]`. Both spans cover every page.
+struct PagePlacement {
+  std::span<const std::uint32_t> group_of;
+  std::span<const std::uint32_t> local_of;
+};
+
 class LinkMatrix {
  public:
   /// Matrix over the whole crawl.
   [[nodiscard]] static LinkMatrix from_graph(const graph::WebGraph& g, double alpha);
 
+  /// Matrix over one group of a partition. `pages` are the group's members,
+  /// ascending, at their local rows: placement puts each pages[i] at
+  /// (group, i). An in-link is kept when its source sits in `group` too,
+  /// read off the placement in one lookup.
+  [[nodiscard]] static LinkMatrix from_group(const graph::WebGraph& g,
+                                             std::span<const graph::PageId> pages,
+                                             const PagePlacement& placement,
+                                             std::uint32_t group, double alpha);
+
   /// Matrix over a subset of pages (ascending global PageIds). Only edges
-  /// with both endpoints in the subset are kept.
+  /// with both endpoints in the subset are kept. Builds the placement of a
+  /// two-group partition (the subset and the rest) and runs from_group.
   [[nodiscard]] static LinkMatrix from_subset(const graph::WebGraph& g,
                                               std::span<const graph::PageId> pages,
                                               double alpha);

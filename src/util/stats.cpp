@@ -73,10 +73,14 @@ double l1_distance(std::span<const double> a, std::span<const double> b) noexcep
 }
 
 double relative_error(std::span<const double> a, std::span<const double> b) noexcept {
-  const double denom = l1_norm(b);
+  return relative_error(a, b, l1_norm(b));
+}
+
+double relative_error(std::span<const double> a, std::span<const double> b,
+                      double b_l1) noexcept {
   const double num = l1_distance(a, b);
-  if (denom == 0.0) return num == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-  return num / denom;
+  if (b_l1 == 0.0) return num == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  return num / b_l1;
 }
 
 }  // namespace p2prank::util

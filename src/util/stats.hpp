@@ -55,4 +55,9 @@ class OnlineStats {
 [[nodiscard]] double relative_error(std::span<const double> a,
                                     std::span<const double> b) noexcept;
 
+/// The same, given b_l1 == l1_norm(b): for a b that many vectors are
+/// compared against, its norm is summed once.
+[[nodiscard]] double relative_error(std::span<const double> a,
+                                    std::span<const double> b, double b_l1) noexcept;
+
 }  // namespace p2prank::util

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "engine/reference.hpp"
@@ -220,6 +221,33 @@ TEST_F(DistributedFixture, DeliveryLatencyDelaysButDoesNotBreakConvergence) {
   sim.set_reference(*reference_);
   const auto result = sim.run_until_error(1e-4, 2000.0, 5.0);
   EXPECT_TRUE(result.reached);
+}
+
+TEST_F(DistributedFixture, RelativeErrorNowMatchesAFreshSum) {
+  // set_reference sums ||reference||_1 once; every later check must still
+  // equal, bit for bit, the error summed from scratch.
+  const auto a = assignment(8);
+  DistributedRanking sim(*graph_, a, 8, options(Algorithm::kDPR2), pool());
+  sim.set_reference(*reference_);
+  for (const double t : {3.0, 7.0, 15.0}) {
+    (void)sim.run(t, 1.0);
+    EXPECT_EQ(sim.relative_error_now(),
+              util::relative_error(sim.global_ranks(), *reference_));
+  }
+}
+
+TEST_F(DistributedFixture, RelativeErrorAgainstAnAllZeroReference) {
+  // A zero reference norm: 0 while the ranks are zero too, +inf once they
+  // move. A later set_reference replaces the cached norm.
+  const auto a = assignment(4);
+  DistributedRanking sim(*graph_, a, 4, options(Algorithm::kDPR2), pool());
+  sim.set_reference(std::vector<double>(graph_->num_pages(), 0.0));
+  EXPECT_EQ(sim.relative_error_now(), 0.0);  // R0 = 0
+  (void)sim.run(2.0, 1.0);
+  EXPECT_TRUE(std::isinf(sim.relative_error_now()));
+  sim.set_reference(*reference_);
+  EXPECT_EQ(sim.relative_error_now(),
+            util::relative_error(sim.global_ranks(), *reference_));
 }
 
 TEST_F(DistributedFixture, GlobalRanksAssembleAllPages) {

@@ -58,6 +58,23 @@ TEST(PageGroup, RefreshXReplacesPriorSliceFromSameSource) {
   EXPECT_NEAR(group.ranks()[0], r0, 1e-10);
 }
 
+TEST(PageGroup, RefreshXRejectsIndexPastTheGroup) {
+  // A slice whose last index lies past a 2-page group is refused whole:
+  // not even its in-range entry reaches X.
+  const auto g = test::two_cycle();
+  PageGroup group(g, {0, 1}, kAlpha);
+  group.finalize_efferents();
+  YSlice far;
+  far.entries = {{0u, 0.1}, {1000u, 0.5}};
+  EXPECT_THROW(group.refresh_x(3, far), std::out_of_range);
+  YSlice one_past;
+  one_past.entries = {{2u, 0.1}};
+  EXPECT_THROW(group.refresh_x(3, one_past), std::out_of_range);
+  group.solve_to_convergence(1e-14, 2000, pool());
+  EXPECT_NEAR(group.ranks()[0], 1.0, 1e-10);  // the fixed point with X = 0
+  EXPECT_NEAR(group.ranks()[1], 1.0, 1e-10);
+}
+
 TEST(PageGroup, SlicesFromDifferentSourcesAccumulate) {
   const auto g = test::two_cycle();
   PageGroup group(g, {0, 1}, kAlpha);

@@ -1,13 +1,18 @@
 // Shared fixtures for the p2prank test suite: tiny graphs with known
 // closed-form ranks, helpers for building crawls inline, the naive
-// y = A·x oracle the sweep kernels are checked against, and a byte splice
-// for forging encodings.
+// y = A·x oracle the sweep kernels are checked against, the efferent-block
+// oracle the engine's Y slices are checked against, and a byte splice for
+// forging encodings.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_builder.hpp"
@@ -78,6 +83,67 @@ inline std::vector<double> naive_multiply(const rank::LinkMatrix& m,
       lane[e % 2] += x[sources[e]] * weight[sources[e]];
     }
     y[v] = lane[0] + lane[1];
+  }
+  return y;
+}
+
+/// One group's cut edges into one destination group, in summation order.
+struct OracleBlock {
+  std::vector<std::uint32_t> dst_local;
+  std::vector<std::uint32_t> src_local;
+  std::vector<double> weight;  // α/d(u)
+};
+
+/// The efferent blocks of `group` under `assignment`, keyed by destination
+/// group, built as the engine first built them: every cut edge u -> v of
+/// the crawl appended to its block source-major (u ascending, then
+/// out_links(u) in CSR order), then each block's edge indices std::sort-ed
+/// by destination page. The order that sort leaves among edges into one
+/// page is the order compute_y must sum them in.
+inline std::map<std::uint32_t, OracleBlock> oracle_efferents(
+    const graph::WebGraph& g, std::span<const std::uint32_t> assignment,
+    std::uint32_t group, double alpha) {
+  std::vector<std::uint32_t> local(assignment.size());
+  std::map<std::uint32_t, std::uint32_t> next;
+  for (std::size_t p = 0; p < assignment.size(); ++p) local[p] = next[assignment[p]]++;
+  std::map<std::uint32_t, OracleBlock> appended;
+  for (graph::PageId u = 0; u < g.num_pages(); ++u) {
+    const auto d = g.out_degree(u);
+    if (assignment[u] != group || d == 0) continue;
+    const double weight = alpha / static_cast<double>(d);
+    for (const graph::PageId v : g.out_links(u)) {
+      if (assignment[v] == group) continue;
+      OracleBlock& b = appended[assignment[v]];
+      b.dst_local.push_back(local[v]);
+      b.src_local.push_back(local[u]);
+      b.weight.push_back(weight);
+    }
+  }
+  std::map<std::uint32_t, OracleBlock> sorted;
+  for (const auto& [dest, b] : appended) {
+    std::vector<std::uint32_t> order(b.dst_local.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&b](std::uint32_t x, std::uint32_t y) {
+      return b.dst_local[x] < b.dst_local[y];
+    });
+    OracleBlock& out = sorted[dest];
+    for (const std::uint32_t i : order) {
+      out.dst_local.push_back(b.dst_local[i]);
+      out.src_local.push_back(b.src_local[i]);
+      out.weight.push_back(b.weight[i]);
+    }
+  }
+  return sorted;
+}
+
+/// Full Y slice of one oracle block: per destination page, ascending, the
+/// sum of ranks[u]·α/d(u) over its edges in block order.
+inline std::vector<std::pair<std::uint32_t, double>> oracle_y(
+    const OracleBlock& b, std::span<const double> ranks) {
+  std::vector<std::pair<std::uint32_t, double>> y;
+  for (std::size_t i = 0; i < b.dst_local.size(); ++i) {
+    if (y.empty() || y.back().first != b.dst_local[i]) y.emplace_back(b.dst_local[i], 0.0);
+    y.back().second += ranks[b.src_local[i]] * b.weight[i];
   }
   return y;
 }

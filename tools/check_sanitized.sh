@@ -72,6 +72,7 @@ cmake --preset asan
 cmake --build --preset asan --target scenario_fuzz graph_builder_test \
   graph_io_test graph_updates_test streaming_builder_test rankmeter \
   obs_metrics_test util_bytes_test transport_frame_test transport_wire_test \
+  rank_matrix_test engine_group_test engine_incremental_test engine_wiring_test \
   -j"$(nproc)"
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
@@ -93,6 +94,17 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/util_bytes_test
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/transport_frame_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/transport_wire_test "$@"
 echo "ASan: byte codec and transport decoder suites clean"
+
+# Engine wiring (DESIGN.md §6): every group's matrix rows and efferent
+# blocks are written through offsets computed from the page placement into
+# presized arrays, and refresh_x indexes X by received slice entries. The
+# matrix, page-group, incremental-swap and wiring-oracle suites drive those
+# writes on empty, single and 64-way partitions.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/rank_matrix_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_group_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_incremental_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_wiring_test "$@"
+echo "ASan: matrix and engine wiring suites clean"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
