@@ -72,8 +72,8 @@ void BM_SpmvSweepFused(benchmark::State& state, util::ThreadPool& pool) {
                           fused_bytes(m));
 }
 
-// Worklist kernel, forced dense every sweep: the frontier machinery's
-// overhead ceiling relative to BM_SpmvSweepFused.
+// Worklist kernel, reset before every sweep so each one runs dense: the
+// frontier machinery's overhead ceiling relative to BM_SpmvSweepFused.
 void BM_WorklistDenseFull(benchmark::State& state, util::ThreadPool& pool) {
   const auto& g = bench_graph();
   const auto m = rank::LinkMatrix::from_graph(g, 0.85);
@@ -81,12 +81,11 @@ void BM_WorklistDenseFull(benchmark::State& state, util::ThreadPool& pool) {
   std::vector<double> y(m.dimension());
   const std::vector<double> forcing(m.dimension(), 0.15);
   rank::SweepScratch scratch;
-  rank::WorklistOptions wopts;
   rank::WorklistState wstate;
   state.counters["pool_threads"] = static_cast<double>(pool.size());
   for (auto _ : state) {
-    auto stats = m.sweep_and_residual_worklist(x, y, forcing, scratch, wstate,
-                                               wopts, pool, /*force_dense=*/true);
+    wstate.reset();
+    auto stats = m.sweep_and_residual_worklist(x, y, forcing, scratch, wstate, pool);
     benchmark::DoNotOptimize(stats.l1_delta);
     benchmark::DoNotOptimize(y.data());
   }
@@ -96,9 +95,9 @@ void BM_WorklistDenseFull(benchmark::State& state, util::ThreadPool& pool) {
                           fused_bytes(m));
 }
 
-// Worklist kernel at a contracted steady-state frontier: converge first,
-// then keep a 32-row perturbation live so each timed sweep recomputes only
-// the rows the wave actually reaches.
+// Worklist kernel at a contracted steady-state frontier: converge to the
+// bitwise fixed point first, then keep a 32-row perturbation live so each
+// timed sweep recomputes only the rows the wave actually reaches.
 void BM_WorklistContracted(benchmark::State& state, util::ThreadPool& pool) {
   const auto& g = bench_graph();
   const auto m = rank::LinkMatrix::from_graph(g, 0.85);
@@ -107,13 +106,9 @@ void BM_WorklistContracted(benchmark::State& state, util::ThreadPool& pool) {
   std::vector<double> b(n);
   std::vector<double> forcing(n, 0.15);
   rank::SweepScratch scratch;
-  rank::WorklistOptions wopts;
-  wopts.epsilon = 1e-7;
-  wopts.full_interval = 0;
   rank::WorklistState wstate;
-  for (int warm = 0; warm < 200; ++warm) {
-    auto stats =
-        m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, wopts, pool);
+  for (int warm = 0; warm < 2000; ++warm) {
+    auto stats = m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, pool);
     std::swap(a, b);
     if (stats.l1_delta == 0.0) break;
   }
@@ -126,8 +121,7 @@ void BM_WorklistContracted(benchmark::State& state, util::ThreadPool& pool) {
       forcing[row] += delta;
       wstate.mark_forcing_dirty(row);
     }
-    auto stats =
-        m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, wopts, pool);
+    auto stats = m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, pool);
     benchmark::DoNotOptimize(stats.l1_delta);
     std::swap(a, b);
   }
@@ -295,10 +289,9 @@ int run_determinism_check(std::uint32_t pages) {
     auto dense = rank::solve_open_system(m, forcing, {}, sopts, pool);
     solutions.push_back(std::move(dense.ranks));
     names.push_back("dense/t" + std::to_string(threads));
-    rank::WorklistOptions wopts;  // epsilon 0: exact mode
     rank::WorklistState wstate;
-    auto sparse = rank::solve_open_system_worklist(m, forcing, {}, sopts, wopts,
-                                                   wstate, pool);
+    auto sparse =
+        rank::solve_open_system_worklist(m, forcing, {}, sopts, wstate, pool);
     solutions.push_back(std::move(sparse.ranks));
     names.push_back("worklist/t" + std::to_string(threads));
   }

@@ -103,11 +103,6 @@ struct Scenario {
   /// Run the reliable exchange layer (epochs + ack/retransmit + suspicion)
   /// instead of the paper's fire-and-forget channel.
   bool reliable = false;
-  /// Route every group's local iteration through the residual-driven
-  /// worklist kernel in exact mode (worklist_epsilon = 0, DESIGN.md §6).
-  /// Exactness means every invariant the checker enforces must hold
-  /// unchanged — this flag exists so the chaos corpus can prove it.
-  bool worklist = false;
   /// Attach a serve::SnapshotStore to the engine and probe the serving
   /// contract (DESIGN.md §12) at every sample: a snapshot exists, its
   /// epochs are consistent and monotone, its top-K matches a brute-force

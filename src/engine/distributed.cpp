@@ -80,16 +80,13 @@ EngineOptions DistributedRanking::validated(EngineOptions o) {
     throw std::invalid_argument(
         "EngineOptions.snapshot_interval: must be > 0 and finite");
   }
-  // worklist — both values valid: false keeps the dense kernels, true
-  // routes local iteration through the frontier kernel (DESIGN.md §6).
-  if (!(o.worklist_epsilon >= 0.0) || !std::isfinite(o.worklist_epsilon)) {
+  // worklist — ignored, any value is valid: every group sweeps with the
+  // exact frontier kernel (DESIGN.md §6). worklist_epsilon must be 0, so a
+  // caller asking for the deleted thresholded mode is told instead of
+  // silently getting exact mode.
+  if (o.worklist_epsilon != 0.0) {
     throw std::invalid_argument(
-        "EngineOptions.worklist_epsilon: must be >= 0 and finite");
-  }
-  if (o.worklist && o.worklist_epsilon > 0.0 && o.worklist_full_interval == 0) {
-    throw std::invalid_argument(
-        "EngineOptions.worklist_full_interval: must be >= 1 when "
-        "worklist_epsilon > 0 (periodic dense sweeps bound the drift)");
+        "EngineOptions.worklist_epsilon: must be 0 (only exact mode exists)");
   }
   auto& r = o.reliability;
   if (r.retransmit) r.epochs = true;  // retransmission needs the dup filter
@@ -272,17 +269,11 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
         e_local.push_back(opts_.personalization[p]);
       }
     }
+    // A fresh group starts unprimed (its first sweep is dense), which is
+    // exactly the frontier-reset rule for churn and graph-update rebuilds.
     groups_.push_back(std::make_unique<PageGroup>(graph_, std::move(members[grp]),
                                                   placement, grp, opts_.alpha,
                                                   e_local));
-    if (opts_.worklist) {
-      // Fresh groups start unprimed (first sweep dense), which is exactly
-      // the frontier-reset rule for churn/graph-update rebuilds.
-      rank::WorklistOptions wl;
-      wl.epsilon = opts_.worklist_epsilon;
-      wl.full_interval = opts_.worklist_full_interval;
-      groups_.back()->configure_worklist(wl);
-    }
   }
 
   // Every membership change funnels through here (construction, churn);

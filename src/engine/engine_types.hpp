@@ -195,24 +195,12 @@ struct EngineOptions {
   /// small, reliable (think TCP), and counted separately. 0 disables.
   double stability_epsilon = 0.0;
 
-  /// Residual-driven worklist sweeps (DESIGN.md §6): route every group's
-  /// local iteration through the frontier kernel, so rows whose inputs did
-  /// not change since the last sweep are skipped. With worklist_epsilon == 0
-  /// (the default) all results stay bitwise-identical to the dense kernels.
+  /// Former kernel switches, kept as fields only because the perfbench
+  /// harness still assigns them; they go once it stops. Every group sweeps
+  /// with the exact frontier kernel (DESIGN.md §6): `worklist` is ignored,
+  /// and validated() rejects any worklist_epsilon other than 0.
   bool worklist = false;
-
-  /// Contribution-change threshold of the worklist kernel: a source whose
-  /// contribution drifted by at most this since it last propagated does not
-  /// wake its destination rows. 0 = exact (bitwise) mode; > 0 trades a
-  /// bounded rank drift — flushed every worklist_full_interval sweeps — for
-  /// a smaller frontier.
   double worklist_epsilon = 0.0;
-
-  /// Dense-sweep cadence of the worklist kernel: every Nth sweep recomputes
-  /// all rows, bounding the drift worklist_epsilon can accumulate and
-  /// re-anchoring the reported residuals. Must be >= 1 when
-  /// worklist_epsilon > 0; 0 disables periodic refresh.
-  std::uint32_t worklist_full_interval = 64;
 
   /// Delta-send threshold (the paper's "explore more methods for reducing
   /// communication overhead" future work): a Y entry is only transmitted

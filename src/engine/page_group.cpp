@@ -54,12 +54,6 @@ void PageGroup::init_state(std::span<const double> e_local) {
   scratch_.assign(members_.size(), 0.0);
 }
 
-void PageGroup::configure_worklist(const rank::WorklistOptions& opts) {
-  worklist_enabled_ = true;
-  wl_opts_ = opts;
-  wl_state_.reset();
-}
-
 void PageGroup::set_ranks(std::span<const double> ranks) {
   if (ranks.size() != ranks_.size()) {
     throw std::invalid_argument("PageGroup::set_ranks: size mismatch");
@@ -170,7 +164,7 @@ void PageGroup::refresh_x(std::uint32_t source_group, const YSlice& slice) {
     slot = value;
     // A bitwise-unchanged forcing slot (delta exactly 0) cannot change the
     // row's next value, so only real changes wake the row.
-    if (worklist_enabled_ && delta != 0.0) wl_state_.mark_forcing_dirty(local);
+    if (delta != 0.0) wl_state_.mark_forcing_dirty(local);
   }
 }
 
@@ -188,13 +182,13 @@ void PageGroup::scale_received(std::uint32_t source_group, double factor) {
     x_[local] += delta;
     forcing_[local] += delta;
     value = decayed;
-    if (worklist_enabled_ && delta != 0.0) wl_state_.mark_forcing_dirty(local);
+    if (delta != 0.0) wl_state_.mark_forcing_dirty(local);
   }
 }
 
 PageGroup::WorklistCarry PageGroup::export_worklist_carry() const {
   WorklistCarry carry;
-  if (!worklist_enabled_ || !wl_state_.primed) return carry;
+  if (!wl_state_.primed) return carry;
   // The differ bitmap is a statement about this exact buffer pair; if the
   // state talks about some other pair the frontier is not exportable.
   const bool pair_ok =
@@ -213,11 +207,7 @@ bool PageGroup::install_worklist_carry(
     std::span<const std::uint32_t> changed_sources_local) {
   const std::size_t dim = members_.size();
   const std::size_t words = (dim + 63) / 64;
-  // The frontier argument (DESIGN.md §14) needs exact mode: with ε > 0 the
-  // carried contribs embed sub-epsilon drift relative to a fresh prime, so
-  // the bitwise contract with rebuild-then-warm-start would not hold.
-  if (!worklist_enabled_ || wl_opts_.epsilon != 0.0 || !carry.valid ||
-      carry.contrib.size() != dim || carry.differ.size() != words) {
+  if (!carry.valid || carry.contrib.size() != dim || carry.differ.size() != words) {
     set_ranks(ranks);
     return false;
   }
@@ -234,7 +224,6 @@ bool PageGroup::install_worklist_carry(
       util::ThreadPool::num_grains(dim, matrix_.sweep_grain()), 0);
   wl_state_.active_grains.clear();
   wl_state_.primed = true;
-  wl_state_.sweeps_since_dense = 0;
   wl_state_.pair_a = ranks_.data();
   wl_state_.pair_b = scratch_.data();
   // Sources whose 1/d(u) weight changed: their propagated contribution is
@@ -252,7 +241,6 @@ bool PageGroup::install_worklist_carry(
 }
 
 void PageGroup::mark_all_received_dirty() {
-  if (!worklist_enabled_) return;
   // p2plint: allow(no-unordered-iteration): setting forcing-dirty bits is
   // idempotent and commutative, so visit order cannot affect state.
   for (const auto& [source, entries] : received_) {
@@ -268,30 +256,22 @@ std::size_t PageGroup::solve_to_convergence(double epsilon,
                                             std::size_t max_iterations,
                                             util::ThreadPool& pool) {
   // Iterate in place on the persistent ranks_/scratch_ pair: no per-step
-  // allocation, and a worklist frontier survives across outer steps, so
-  // after the first solve later solves only touch rows reached from
-  // refreshed forcing entries.
+  // allocation, and the frontier survives across outer steps, so after the
+  // first solve later solves only touch rows reached from refreshed forcing
+  // entries.
   rank::SolveOptions opts;
   opts.epsilon = epsilon;
   opts.max_iterations = max_iterations;
   return rank::iterate_open_system(matrix_, forcing_, ranks_, scratch_, opts,
-                                   sweep_scratch_, pool,
-                                   worklist_enabled_ ? &wl_state_ : nullptr, wl_opts_)
+                                   sweep_scratch_, pool, &wl_state_)
       .iterations;
 }
 
 void PageGroup::sweep_once(util::ThreadPool& pool) {
-  if (worklist_enabled_) {
-    last_sweep_delta_ =
-        matrix_
-            .sweep_and_residual_worklist(ranks_, scratch_, forcing_,
-                                         sweep_scratch_, wl_state_, wl_opts_, pool)
-            .l1_delta;
-  } else {
-    last_sweep_delta_ =
-        matrix_.sweep_and_residual(ranks_, scratch_, forcing_, sweep_scratch_, pool)
-            .l1_delta;
-  }
+  last_sweep_delta_ = matrix_
+                          .sweep_and_residual_worklist(ranks_, scratch_, forcing_,
+                                                       sweep_scratch_, wl_state_, pool)
+                          .l1_delta;
   std::swap(ranks_, scratch_);
 }
 

@@ -14,7 +14,7 @@
 // contrib[u] = x[u]·(α/d(u)), and the edge loop then reads 12 bytes/edge
 // (4B source index + 8B gather). Two kernels run on this layout — the dense
 // fused sweep_and_residual and the residual-driven
-// sweep_and_residual_worklist — and at worklist epsilon 0 they produce
+// sweep_and_residual_worklist, which the engine runs — and they produce
 // bitwise-identical values and residuals for any pool size. See DESIGN.md
 // "Kernel layout".
 #pragma once
@@ -44,33 +44,14 @@ struct SweepScratch {
   std::vector<double> partial_linf;
 };
 
-/// Tuning knobs of the residual-driven worklist kernel (DESIGN.md §6).
-struct WorklistOptions {
-  /// Contribution-change threshold: a source whose contribution moved by
-  /// ≤ epsilon since it last propagated does not wake its destinations.
-  /// 0 means *exact* mode — skip only bitwise-unchanged inputs — which
-  /// keeps every sweep bitwise-identical to the dense kernel.
-  double epsilon = 0.0;
-  /// Force a dense sweep every N worklist sweeps to flush sub-epsilon
-  /// drift. 0 disables periodic refresh (sound only when epsilon == 0).
-  std::uint32_t full_interval = 64;
-};
-
-/// Result of one worklist sweep: the residual norms plus whether the sweep
-/// ran dense (all rows recomputed — residual exact even when epsilon > 0).
-struct WorklistSweepStats : SweepStats {
-  bool dense = false;
-};
-
 /// Persistent frontier state for sweep_and_residual_worklist. Owned by the
 /// caller (one per ping-pong buffer pair); reset() forces the next sweep
 /// dense, which re-primes every derived bitmap. All bitmaps are 64 rows per
 /// word, and sweep grains are 64-aligned so parallel grains own whole words.
 struct WorklistState {
-  /// Last *propagated* contribution per source: updated when a source's
-  /// change exceeds epsilon (always, in a dense sweep). Rows recompute by
-  /// gathering these, so a sub-epsilon change is invisible until the next
-  /// dense sweep — bounded drift, zero drift when epsilon == 0.
+  /// Last *propagated* contribution per source: updated whenever a source's
+  /// contribution changes bitwise (every source, in a dense sweep). Rows
+  /// recompute by gathering these.
   std::vector<double> contrib;
   std::vector<std::uint64_t> differ;         // out-buffer != in-buffer, per row
   std::vector<std::uint64_t> dirty;          // rows to recompute (per-sweep scratch)
@@ -79,7 +60,6 @@ struct WorklistState {
   std::vector<std::uint32_t> active_grains;  // frontier grain ids (scratch)
   std::vector<std::uint64_t> grain_edges;    // per-grain active out-edge tallies
   bool primed = false;
-  std::uint32_t sweeps_since_dense = 0;
   // The buffer pair the differ bitmap talks about; a sweep on any other
   // pair auto-unprimes. std::swap of the vectors keeps the pointers valid.
   const void* pair_a = nullptr;
@@ -96,7 +76,6 @@ struct WorklistState {
   /// restore, group rebuild).
   void reset() noexcept {
     primed = false;
-    sweeps_since_dense = 0;
     pair_a = nullptr;
     pair_b = nullptr;
   }
@@ -153,20 +132,19 @@ class LinkMatrix {
                                 SweepScratch& scratch, util::ThreadPool& pool) const;
 
   /// Residual-driven worklist sweep: like sweep_and_residual, but rows whose
-  /// inputs did not change beyond opts.epsilon since they last recomputed
-  /// are skipped (their value is carried over), and when the frontier is
-  /// small the dirty set is built by *pushing* along out-edges of active
-  /// sources instead of scanning all rows. With epsilon == 0 every sweep —
-  /// values and residual — is bitwise-identical to sweep_and_residual for
-  /// any pool size; with epsilon > 0 only dense sweeps (periodic, or when
-  /// force_dense is set) report an exact residual. `state` must persist
-  /// alongside the in/out ping-pong pair; the kernel unprimes itself (one
-  /// dense sweep) whenever it sees an unfamiliar pair.
-  WorklistSweepStats sweep_and_residual_worklist(
-      std::span<const double> in, std::span<double> out,
-      std::span<const double> forcing, SweepScratch& scratch,
-      WorklistState& state, const WorklistOptions& opts, util::ThreadPool& pool,
-      bool force_dense = false) const;
+  /// inputs did not change bitwise since they last recomputed are skipped
+  /// (their value is carried over), and when the frontier is small the
+  /// dirty set is built by *pushing* along out-edges of active sources
+  /// instead of scanning all rows. Every sweep — values and residual — is
+  /// bitwise-identical to sweep_and_residual for any pool size. `state`
+  /// must persist alongside the in/out ping-pong pair; the kernel unprimes
+  /// itself (one dense sweep) whenever it sees an unfamiliar pair, and
+  /// state.reset() forces the next sweep dense.
+  SweepStats sweep_and_residual_worklist(std::span<const double> in,
+                                         std::span<double> out,
+                                         std::span<const double> forcing,
+                                         SweepScratch& scratch, WorklistState& state,
+                                         util::ThreadPool& pool) const;
 
   /// Rows per parallel grain of sweep kernels (~64KB of row data each,
   /// rounded up to a multiple of 64 so each grain owns whole bitmap words);

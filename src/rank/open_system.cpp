@@ -9,35 +9,25 @@ namespace p2prank::rank {
 SolveStats iterate_open_system(const LinkMatrix& A, std::span<const double> forcing,
                                std::vector<double>& ranks, std::vector<double>& next,
                                const SolveOptions& opts, SweepScratch& scratch,
-                               util::ThreadPool& pool, WorklistState* frontier,
-                               const WorklistOptions& wl) {
+                               util::ThreadPool& pool, WorklistState* frontier) {
   SolveStats stats;
-  bool confirm = false;
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     // Fused sweeps: the L1 residual is accumulated inside the sweep, so
     // there is no second full pass over R per iteration.
-    double delta = 0.0;
-    bool exact = true;
-    if (frontier == nullptr) {
-      delta = A.sweep_and_residual(ranks, next, forcing, scratch, pool).l1_delta;
-    } else {
-      const WorklistSweepStats sweep = A.sweep_and_residual_worklist(
-          ranks, next, forcing, scratch, *frontier, wl, pool,
-          /*force_dense=*/confirm);
-      delta = sweep.l1_delta;
-      // Sparse sweeps under-report the residual when epsilon > 0 (skipped
-      // rows claim zero): only a dense sweep's residual is exact.
-      exact = sweep.dense || wl.epsilon == 0.0;
-    }
+    const double delta =
+        frontier == nullptr
+            ? A.sweep_and_residual(ranks, next, forcing, scratch, pool).l1_delta
+            : A.sweep_and_residual_worklist(ranks, next, forcing, scratch, *frontier,
+                                            pool)
+                  .l1_delta;
     std::swap(ranks, next);
     ++stats.iterations;
     stats.final_delta = delta;
     if (opts.record_residuals) stats.residual_history.push_back(delta);
-    if (delta <= opts.epsilon && exact) {
+    if (delta <= opts.epsilon) {
       stats.converged = true;
       break;
     }
-    confirm = delta <= opts.epsilon;
   }
   return stats;
 }
@@ -48,8 +38,7 @@ namespace {
 /// loop on a fresh buffer pair seeded from `initial` (empty = zero vector).
 SolveResult solve_from(const LinkMatrix& A, std::span<const double> forcing,
                        std::span<const double> initial, const SolveOptions& opts,
-                       util::ThreadPool& pool, WorklistState* frontier,
-                       const WorklistOptions& wl) {
+                       util::ThreadPool& pool, WorklistState* frontier) {
   const std::size_t n = A.dimension();
   if (forcing.size() != n) {
     throw std::invalid_argument("solve_open_system: forcing size mismatch");
@@ -62,7 +51,7 @@ SolveResult solve_from(const LinkMatrix& A, std::span<const double> forcing,
   std::vector<double> next(n, 0.0);
   SweepScratch scratch;
   SolveStats stats =
-      iterate_open_system(A, forcing, ranks, next, opts, scratch, pool, frontier, wl);
+      iterate_open_system(A, forcing, ranks, next, opts, scratch, pool, frontier);
   return {std::move(stats), std::move(ranks)};
 }
 
@@ -71,17 +60,16 @@ SolveResult solve_from(const LinkMatrix& A, std::span<const double> forcing,
 SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forcing,
                               std::span<const double> initial,
                               const SolveOptions& opts, util::ThreadPool& pool) {
-  return solve_from(A, forcing, initial, opts, pool, nullptr, {});
+  return solve_from(A, forcing, initial, opts, pool, nullptr);
 }
 
 SolveResult solve_open_system_worklist(const LinkMatrix& A,
                                        std::span<const double> forcing,
                                        std::span<const double> initial,
                                        const SolveOptions& opts,
-                                       const WorklistOptions& wl,
                                        WorklistState& state,
                                        util::ThreadPool& pool) {
-  return solve_from(A, forcing, initial, opts, pool, &state, wl);
+  return solve_from(A, forcing, initial, opts, pool, &state);
 }
 
 SolveResult solve_open_system_uniform(const LinkMatrix& A, double e_value,

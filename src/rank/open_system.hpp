@@ -24,12 +24,10 @@ namespace p2prank::rank {
 /// two are swapped after every sweep.
 ///
 /// With `frontier` null every sweep is the dense fused kernel. Otherwise it
-/// is the worklist kernel with options `wl`, carrying `*frontier` across
-/// sweeps — and across calls, while the caller keeps the same buffer pair.
-/// With wl.epsilon > 0 a sparse sweep under-reports its residual, so
-/// convergence is only accepted at a dense sweep: a confirmation sweep is
-/// forced when a sparse residual first dips under opts.epsilon, and the
-/// reported final_delta is always exact.
+/// is the worklist kernel, carrying `*frontier` across sweeps — and across
+/// calls, while the caller keeps the same buffer pair. The two kernels give
+/// bitwise the same iterates and residuals, so the loop stops at the same
+/// sweep either way.
 [[nodiscard]] SolveStats iterate_open_system(const LinkMatrix& A,
                                              std::span<const double> forcing,
                                              std::vector<double>& ranks,
@@ -37,8 +35,7 @@ namespace p2prank::rank {
                                              const SolveOptions& opts,
                                              SweepScratch& scratch,
                                              util::ThreadPool& pool,
-                                             WorklistState* frontier,
-                                             const WorklistOptions& wl);
+                                             WorklistState* frontier);
 
 /// Solve R = A·R + forcing from the given initial vector, iterating until
 /// the L1 delta is <= opts.epsilon or max_iterations is hit. `initial` may
@@ -50,14 +47,12 @@ namespace p2prank::rank {
                                             util::ThreadPool& pool);
 
 /// Worklist variant of solve_open_system: iterates with the residual-driven
-/// frontier kernel, carrying `state` across sweeps. With wl.epsilon == 0
-/// the iterate sequence is bitwise-identical to solve_open_system; with
-/// wl.epsilon > 0 the reported final_delta is still an exact residual (see
-/// iterate_open_system).
+/// frontier kernel, carrying `state` across sweeps. The iterate sequence is
+/// bitwise-identical to solve_open_system.
 [[nodiscard]] SolveResult solve_open_system_worklist(
     const LinkMatrix& A, std::span<const double> forcing,
     std::span<const double> initial, const SolveOptions& opts,
-    const WorklistOptions& wl, WorklistState& state, util::ThreadPool& pool);
+    WorklistState& state, util::ThreadPool& pool);
 
 /// Convenience: uniform forcing βE with E(v) = e_value for all v, X = 0 —
 /// the whole-crawl "centralized open-system" reference of Section 5 (what

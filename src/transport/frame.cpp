@@ -35,6 +35,8 @@ const char* frame_verdict_name(FrameVerdict v) noexcept {
       return "bad-index-order";
     case FrameVerdict::kBadScore:
       return "bad-score";
+    case FrameVerdict::kBadAddress:
+      return "bad-address";
   }
   return "unknown";
 }
@@ -102,6 +104,8 @@ FrameVerdict decode_frame(std::span<const std::uint8_t> bytes,
   if (!src || !dst || !epoch || !record_count || !count) {
     return FrameVerdict::kTruncated;
   }
+  // Group ids are 32-bit; a wider value would be narrowed to another group.
+  if (*src > UINT32_MAX || *dst > UINT32_MAX) return FrameVerdict::kBadAddress;
   DecodedFrame frame;
   frame.header = {static_cast<std::uint32_t>(*src),
                   static_cast<std::uint32_t>(*dst), *epoch, *record_count};

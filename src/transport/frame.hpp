@@ -38,6 +38,7 @@ enum class FrameVerdict : std::uint8_t {
   kBadCount,       ///< entry count inconsistent with payload size
   kBadIndexOrder,  ///< local indices not strictly ascending
   kBadScore,       ///< NaN / Inf / negative score
+  kBadAddress,     ///< src or dst group id above UINT32_MAX
 };
 
 [[nodiscard]] const char* frame_verdict_name(FrameVerdict v) noexcept;

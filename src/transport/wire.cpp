@@ -56,10 +56,15 @@ T need(std::optional<T> read) {
 }
 
 /// One front-coded URL: `prev`'s first `shared` bytes, then the suffix.
-std::string read_front_coded(util::ByteReader& reader, std::string_view prev) {
+/// Without front coding the encoder writes shared = 0, so nothing else is
+/// accepted.
+std::string read_front_coded(util::ByteReader& reader, std::string_view prev,
+                             bool front_coding) {
   const std::uint64_t shared = need(reader.varint());
   const std::uint64_t suffix = need(reader.varint());
-  if (shared > prev.size()) throw std::runtime_error("wire: bad shared prefix");
+  if (shared > prev.size() || (!front_coding && shared != 0)) {
+    throw std::runtime_error("wire: bad shared prefix");
+  }
   std::string url(prev.substr(0, shared));
   url += need(reader.bytes(suffix));
   return url;
@@ -110,9 +115,11 @@ std::vector<std::uint8_t> encode_records(std::span<const ScoreRecord> records,
 
 std::vector<OwnedScoreRecord> decode_records(std::span<const std::uint8_t> bytes) {
   util::ByteReader reader(bytes);
-  // Front coding is self-describing via the shared lengths: the flags
-  // varint is read but not needed.
-  (void)need(reader.varint());
+  // Only the bits the encoder writes: anything else is not a batch this
+  // version produced, and decoding it anyway would not round-trip.
+  const std::uint64_t flags = need(reader.varint());
+  if ((flags & ~kFlagFrontCoding) != 0) throw std::runtime_error("wire: bad flags");
+  const bool front_coding = (flags & kFlagFrontCoding) != 0;
   const std::uint64_t quantize_bits = need(reader.varint());
   if (quantize_bits > 40) throw std::runtime_error("wire: bad quantize_bits");
   const std::uint64_t count = need(reader.varint());
@@ -131,8 +138,8 @@ std::vector<OwnedScoreRecord> decode_records(std::span<const std::uint8_t> bytes
   std::string prev_to;
   for (std::uint64_t i = 0; i < count; ++i) {
     OwnedScoreRecord r;
-    r.url_from = read_front_coded(reader, prev_from);
-    r.url_to = read_front_coded(reader, prev_to);
+    r.url_from = read_front_coded(reader, prev_from, front_coding);
+    r.url_to = read_front_coded(reader, prev_to, front_coding);
     if (quantize_bits > 0) {
       r.score = static_cast<double>(unzigzag(need(reader.varint()))) * inv_scale;
     } else {

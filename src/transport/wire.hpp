@@ -61,7 +61,9 @@ struct WireOptions {
 
 /// Decode a batch. Order matches encoding order (sorted when front-coded).
 /// Throws std::runtime_error on a truncated or malformed batch, including a
-/// varint not in the minimal form the encoder writes (util/bytes.hpp).
+/// varint not in the minimal form the encoder writes (util/bytes.hpp), a
+/// flag bit other than front coding, and a nonzero shared-prefix length in
+/// a batch without front coding.
 [[nodiscard]] std::vector<OwnedScoreRecord> decode_records(
     std::span<const std::uint8_t> bytes);
 

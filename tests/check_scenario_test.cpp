@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -152,23 +153,23 @@ TEST(Scenario, PreReliabilityTracesParseWithDefaults) {
   EXPECT_EQ(back.to_text(), text);
 }
 
-// The worklist header key round-trips, and traces written before the
-// worklist extension parse with the flag defaulting off.
-TEST(Scenario, WorklistKeyRoundTripsAndDefaultsOff) {
-  Scenario s = Scenario::from_seed(13);
-  s.worklist = true;
-  const Scenario back = Scenario::parse_text(s.to_text());
-  EXPECT_TRUE(back.worklist);
-  EXPECT_EQ(back.to_text(), s.to_text());
-
-  std::string pruned;
-  std::istringstream lines(s.to_text());
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("worklist ", 0) == 0) continue;
-    pruned += line + '\n';
+// Traces written while the frontier kernel was optional carry a worklist
+// header key. It still parses, and changes nothing: every scenario runs the
+// frontier kernel now.
+TEST(Scenario, WorklistKeyIsAcceptedAndIgnored) {
+  const Scenario s = Scenario::from_seed(13);
+  const std::string text = s.to_text();
+  EXPECT_EQ(text.find("worklist"), std::string::npos);
+  for (const char* line : {"worklist 1\n", "worklist 0\n"}) {
+    // Where older writers put it: between the reliable and serve keys.
+    std::string old = text;
+    const std::size_t serve = old.find("\nserve ");
+    ASSERT_NE(serve, std::string::npos);
+    old.insert(serve + 1, line);
+    const Scenario back = Scenario::parse_text(old);
+    EXPECT_EQ(back.to_text(), text) << line;
   }
-  const Scenario old = Scenario::parse_text(pruned);
-  EXPECT_FALSE(old.worklist);
+  EXPECT_THROW((void)Scenario::parse_text(text + "worklist x\n"), std::runtime_error);
 }
 
 // from_seed only pairs jitter with the reliable layer: jitter without epochs

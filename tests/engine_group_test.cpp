@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "graph/synthetic_web.hpp"
+#include "rank/link_matrix.hpp"
+#include "rank/rank_types.hpp"
 #include "test_support.hpp"
 #include "util/thread_pool.hpp"
 
@@ -170,6 +179,201 @@ TEST(PageGroup, EmptyGroupIsInert) {
   group.sweep_once(pool());
   group.solve_to_convergence(1e-10, 10, pool());
   EXPECT_TRUE(group.ranks().empty());
+}
+
+/// A group's dense twin: βE + X kept with the group's own `+= value − held`
+/// updates, iterated with the dense kernel on a buffer pair of its own. The
+/// group sweeps with the frontier kernel, which must land on the same bits
+/// sweep by sweep, the way test::naive_multiply checks the kernels.
+class DenseTwin {
+ public:
+  explicit DenseTwin(const rank::LinkMatrix& m, std::vector<double> ranks = {})
+      : m_(m),
+        forcing_(m.dimension(), rank::beta_of(m.alpha()) * 1.0),
+        cur_(std::move(ranks)),
+        nxt_(m.dimension(), 0.0) {
+    if (cur_.empty()) cur_.assign(m.dimension(), 0.0);
+  }
+
+  void refresh_x(std::uint32_t source, const YSlice& slice) {
+    auto& held = held_[source];
+    for (const auto& [local, value] : slice.entries) {
+      double& slot = held.try_emplace(local, 0.0).first->second;
+      forcing_[local] += value - slot;
+      slot = value;
+    }
+  }
+
+  void scale_received(std::uint32_t source, double factor) {
+    for (auto& [local, value] : held_[source]) {
+      const double decayed = value * factor;
+      forcing_[local] += decayed - value;
+      value = decayed;
+    }
+  }
+
+  void set_ranks(std::span<const double> ranks) {
+    cur_.assign(ranks.begin(), ranks.end());
+  }
+
+  void reset_state() {
+    std::fill(forcing_.begin(), forcing_.end(), rank::beta_of(m_.alpha()) * 1.0);
+    held_.clear();
+    std::fill(cur_.begin(), cur_.end(), 0.0);
+    last_delta_ = 0.0;
+  }
+
+  void sweep_once(util::ThreadPool& pool) { last_delta_ = sweep(pool); }
+
+  /// Like the group's, leaves last_sweep_delta() to sweep_once.
+  std::size_t solve_to_convergence(double epsilon, std::size_t max_iterations,
+                                   util::ThreadPool& pool) {
+    std::size_t iterations = 0;
+    while (iterations < max_iterations) {
+      ++iterations;
+      if (sweep(pool) <= epsilon) break;
+    }
+    return iterations;
+  }
+
+  /// Every held entry of `source` as one full slice.
+  [[nodiscard]] YSlice held_slice(std::uint32_t source) const {
+    YSlice slice;
+    for (const auto& [local, value] : held_.at(source)) {
+      slice.entries.emplace_back(local, value);
+    }
+    return slice;
+  }
+
+  [[nodiscard]] std::span<const double> ranks() const { return cur_; }
+  [[nodiscard]] double last_sweep_delta() const { return last_delta_; }
+
+ private:
+  double sweep(util::ThreadPool& pool) {
+    const double delta =
+        m_.sweep_and_residual(cur_, nxt_, forcing_, scratch_, pool).l1_delta;
+    std::swap(cur_, nxt_);
+    return delta;
+  }
+
+  const rank::LinkMatrix& m_;
+  std::vector<double> forcing_;
+  std::map<std::uint32_t, std::map<std::uint32_t, double>> held_;
+  std::vector<double> cur_;
+  std::vector<double> nxt_;
+  rank::SweepScratch scratch_;
+  double last_delta_ = 0.0;
+};
+
+void expect_same_bits(const PageGroup& group, const DenseTwin& twin,
+                      const std::string& label) {
+  ASSERT_EQ(group.ranks().size(), twin.ranks().size()) << label;
+  for (std::size_t i = 0; i < twin.ranks().size(); ++i) {
+    ASSERT_EQ(group.ranks()[i], twin.ranks()[i]) << label << ", row " << i;
+  }
+  ASSERT_EQ(group.last_sweep_delta(), twin.last_sweep_delta()) << label;
+}
+
+/// Drive a group and its twin through every entry point that changes R or
+/// X, stepping both after each one and comparing every bit.
+void check_frontier_matches_dense_twin(std::size_t threads) {
+  util::ThreadPool pool(threads);
+  const std::string at = "pool " + std::to_string(threads) + ": ";
+  const auto g = graph::generate_synthetic_web(graph::google2002_config(6000, 21));
+  std::vector<graph::PageId> members;
+  for (graph::PageId p = 0; p < g.num_pages(); ++p) {
+    if (p % 3 != 0) members.push_back(p);
+  }
+  PageGroup group(g, members, kAlpha);
+  group.finalize_efferents();
+  DenseTwin twin(group.matrix());
+
+  const auto sweeps = [&](PageGroup& grp, DenseTwin& tw, int n,
+                          const std::string& what) {
+    for (int k = 0; k < n; ++k) {
+      grp.sweep_once(pool);
+      tw.sweep_once(pool);
+      expect_same_bits(grp, tw, at + what + ", sweep " + std::to_string(k));
+    }
+  };
+  const auto solve = [&](PageGroup& grp, DenseTwin& tw, double eps,
+                         const std::string& what) {
+    const std::size_t got = grp.solve_to_convergence(eps, 5000, pool);
+    ASSERT_EQ(got, tw.solve_to_convergence(eps, 5000, pool)) << at << what;
+    expect_same_bits(grp, tw, at + what);
+  };
+  const auto refresh = [&](PageGroup& grp, DenseTwin& tw, std::uint32_t source,
+                           const YSlice& slice) {
+    grp.refresh_x(source, slice);
+    tw.refresh_x(source, slice);
+  };
+
+  sweeps(group, twin, 3, "cold start");
+  // Row 10 hears only from source 1, and its X is large: when it later
+  // lands at 0.0 the running sum βE + 333.3 − 333.3 keeps none of βE's low
+  // bits, while a group primed afresh holds βE + 0.0.
+  YSlice from_one;
+  from_one.entries = {{3u, 0.4}, {10u, 333.3}, {57u, 0.02}, {2000u, 1.5}};
+  YSlice from_two;
+  from_two.entries = {{3u, 0.25}, {11u, 0.125}, {3000u, 0.75}};
+  refresh(group, twin, 1, from_one);
+  refresh(group, twin, 2, from_two);
+  sweeps(group, twin, 4, "after first slices");
+  solve(group, twin, 1e-10, "DPR1 solve");
+
+  // At the exact fixed point the frontier is empty: from here only rows
+  // the bookkeeping marks recompute.
+  solve(group, twin, 0.0, "exact fixed point");
+  refresh(group, twin, 1, from_one);  // bitwise-equal values: no change
+  sweeps(group, twin, 2, "re-sent equal slice");
+  YSlice zeroed;
+  zeroed.entries = {{10u, 0.0}, {2000u, 1.75}};
+  refresh(group, twin, 1, zeroed);
+  sweeps(group, twin, 6, "entry landing at 0.0");
+  solve(group, twin, 0.0, "fixed point after refresh");
+  group.scale_received(2, 0.5);
+  twin.scale_received(2, 0.5);
+  sweeps(group, twin, 6, "scale_received");
+  solve(group, twin, 1e-12, "solve after scale_received");
+
+  std::vector<double> scaled(twin.ranks().begin(), twin.ranks().end());
+  for (double& r : scaled) r *= 0.9;
+  group.set_ranks(scaled);
+  twin.set_ranks(scaled);
+  sweeps(group, twin, 3, "set_ranks");
+  solve(group, twin, 0.0, "fixed point after set_ranks");
+
+  // Incremental swap: a fresh group with the same members takes the
+  // frontier and R, and X arrives again as full slices.
+  PageGroup fresh(g, members, kAlpha);
+  fresh.finalize_efferents();
+  ASSERT_TRUE(
+      fresh.install_worklist_carry(group.ranks(), group.export_worklist_carry(), {}, {}))
+      << at << "carry refused";
+  DenseTwin fresh_twin(fresh.matrix(),
+                       std::vector<double>(twin.ranks().begin(), twin.ranks().end()));
+  for (const std::uint32_t source : {1u, 2u}) {
+    refresh(fresh, fresh_twin, source, twin.held_slice(source));
+  }
+  fresh.mark_all_received_dirty();
+  sweeps(fresh, fresh_twin, 4, "after carry install");
+  solve(fresh, fresh_twin, 0.0, "fixed point after carry install");
+  refresh(fresh, fresh_twin, 2, from_two);
+  solve(fresh, fresh_twin, 1e-12, "solve after carry install");
+
+  fresh.reset_state();
+  fresh_twin.reset_state();
+  expect_same_bits(fresh, fresh_twin, at + "reset_state");
+  sweeps(fresh, fresh_twin, 3, "after reset_state");
+  refresh(fresh, fresh_twin, 1, from_one);
+  solve(fresh, fresh_twin, 1e-12, "solve after reset_state");
+}
+
+TEST(PageGroup, FrontierMatchesDenseTwin) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    check_frontier_matches_dense_twin(threads);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -15,13 +15,11 @@ namespace {
 
 constexpr double kAlpha = 0.85;
 
-EngineOptions worklist_options() {
+EngineOptions dpr1_options() {
   EngineOptions o;
   o.algorithm = Algorithm::kDPR1;
   o.alpha = kAlpha;
   o.seed = 4242;
-  o.worklist = true;
-  o.worklist_epsilon = 0.0;  // exact mode — bitwise contract applies
   return o;
 }
 
@@ -52,7 +50,7 @@ void expect_incremental_matches_rebuild(std::size_t pool_threads) {
 
   // Predecessor engine: run long enough for the worklist kernel to prime
   // and partially converge, then retire it.
-  DistributedRanking sim0(g, assignment, 4, worklist_options(), pool);
+  DistributedRanking sim0(g, assignment, 4, dpr1_options(), pool);
   sim0.set_reference(open_system_reference(g, kAlpha, pool));
   (void)sim0.run(30.0, 30.0);
   const auto ranks = sim0.global_ranks();
@@ -67,14 +65,14 @@ void expect_incremental_matches_rebuild(std::size_t pool_threads) {
   ASSERT_TRUE(delta.incremental);
   const auto reference = open_system_reference(delta.graph, kAlpha, pool);
 
-  DistributedRanking incremental(delta.graph, assignment, 4, worklist_options(),
+  DistributedRanking incremental(delta.graph, assignment, 4, dpr1_options(),
                                  pool);
   incremental.set_reference(reference);
   incremental.warm_start_incremental(ranks, std::move(carry), delta.in_changed,
                                      delta.degree_changed);
   (void)incremental.run(40.0, 40.0);
 
-  DistributedRanking rebuild(delta.graph, assignment, 4, worklist_options(),
+  DistributedRanking rebuild(delta.graph, assignment, 4, dpr1_options(),
                              pool);
   rebuild.set_reference(reference);
   rebuild.warm_start(ranks);
@@ -108,7 +106,7 @@ TEST(EngineIncremental, InvalidCarryFallsBackToDenseWarmStart) {
   const auto assignment =
       partition::make_hash_url_partitioner()->partition(g, 4);
 
-  DistributedRanking sim0(g, assignment, 4, worklist_options(), pool);
+  DistributedRanking sim0(g, assignment, 4, dpr1_options(), pool);
   sim0.set_reference(open_system_reference(g, kAlpha, pool));
   (void)sim0.run(20.0, 20.0);
   const auto ranks = sim0.global_ranks();
@@ -118,14 +116,14 @@ TEST(EngineIncremental, InvalidCarryFallsBackToDenseWarmStart) {
   const auto reference = open_system_reference(delta.graph, kAlpha, pool);
 
   // An empty carry set must degrade to exactly the dense warm_start path.
-  DistributedRanking degraded(delta.graph, assignment, 4, worklist_options(),
+  DistributedRanking degraded(delta.graph, assignment, 4, dpr1_options(),
                               pool);
   degraded.set_reference(reference);
   degraded.warm_start_incremental(ranks, DistributedRanking::WorklistCarrySet{},
                                   delta.in_changed, delta.degree_changed);
   (void)degraded.run(30.0, 30.0);
 
-  DistributedRanking dense(delta.graph, assignment, 4, worklist_options(),
+  DistributedRanking dense(delta.graph, assignment, 4, dpr1_options(),
                            pool);
   dense.set_reference(reference);
   dense.warm_start(ranks);
@@ -145,7 +143,7 @@ TEST(EngineIncremental, SizeMismatchThrows) {
       graph::generate_synthetic_web(graph::google2002_config(500, 3));
   const auto assignment =
       partition::make_hash_url_partitioner()->partition(g, 2);
-  DistributedRanking sim(g, assignment, 2, worklist_options(), pool);
+  DistributedRanking sim(g, assignment, 2, dpr1_options(), pool);
   std::vector<double> wrong(g.num_pages() + 1, 0.0);
   EXPECT_THROW(sim.warm_start_incremental(
                    wrong, DistributedRanking::WorklistCarrySet{}, {}, {}),

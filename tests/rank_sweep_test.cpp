@@ -187,10 +187,12 @@ graph::WebGraph chain_graph(int pages, bool close_cycle) {
 }
 
 /// Drive the dense and worklist kernels through the same ping-pong
-/// iteration — including a mid-run forcing change — and require bitwise
-/// identical values *and* residuals at every sweep, for pool sizes 1/2/8.
+/// iteration — including a mid-run forcing change, and a WorklistState
+/// reset before sweep `reset_at` (0: none after the priming sweep) that
+/// forces a dense re-prime mid-trajectory — and require bitwise identical
+/// values *and* residuals at every sweep, for pool sizes 1/2/8.
 void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
-                                  std::uint32_t full_interval) {
+                                  std::size_t reset_at) {
   const std::size_t n = m.dimension();
   std::vector<double> base_forcing(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -215,8 +217,6 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
     }
   }
 
-  WorklistOptions wl;  // epsilon = 0: exact mode
-  wl.full_interval = full_interval;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     const std::string label = "worklist pool size " + std::to_string(threads);
@@ -230,8 +230,13 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
         f[n / 2] += 0.25;
         state.mark_forcing_dirty(n / 2);
       }
-      const WorklistSweepStats stats =
-          m.sweep_and_residual_worklist(cur, nxt, f, scratch, state, wl, pool);
+      if (s == reset_at) state.reset();
+      const std::uint64_t dense_before = state.dense_sweeps;
+      const SweepStats stats =
+          m.sweep_and_residual_worklist(cur, nxt, f, scratch, state, pool);
+      if (s == reset_at && n > 0) {
+        ASSERT_EQ(state.dense_sweeps, dense_before + 1) << label << " re-prime";
+      }
       std::swap(cur, nxt);
       expect_bitwise_equal(cur, ref_y[s], label + " sweep " + std::to_string(s));
       ASSERT_EQ(stats.l1_delta, ref_stats[s].l1_delta) << label << " sweep " << s;
@@ -243,12 +248,12 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
 
 TEST(RankSweep, WorklistMatchesDenseSyntheticWeb) {
   const auto g = graph::generate_synthetic_web(graph::google2002_config(10000, 17));
-  check_worklist_matches_dense(LinkMatrix::from_graph(g, kAlpha), 20, 3);
+  check_worklist_matches_dense(LinkMatrix::from_graph(g, kAlpha), 20, 13);
 }
 
 TEST(RankSweep, WorklistMatchesDenseDanglingHeavy) {
   // Most sources are dangling, so the frontier collapses within a few
-  // sweeps; full_interval = 0 keeps it collapsed (pure sparse path).
+  // sweeps; no reset keeps it collapsed (pure sparse path).
   check_worklist_matches_dense(LinkMatrix::from_graph(dangling_heavy(500), kAlpha),
                                80, 0);
 }
@@ -266,15 +271,13 @@ TEST(RankSweep, WorklistMatchesDenseSubset) {
   const auto g = graph::generate_synthetic_web(graph::google2002_config(4000, 5));
   std::vector<graph::PageId> members;
   for (graph::PageId p = 0; p < g.num_pages(); p += 3) members.push_back(p);
-  check_worklist_matches_dense(LinkMatrix::from_subset(g, members, kAlpha), 30, 5);
+  check_worklist_matches_dense(LinkMatrix::from_subset(g, members, kAlpha), 30, 21);
 }
 
 TEST(RankSweep, WorklistSinglePageFrontier) {
   const auto m = LinkMatrix::from_graph(dangling_heavy(400), kAlpha);
   const std::size_t n = m.dimension();
   std::vector<double> forcing(n, 0.15);
-  WorklistOptions wl;
-  wl.full_interval = 0;  // no periodic dense sweep: frontier death is observable
   WorklistState state;
   SweepScratch scratch;
   util::ThreadPool pool(2);
@@ -285,7 +288,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   std::size_t s = 0;
   for (; s < 2000; ++s) {
     const auto stats =
-        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     std::swap(cur, nxt);
     if (stats.l1_delta == 0.0) break;
   }
@@ -293,7 +296,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
 
   // At the fixed point a sweep computes no rows at all.
   const std::uint64_t settled = state.rows_computed;
-  (void)m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+  (void)m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
   std::swap(cur, nxt);
   EXPECT_EQ(state.rows_computed, settled);
 
@@ -301,7 +304,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   forcing[n - 1] += 0.5;
   state.mark_forcing_dirty(n - 1);
   const auto stats =
-      m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+      m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
   std::swap(cur, nxt);
   EXPECT_EQ(state.rows_computed, settled + 1);
   EXPECT_NEAR(stats.l1_delta, 0.5, 1e-12);
@@ -313,7 +316,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   SweepScratch dscratch;
   for (int k = 0; k < 10; ++k) {
     const auto ws =
-        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     const auto ds = m.sweep_and_residual(dcur, dnxt, forcing, dscratch, pool);
     std::swap(cur, nxt);
     std::swap(dcur, dnxt);
@@ -331,8 +334,6 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   const auto m2 = LinkMatrix::from_graph(chain_graph(60, true), kAlpha);
   const std::size_t n = m1.dimension();
   const std::vector<double> forcing(n, 0.15);
-  WorklistOptions wl;
-  wl.full_interval = 0;
   WorklistState state;
   SweepScratch scratch;
   util::ThreadPool pool(2);
@@ -341,7 +342,7 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   std::size_t s = 0;
   for (; s < 2000; ++s) {
     const auto stats =
-        m1.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m1.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     std::swap(cur, nxt);
     if (stats.l1_delta == 0.0) break;
   }
@@ -351,14 +352,13 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   std::vector<double> dcur = cur;
   std::vector<double> dnxt(n, 0.0);
   SweepScratch dscratch;
-  bool first = true;
+  const std::uint64_t dense_before = state.dense_sweeps;
   for (int k = 0; k < 40; ++k) {
     const auto ws =
-        m2.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m2.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     const auto ds = m2.sweep_and_residual(dcur, dnxt, forcing, dscratch, pool);
-    if (first) {
-      EXPECT_TRUE(ws.dense);  // reset forces a dense re-prime
-      first = false;
+    if (k == 0) {
+      EXPECT_EQ(state.dense_sweeps, dense_before + 1);  // reset forces a re-prime
     }
     std::swap(cur, nxt);
     std::swap(dcur, dnxt);
@@ -382,59 +382,15 @@ TEST(RankSweep, WorklistSolveMatchesDenseSolve) {
   const SolveResult dense = solve_open_system(m, forcing, {}, opts, ref_pool);
   ASSERT_TRUE(dense.converged);
 
-  WorklistOptions wl;  // exact mode
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     WorklistState state;
-    const SolveResult got =
-        solve_open_system_worklist(m, forcing, {}, opts, wl, state, pool);
+    const SolveResult got = solve_open_system_worklist(m, forcing, {}, opts, state, pool);
     EXPECT_TRUE(got.converged);
     EXPECT_EQ(got.iterations, dense.iterations) << threads;
     EXPECT_EQ(got.final_delta, dense.final_delta) << threads;
     expect_bitwise_equal(got.ranks, dense.ranks,
                          "worklist solve, pool " + std::to_string(threads));
-  }
-}
-
-TEST(RankSweep, WorklistThresholdedDeterministicAndConfirmed) {
-  const auto g = graph::generate_synthetic_web(graph::google2002_config(4000, 5));
-  const auto m = LinkMatrix::from_graph(g, kAlpha);
-  const std::size_t n = m.dimension();
-  const std::vector<double> forcing(n, 0.15);
-  SolveOptions opts;
-  opts.epsilon = 1e-9;
-
-  util::ThreadPool ref_pool(1);
-  const SolveResult dense = solve_open_system(m, forcing, {}, opts, ref_pool);
-  ASSERT_TRUE(dense.converged);
-
-  WorklistOptions wl;
-  wl.epsilon = 1e-8;  // thresholded: sparse residuals under-report
-  wl.full_interval = 8;
-  SolveResult first;
-  bool have_first = false;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    util::ThreadPool pool(threads);
-    WorklistState state;
-    const SolveResult got =
-        solve_open_system_worklist(m, forcing, {}, opts, wl, state, pool);
-    // Convergence was accepted at a dense sweep, so final_delta is an exact
-    // residual and Theorem 3.3 bounds the distance to the fixed point.
-    EXPECT_TRUE(got.converged);
-    EXPECT_LE(got.final_delta, opts.epsilon);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(got.ranks[i], dense.ranks[i], 1e-6) << "rank " << i;
-    }
-    // Thresholded mode is still bitwise-deterministic across pool sizes.
-    if (!have_first) {
-      first = got;
-      have_first = true;
-    } else {
-      EXPECT_EQ(got.iterations, first.iterations) << threads;
-      EXPECT_EQ(got.final_delta, first.final_delta) << threads;
-      expect_bitwise_equal(got.ranks, first.ranks,
-                           "thresholded pool " + std::to_string(threads));
-    }
   }
 }
 

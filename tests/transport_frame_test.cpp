@@ -16,6 +16,7 @@
 
 #include "test_support.hpp"
 #include "transport/fault_plane.hpp"
+#include "util/bytes.hpp"
 #include "util/hash.hpp"
 
 namespace p2prank::transport {
@@ -159,6 +160,24 @@ TEST(Frame, WrappingIndexDeltaQuarantined) {
   restamp_checksum(forged);
   DecodedFrame decoded;
   EXPECT_EQ(decode_frame(forged, decoded), FrameVerdict::kBadIndexOrder);
+}
+
+TEST(Frame, GroupIdPastUint32Quarantined) {
+  const auto bytes = encode_frame(kHeader, kEntries);
+  // Magic (4 bytes) and version, then src and dst.
+  ASSERT_EQ(bytes[5], kHeader.src);
+  ASSERT_EQ(bytes[6], kHeader.dst);
+  // 2^32 + 3 once narrowed to group 3 and decoded kOk.
+  std::vector<std::uint8_t> wide;
+  util::put_varint(wide, (std::uint64_t{1} << 32) + 3);
+  for (const std::size_t at : {std::size_t{5}, std::size_t{6}}) {
+    auto forged = test::splice(bytes, at, wide);
+    restamp_checksum(forged);
+    DecodedFrame decoded;
+    EXPECT_EQ(decode_frame(forged, decoded), FrameVerdict::kBadAddress)
+        << (at == 5 ? "src" : "dst");
+  }
+  EXPECT_STREQ(frame_verdict_name(FrameVerdict::kBadAddress), "bad-address");
 }
 
 TEST(Frame, EntriesValidMatchesDecodeRules) {

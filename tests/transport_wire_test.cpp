@@ -220,6 +220,43 @@ TEST(Wire, DecodeRejectsQuantizeBitsOutsideTheEncodersRange) {
   EXPECT_THROW((void)decode_records(bytes), std::runtime_error);
 }
 
+TEST(Wire, DecodeRejectsUnknownFlagBits) {
+  // The encoder only ever sets bit 0 (front coding). A batch with any other
+  // bit once decoded as if the bit were clear, to records that re-encode to
+  // different bytes.
+  const std::vector<ScoreRecord> records{{"a.edu/x", "b.edu/y", 0.5}};
+  for (const bool front_coding : {true, false}) {
+    const auto bytes = encode_records(records, {.front_coding = front_coding});
+    ASSERT_EQ(bytes[0], front_coding ? 1u : 0u);
+    for (const std::uint64_t extra : {std::uint64_t{2}, std::uint64_t{0x40},
+                                      std::uint64_t{1} << 40}) {
+      std::vector<std::uint8_t> flags;
+      util::put_varint(flags, bytes[0] | extra);
+      EXPECT_THROW((void)decode_records(test::splice(bytes, 0, flags)),
+                   std::runtime_error)
+          << "front coding " << front_coding << ", extra flag " << extra;
+    }
+  }
+}
+
+TEST(Wire, DecodeRejectsSharedPrefixWithoutFrontCoding) {
+  // With front coding off the encoder writes every shared length as 0. A
+  // nonzero one once borrowed the previous URL's prefix anyway, and the
+  // records re-encoded to different bytes.
+  const std::vector<ScoreRecord> records{{"a.edu/x", "b.edu/y", 0.5},
+                                         {"a.edu/z", "b.edu/w", 0.25}};
+  const auto bytes = encode_records(records, {.front_coding = false});
+  // Flags, bits and count, then record 0: 0, 7, "a.edu/x", 0, 7, "b.edu/y"
+  // and 8 score bytes; record 1's shared_from is byte 3 + 18 + 8.
+  const std::size_t shared_from = 3 + 18 + 8;
+  ASSERT_EQ(bytes[shared_from], 0u);
+  ASSERT_EQ(bytes[shared_from + 1], 7u);
+  // Share "a.edu/" and keep the suffix length: the batch still parses to
+  // the end, just with the wrong URL.
+  EXPECT_THROW((void)decode_records(test::splice(bytes, shared_from, {6})),
+               std::runtime_error);
+}
+
 /// Small valid batches for the sweeps: three front-coded records, with
 /// exact and with quantized scores.
 std::vector<std::vector<std::uint8_t>> sweep_batches() {

@@ -52,7 +52,7 @@
 // --scale --determinism-check instead runs the small bitwise gates wired
 // into tier-bench-smoke: streamed == builder CSR, binary round-trip
 // identity, splice == rebuild CSR, and incremental warm-start ==
-// rebuild-then-warm-start rank vectors at worklist epsilon 0.
+// rebuild-then-warm-start rank vectors.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -1250,8 +1250,8 @@ int run_scale_determinism_check(Options opts) {
     expect(same_graph(delta.graph, rebuilt, &why), "splice != rebuild: " + why);
   }
 
-  // Gate 4: incremental warm start == rebuild-then-warm-start, bitwise, at
-  // worklist epsilon 0 (the engine half of the §14 contract).
+  // Gate 4: incremental warm start == rebuild-then-warm-start, bitwise (the
+  // engine half of the §14 contract).
   {
     util::ThreadPool pool(2);
     std::vector<std::uint32_t> assignment(g.num_pages());
@@ -1260,8 +1260,6 @@ int run_scale_determinism_check(Options opts) {
     eo.algorithm = engine::Algorithm::kDPR1;
     eo.alpha = opts.alpha;
     eo.seed = opts.seed ^ 0x5ca1edEULL;
-    eo.worklist = true;
-    eo.worklist_epsilon = 0.0;
     engine::DistributedRanking sim0(g, assignment, 4, eo, pool);
     sim0.set_reference(engine::open_system_reference(g, opts.alpha, pool));
     (void)sim0.run(30.0, 30.0);

@@ -31,18 +31,13 @@ echo "TSan: serve snapshot-swap suite clean"
 
 # The chaos-scenario smoke corpus drives the whole engine (fork-join sweeps,
 # event queue, fault injection) through randomized fault schedules — run it
-# under TSan too so the harness itself is certified race-free.
+# under TSan too so the harness itself is certified race-free. Every group
+# sweeps with the frontier kernel, which scatters dirty bits along push
+# edges with relaxed atomic fetch_or while other workers read neighbouring
+# words, so this pass certifies that pattern too.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-tsan --quiet
 echo "TSan: chaos-scenario smoke corpus clean"
-
-# Worklist sweeps scatter dirty bits along push edges with relaxed atomic
-# fetch_or while other workers read neighbouring words — run the corpus with
-# the frontier kernel forced on so TSan certifies that pattern too.
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/scenario_fuzz \
-  --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-tsan --quiet \
-  --worklist
-echo "TSan: chaos-scenario smoke corpus clean (--worklist)"
 
 # With a rank-serving SnapshotStore attached to every scenario the runner
 # probes the store at each sample while the engine publishes underneath —
@@ -112,9 +107,6 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --reliable
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
-  --worklist
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
-  --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
   --serve
 # Eviction hands page buffers to a successor and rejoin splits them back —
 # churn rebuilds driven by the supervisor instead of the script. ASan holds
@@ -122,7 +114,7 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
   --partition
-echo "ASan: chaos-scenario smoke corpus clean (base + --reliable + --worklist + --serve + --partition)"
+echo "ASan: chaos-scenario smoke corpus clean (base + --reliable + --serve + --partition)"
 
 # The instrumented path: engines export counters into a registry that
 # outlives them (graph-update rebuilds, churn retiring groups).
