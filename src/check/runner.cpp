@@ -24,6 +24,16 @@ namespace p2prank::check {
 
 namespace {
 
+/// Virtual time between invariant samples.
+constexpr double kSampleInterval = 2.0;
+/// Relative error the loss-free tail must reach within tail_max_time.
+constexpr double kTailErrorThreshold = 2e-6;
+/// Stop a run after this many violations (each sample adds at most one
+/// violation per invariant kind, so a broken run terminates quickly).
+constexpr std::size_t kMaxViolations = 4;
+/// Damping factor of every scenario.
+constexpr double kAlpha = 0.85;
+
 std::unique_ptr<partition::Partitioner> make_partitioner(const Scenario& s) {
   switch (s.partition) {
     case PartitionKind::kHashUrl: return partition::make_hash_url_partitioner();
@@ -132,20 +142,20 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   const auto partitioner = make_partitioner(s);
   std::vector<std::uint32_t> assignment = partitioner->partition(g, s.k);
   std::vector<double> reference =
-      engine::open_system_reference(g, opts_.alpha, pool_);
+      engine::open_system_reference(g, kAlpha, pool_);
 
   engine::EngineOptions eo;
   eo.algorithm = s.algorithm;
-  eo.alpha = opts_.alpha;
+  eo.alpha = kAlpha;
   eo.delivery_probability = s.delivery_p;
   eo.t1 = s.t1;
   eo.t2 = s.t2;
   eo.delivery_latency = s.delivery_latency;
   eo.latency_jitter = s.latency_jitter;
-  // `reliable` turns on the full layer: retransmission implies the epoch
-  // duplicate filter and the suspicion-based failure detector. Recovery
-  // scenarios imply it: the supervisor's quorum reads the failure detector.
-  eo.reliability.retransmit = s.reliable || s.recovery;
+  // `reliable` turns on the full layer: epochs, acks, retransmission and
+  // the suspicion-based failure detector. Recovery scenarios imply it: the
+  // supervisor's quorum reads the failure detector.
+  eo.reliable = s.reliable || s.recovery;
   eo.stability_epsilon = s.stability_epsilon;
   eo.seed = s.engine_seed;
   // Observability pass-through: pure observation, so every code path below
@@ -198,7 +208,6 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   // either side is caught within one sample interval.
   recover::SupervisorOptions so;
   so.break_rejoin_ledger = opts_.break_supervisor_ledger;
-  so.metrics = opts_.metrics;
   so.tracer = opts_.tracer;
   if (s.serve) so.serve_store = &serve_store;
   auto supervisor =
@@ -208,12 +217,8 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   ScenarioResult result;
   double offset = 0.0;  // global time = offset + sim->now() (graph rebuilds
                         // start a fresh engine clock)
-  std::uint64_t* obs_ops_applied = nullptr;
-  std::uint64_t* obs_samples = nullptr;
-  if (opts_.metrics != nullptr) {
-    obs_ops_applied = &opts_.metrics->counter(obs::names::kCheckOpsApplied);
-    obs_samples = &opts_.metrics->counter(obs::names::kCheckSamples);
-  }
+  std::uint64_t ops_applied = 0;
+  std::uint64_t resyncs = 0;  // ScenarioResult carries evictions and rejoins
   std::string checkpoint;
   // Thm 4.1 bookkeeping: the state is "consistent" (a sub-solution of the
   // current graph's operator, so ranks grow monotonically) until a crash;
@@ -230,7 +235,7 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   // snapshot's own ranks.
   std::uint64_t serve_last_epoch = 0;
   const auto serve_probe = [&] {
-    if (!s.serve || result.violations.size() >= opts_.max_violations) return;
+    if (!s.serve || result.violations.size() >= kMaxViolations) return;
     const double t = offset + sim->now();
     const std::shared_ptr<const serve::RankSnapshot> snap = serve_store.acquire();
     if (snap == nullptr) {
@@ -269,7 +274,7 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   std::vector<std::uint64_t> recover_epochs;
   const auto recovery_probe = [&] {
     if (supervisor == nullptr ||
-        result.violations.size() >= opts_.max_violations) {
+        result.violations.size() >= kMaxViolations) {
       return;
     }
     const double t = offset + sim->now();
@@ -300,9 +305,9 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
 
   const auto advance_to = [&](double global_t) {
     while (offset + sim->now() + 1e-12 < global_t &&
-           result.violations.size() < opts_.max_violations) {
+           result.violations.size() < kMaxViolations) {
       const double next =
-          std::min(global_t, offset + sim->now() + opts_.sample_interval);
+          std::min(global_t, offset + sim->now() + kSampleInterval);
       const double interval = next - offset - sim->now();
       if (interval <= 0.0) break;  // fp guard: nothing left to simulate
       (void)sim->run(next - offset, interval);
@@ -311,7 +316,6 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
       serve_probe();
       recovery_probe();
       ++result.samples_checked;
-      if (obs_samples != nullptr) ++*obs_samples;
       if (opts_.tracer != nullptr) {
         opts_.tracer->instant(obs::names::kTraceSample, offset + sim->now(), 0,
                               {}, static_cast<double>(result.violations.size()));
@@ -320,9 +324,9 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   };
 
   for (const ScheduleOp& op : s.ops) {
-    if (result.violations.size() >= opts_.max_violations) break;
+    if (result.violations.size() >= kMaxViolations) break;
     advance_to(std::min(op.time, s.active_time));
-    if (obs_ops_applied != nullptr) ++*obs_ops_applied;
+    ++ops_applied;
     if (opts_.tracer != nullptr) {
       // Fault injections become trace instants on the target group's track,
       // so a trace shows *why* residuals moved, not just that they did.
@@ -350,8 +354,8 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
         sim->set_delivery_probability(std::clamp(op.value, 0.0, 1.0));
         break;
       case OpKind::kSetAckLoss:
-        // Negative mirrors the *base* data-channel probability (the
-        // engine's own convention for ack_delivery_probability).
+        // Negative mirrors the *base* data-channel probability, the value
+        // the engine's ack channel starts at.
         sim->set_ack_delivery_probability(
             op.value < 0.0 ? s.delivery_p : std::clamp(op.value, 0.0, 1.0));
         break;
@@ -473,7 +477,7 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
         sim.reset();      // references g
         g = std::move(delta.graph);
         assignment = std::move(new_assignment);
-        reference = engine::open_system_reference(g, opts_.alpha, pool_);
+        reference = engine::open_system_reference(g, kAlpha, pool_);
         if (opts_.break_skip_refresh) {
           eo.fault_skip_refresh_group = largest_group(assignment, s.k);
         }
@@ -501,6 +505,7 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
           // rejoin tallies roll up into the result before replacement.
           result.evictions += supervisor->evictions();
           result.rejoins += supervisor->rejoins();
+          resyncs += supervisor->resyncs();
           supervisor = std::make_unique<recover::RecoverySupervisor>(*sim, so);
           recover_epochs.clear();  // epochs re-root with the new supervisor
         }
@@ -517,7 +522,7 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
 
   // Loss-free, fault-free tail: every theorem-abiding configuration must
   // now converge to the centralized ranks.
-  if (result.violations.size() < opts_.max_violations) {
+  if (result.violations.size() < kMaxViolations) {
     sim->set_delivery_probability(1.0);
     sim->set_ack_delivery_probability(1.0);
     // Partitions and corruption are faults too: the tail heals the cut and
@@ -536,15 +541,15 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
     }
     const double deadline = offset + sim->now() + opts_.tail_max_time;
     double err = sim->relative_error_now();
-    while (err > opts_.tail_error_threshold &&
+    while (err > kTailErrorThreshold &&
            offset + sim->now() + 1e-12 < deadline &&
-           result.violations.size() < opts_.max_violations) {
-      advance_to(std::min(deadline, offset + sim->now() + opts_.sample_interval));
+           result.violations.size() < kMaxViolations) {
+      advance_to(std::min(deadline, offset + sim->now() + kSampleInterval));
       err = sim->relative_error_now();
     }
-    result.converged = err <= opts_.tail_error_threshold;
+    result.converged = err <= kTailErrorThreshold;
     result.final_error = err;
-    if (!result.converged && result.violations.size() < opts_.max_violations) {
+    if (!result.converged && result.violations.size() < kMaxViolations) {
       std::ostringstream detail;
       detail << "loss-free tail stuck at relative error " << err << " after "
              << opts_.tail_max_time << " extra time units";
@@ -564,6 +569,18 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   if (supervisor != nullptr) {
     result.evictions += supervisor->evictions();
     result.rejoins += supervisor->rejoins();
+    resyncs += supervisor->resyncs();
+  }
+  // The runner's own tallies reach the registry once, at the end of the run
+  // (the engines export theirs at their run boundaries).
+  if (opts_.metrics != nullptr) {
+    opts_.metrics->counter(obs::names::kCheckOpsApplied) += ops_applied;
+    opts_.metrics->counter(obs::names::kCheckSamples) += result.samples_checked;
+    if (supervisor != nullptr) {
+      opts_.metrics->counter(obs::names::kRecoverEvictions) += result.evictions;
+      opts_.metrics->counter(obs::names::kRecoverRejoins) += result.rejoins;
+      opts_.metrics->counter(obs::names::kRecoverResyncs) += resyncs;
+    }
   }
   return result;
 }

@@ -6,10 +6,11 @@
 // InvariantChecker audits every sample. Then the runner lifts every fault —
 // delivery probability back to 1, every paused group resumed — and demands
 // *eventual convergence*: the relative error against the centralized fixed
-// point must drop below tail_error_threshold within tail_max_time further
-// virtual time units (the asynchronous-iteration convergence guarantee for
-// loss-free tails). A run is clean iff no invariant fired and the tail
-// converged.
+// point must drop below 2e-6 within tail_max_time further virtual time
+// units (the asynchronous-iteration convergence guarantee for loss-free
+// tails). A run is clean iff no invariant fired and the tail converged.
+// Invariants are sampled every 2 virtual time units, a run stops after 4
+// violations, and every scenario ranks at α = 0.85.
 //
 // A mid-run kGraphUpdate rebuilds the engine on the mutated graph
 // (warm-started via carry_ranks) and recomputes the reference; from that
@@ -34,15 +35,9 @@ class Tracer;
 namespace p2prank::check {
 
 struct RunnerOptions {
-  /// Virtual time between invariant samples.
-  double sample_interval = 2.0;
-  /// Relative error the loss-free tail must reach...
-  double tail_error_threshold = 2e-6;
-  /// ...within this much virtual time past the active window.
+  /// Virtual time past the active window the loss-free tail gets to
+  /// converge.
   double tail_max_time = 4000.0;
-  /// Stop a run after this many violations (each sample adds at most one
-  /// violation per invariant kind, so a broken run terminates quickly).
-  std::size_t max_violations = 4;
   /// Chaos-harness self-test: deliberately break the engine (the largest
   /// group never refreshes X) — the checker MUST flag the run.
   bool break_skip_refresh = false;
@@ -56,11 +51,11 @@ struct RunnerOptions {
   /// with this on and off: the two paths must produce bitwise-identical
   /// results.
   bool full_graph_rebuild = false;
-  double alpha = 0.85;
   /// Optional observability sinks (DESIGN.md §11). Pure observation: a run
   /// with and without them produces bitwise-identical results. The runner
-  /// forwards both into the engine it builds and additionally records the
-  /// chaos schedule itself (fault ops as trace instants, op/sample counts).
+  /// forwards both into the engine it builds, traces the chaos schedule
+  /// (fault ops as trace instants), and at the end of the run adds its
+  /// op/sample counts and the supervisors' recovery tallies to `metrics`.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };

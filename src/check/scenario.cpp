@@ -299,6 +299,12 @@ Scenario Scenario::parse(std::istream& in) {
     throw std::runtime_error("Scenario::parse: " + what + " on line " +
                              std::to_string(line_no));
   };
+  // serialize() writes exactly the fields each line needs, so anything
+  // after them is not a trace it wrote (and to_text would drop it).
+  const auto reject_trailing = [&](std::istringstream& fields) {
+    std::string extra;
+    if (fields >> extra) fail("trailing token '" + extra + "'");
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -338,6 +344,7 @@ Scenario Scenario::parse(std::istream& in) {
         case OpKind::kRestoreCheckpoint:
         case OpKind::kHeal: break;
       }
+      reject_trailing(fields);
       s.ops.push_back(op);
       continue;
     }
@@ -401,6 +408,7 @@ Scenario Scenario::parse(std::istream& in) {
     } else {
       fail("unknown key '" + key + "'");
     }
+    reject_trailing(fields);
   }
   if (s.pages == 0 || s.k == 0) {
     throw std::runtime_error("Scenario::parse: incomplete trace (pages/k)");

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_set>
+#include <vector>
 
 namespace p2prank::engine {
 
@@ -53,6 +55,10 @@ LoadedRanks load_ranks(const graph::WebGraph& g, std::istream& in) {
   std::size_t line_no = 0;
   std::size_t entries = 0;
   std::size_t expected = 0;  // 0 = no v1 header seen (plain "url rank" file)
+  // save_ranks writes each URL once; a repeat would let the later line
+  // silently win (and count twice against the header).
+  std::vector<char> seen(g.num_pages(), 0);
+  std::unordered_set<std::string> seen_unmatched;
   constexpr std::string_view kHeader = "# p2prank checkpoint v1: ";
   while (std::getline(in, line)) {
     ++line_no;
@@ -79,8 +85,14 @@ LoadedRanks load_ranks(const graph::WebGraph& g, std::istream& in) {
                                std::to_string(line_no) +
                                " (must be finite and non-negative)");
     }
+    const auto p = g.find(url);
+    if (p ? seen[*p] != 0 : !seen_unmatched.insert(url).second) {
+      throw std::runtime_error("load_ranks: repeated url '" + url + "' on line " +
+                               std::to_string(line_no));
+    }
     ++entries;
-    if (const auto p = g.find(url)) {
+    if (p) {
+      seen[*p] = 1;
       loaded.ranks[*p] = rank;
       ++loaded.matched;
     } else {

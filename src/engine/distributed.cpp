@@ -14,20 +14,33 @@
 
 namespace p2prank::engine {
 
+namespace {
+
+/// One-way virtual-time delay of an ack (reliable mode).
+constexpr double kAckLatency = 0.1;
+/// Sweep cap of DPR1's per-step GroupPageRank solve; inner_epsilon is the
+/// stop rule that binds in practice.
+constexpr std::size_t kInnerMaxIterations = 500;
+
+}  // namespace
+
 EngineOptions DistributedRanking::validated(EngineOptions o) {
   // Field-naming messages: a chaos harness (or a config file) that produces
   // a bad option should learn *which* knob is bad, not just that one is.
   //
-  // Every EngineOptions/ReliabilityOptions field must be registered here —
-  // either with a range check or, when any value is valid, with an explicit
-  // note. tools/p2plint (rule `engine-options-registry`) fails the build
-  // when a new field is added without a decision in this function.
+  // Every EngineOptions field must be registered here — either with a range
+  // check or, when any value is valid, with an explicit note. tools/p2plint
+  // (rule `engine-options-registry`) fails the build when a new field is
+  // added without a decision in this function.
   //
   // Unconstrained fields:
   //   algorithm                — every enumerator is a valid algorithm
   //   overlay                  — nullptr = abstract channel; the constructor
   //                              checks num_nodes() >= k for non-null
   //   seed                     — any 64-bit seed
+  //   reliable                 — either value: false is the paper's
+  //                              fire-and-forget channel, true the whole
+  //                              reliable layer (DESIGN.md §8)
   //   fault_skip_refresh_group — any index; UINT32_MAX (default) = off, an
   //                              out-of-range index hits no group
   //   metrics                  — nullptr (default) = metrics off; any
@@ -41,9 +54,6 @@ EngineOptions DistributedRanking::validated(EngineOptions o) {
   }
   if (!(o.inner_epsilon > 0.0)) {
     throw std::invalid_argument("EngineOptions.inner_epsilon: must be > 0");
-  }
-  if (o.inner_max_iterations == 0) {
-    throw std::invalid_argument("EngineOptions.inner_max_iterations: must be >= 1");
   }
   for (const double e : o.personalization) {
     if (!(e >= 0.0) || !std::isfinite(e)) {
@@ -88,41 +98,6 @@ EngineOptions DistributedRanking::validated(EngineOptions o) {
     throw std::invalid_argument(
         "EngineOptions.worklist_epsilon: must be 0 (only exact mode exists)");
   }
-  auto& r = o.reliability;
-  if (r.retransmit) r.epochs = true;  // retransmission needs the dup filter
-  if (!(r.ack_latency >= 0.0)) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.ack_latency: must be >= 0");
-  }
-  if (!(r.ack_delivery_probability <= 1.0)) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.ack_delivery_probability: must be <= 1 "
-        "(negative mirrors delivery_probability)");
-  }
-  if (!(r.rto_initial > 0.0)) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.rto_initial: must be > 0");
-  }
-  if (!(r.rto_backoff >= 1.0)) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.rto_backoff: must be >= 1");
-  }
-  if (!(r.rto_max >= r.rto_initial)) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.rto_max: must be >= rto_initial");
-  }
-  if (!(r.rto_jitter >= 0.0)) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.rto_jitter: must be >= 0");
-  }
-  if (r.suspicion_after == 0) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.suspicion_after: must be >= 1");
-  }
-  if (!(r.suspect_decay >= 0.0 && r.suspect_decay <= 1.0)) {
-    throw std::invalid_argument(
-        "EngineOptions.reliability.suspect_decay: must be in [0,1]");
-  }
   return o;
 }
 
@@ -136,10 +111,7 @@ DistributedRanking::DistributedRanking(const graph::WebGraph& g,
       inbox_(k),
       waits_(opts_.t1, opts_.t2, k, opts_.seed ^ 0x5851f42d4c957f2dULL),
       loss_(opts_.delivery_probability, opts_.seed ^ 0x14057b7ef767814fULL),
-      ack_loss_(opts_.reliability.ack_delivery_probability < 0.0
-                    ? opts_.delivery_probability
-                    : opts_.reliability.ack_delivery_probability,
-                opts_.seed ^ 0x9e3779b97f4a7c15ULL),
+      ack_loss_(opts_.delivery_probability, opts_.seed ^ 0x9e3779b97f4a7c15ULL),
       fault_plane_(opts_.seed ^ 0x94d049bb133111ebULL),
       jitter_rng_(opts_.seed ^ 0xd1b54a32d192ed03ULL),
       latency_jitter_(opts_.latency_jitter) {
@@ -155,15 +127,7 @@ DistributedRanking::DistributedRanking(const graph::WebGraph& g,
     throw std::invalid_argument(
         "EngineOptions.overlay: fewer overlay nodes than the k ranker groups");
   }
-  if (opts_.reliability.epochs) {
-    transport::ReliableOptions ro;
-    ro.rto_initial = opts_.reliability.rto_initial;
-    ro.rto_backoff = opts_.reliability.rto_backoff;
-    ro.rto_max = opts_.reliability.rto_max;
-    ro.rto_jitter = opts_.reliability.rto_jitter;
-    ro.suspicion_after = opts_.reliability.suspicion_after;
-    reliable_.emplace(ro, opts_.seed ^ 0x2545f4914f6cdd1dULL);
-  }
+  if (opts_.reliable) reliable_.emplace(opts_.seed ^ 0x2545f4914f6cdd1dULL);
 
   build_groups(assignment);
   init_obs();
@@ -588,16 +552,16 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t dst,
                                     YSlice slice) {
   records_per_group_[src] += slice.record_count;
   if (obs_.slice_records != nullptr) obs_.slice_records->add(slice.record_count);
-  // Reliable exchange: stamp an epoch and buffer the payload if
-  // retransmission is on (a fresh send supersedes the pair's previous
-  // unacked slice — the buffer holds at most one slice per peer). Sends to a
+  // Reliable exchange: stamp an epoch and buffer the payload for
+  // retransmission (a fresh send supersedes the pair's previous unacked
+  // slice — the buffer holds at most one slice per peer). Sends to a
   // suspected peer still go out: they double as probes. The paper's
   // fire-and-forget channel ships epoch 0 and buffers nothing.
   const transport::Epoch epoch = reliable_ ? reliable_->begin_send(src, dst) : 0;
   auto payload = std::make_shared<YSlice>(std::move(slice));
-  if (opts_.reliability.retransmit) pending_payload_[pair_key(src, dst)] = payload;
+  if (opts_.reliable) pending_payload_[pair_key(src, dst)] = payload;
   transmit(src, dst, epoch, std::move(payload), /*retransmission=*/false);
-  if (opts_.reliability.retransmit) schedule_retransmit(src, dst, epoch);
+  if (opts_.reliable) schedule_retransmit(src, dst, epoch);
 }
 
 void DistributedRanking::transmit(std::uint32_t src, std::uint32_t dst,
@@ -614,7 +578,7 @@ void DistributedRanking::transmit(std::uint32_t src, std::uint32_t dst,
     ++tally_.messages_lost;
     return;
   }
-  if (opts_.send_threshold > 0.0 && !opts_.reliability.retransmit) {
+  if (opts_.send_threshold > 0.0 && !opts_.reliable) {
     // Without retransmission the loss draw above is the only delivery
     // knowledge; commit eagerly on it. (With retransmission the commit
     // happens on ack instead.)
@@ -638,7 +602,7 @@ void DistributedRanking::transmit(std::uint32_t src, std::uint32_t dst,
   auto arrive = [this, src, dst, epoch, payload = std::move(payload), gen] {
     if (gen != generation_) return;
     deliver(src, dst, epoch,
-            opts_.reliability.retransmit ? YSlice(*payload) : std::move(*payload));
+            opts_.reliable ? YSlice(*payload) : std::move(*payload));
   };
   if (delay <= 0.0) {
     arrive();
@@ -681,8 +645,7 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   const bool ack_pass_cut = fault_plane_.deliver(dst, src);
   if (!ack_pass_loss || !ack_pass_cut) return;
   const transport::Epoch value = reliable_->accepted_epoch(src, dst);
-  const double delay = opts_.reliability.ack_latency;
-  auto apply_ack = [this, src, dst, value] {
+  queue_.schedule_in(kAckLatency, [this, src, dst, value] {
     ++tally_.acks_delivered;
     if (reliable_->on_ack(src, dst, value)) {
       // Cleared the pending epoch: the buffered payload is now known
@@ -695,12 +658,7 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
         pending_payload_.erase(it);
       }
     }
-  };
-  if (delay <= 0.0) {
-    apply_ack();
-  } else {
-    queue_.schedule_in(delay, apply_ack);
-  }
+  });
 }
 
 bool DistributedRanking::frame_survives(std::uint32_t src, std::uint32_t dst,
@@ -756,14 +714,9 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t ds
     case transport::ReliableExchange::TimerVerdict::kParked:
       return;  // timer is dead; a newer send or an ack owns the pair now
     case transport::ReliableExchange::TimerVerdict::kSuspectNow:
-      // Failure detection tripped: park retransmits to dst (fresh sends
-      // still probe it) and optionally decay its share of our X so a dead
-      // peer's stale contribution fades instead of persisting forever.
-      // (suspect_decay = 1, the default, keeps the last value in force —
-      // the only setting under which Thm 4.1 survives a suspicion.)
-      if (opts_.reliability.suspect_decay < 1.0) {
-        groups_[src]->scale_received(dst, opts_.reliability.suspect_decay);
-      }
+      // Failure detection tripped: retransmits to dst park (fresh sends
+      // still probe it). The peer's last contribution to our X stays in
+      // force, which keeps Thm 4.1 monotonicity through a suspicion.
       return;
     case transport::ReliableExchange::TimerVerdict::kRetransmit:
       break;
@@ -830,8 +783,7 @@ void DistributedRanking::run_step(std::uint32_t group) {
   // Compute R.
   std::size_t sweeps = 1;
   if (dpr1) {
-    sweeps = pg.solve_to_convergence(opts_.inner_epsilon, opts_.inner_max_iterations,
-                                     pool_);
+    sweeps = pg.solve_to_convergence(opts_.inner_epsilon, kInnerMaxIterations, pool_);
     if (obs_.inner_iterations != nullptr) obs_.inner_iterations->add(sweeps);
   } else {
     pg.sweep_once(pool_);

@@ -8,11 +8,11 @@
 // survives with probability p), then reschedule after an exponential wait.
 //
 // On top of the paper's fire-and-forget channel the engine can run the
-// reliable exchange layer (EngineOptions::reliability, src/transport/
+// reliable exchange layer (EngineOptions::reliable, src/transport/
 // reliable.hpp): epoch-stamped Y slices so jitter-reordered stale slices
 // are rejected instead of clobbering newer X entries, ack/retransmit with
 // exponential backoff for lossy channels, and suspicion-based failure
-// detection with optional graceful decay of a dead peer's contribution.
+// detection that parks retransmits to a silent peer.
 // Ranker churn (leave_group / join_group) hands pages between rankers
 // through the checkpoint state-transfer path while in-flight slices from
 // the old wiring are dropped via a churn generation stamp.
@@ -45,7 +45,7 @@ class DistributedRanking {
   /// `assignment[p]` = group of page p, values in [0, k). Groups may be
   /// empty (they then simply never run). The graph must outlive this
   /// object. Throws std::invalid_argument with a field-naming message for
-  /// invalid EngineOptions (negative latencies/jitter/backoff,
+  /// invalid EngineOptions (negative latencies/jitter,
   /// delivery_probability outside [0,1], overlay smaller than k, ...).
   DistributedRanking(const graph::WebGraph& g,
                      std::span<const std::uint32_t> assignment, std::uint32_t k,
@@ -175,7 +175,8 @@ class DistributedRanking {
   }
 
   /// Change the ack-channel delivery probability (reliable mode; no effect
-  /// otherwise). Chaos-harness ack-loss bursts.
+  /// otherwise). It starts at delivery_probability; the chaos harness sets
+  /// it for ack-only loss bursts. Leaves the ack channel's RNG stream alone.
   void set_ack_delivery_probability(double p) { ack_loss_.set_probability(p); }
 
   /// Change the per-message delivery-latency jitter from now on (reorder

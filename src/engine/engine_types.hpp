@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <iterator>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
 #include "obs/metric_names.hpp"
 #include "overlay/overlay.hpp"
 #include "transport/exchange.hpp"
-#include "transport/reliable.hpp"
 
 namespace p2prank::obs {
 class MetricsRegistry;
@@ -41,28 +41,49 @@ class RankSnapshotSink {
  public:
   virtual ~RankSnapshotSink() = default;
 
-  /// One consistent cut of the engine at virtual time `time`: the global
-  /// rank vector and the page → ranker-group ownership map, with group ids
-  /// in [0, num_shards). Called at construction, every snapshot_interval of
-  /// virtual time at loop-step boundaries, and after every warm start
-  /// (initial seeding, churn handoff, checkpoint restore) — so ownership
-  /// changes are republished promptly. The spans are valid only for the
-  /// duration of the call.
+  /// Dense form of publish_groups(): the global rank vector and the
+  /// page → shard map, with shard ids in [0, num_shards). Throws
+  /// std::invalid_argument, publishing nothing, when the two spans differ
+  /// in length or a shard id is out of range; otherwise forwards one cut
+  /// per shard to publish_groups() with ownership_version 0. The spans are
+  /// valid only for the duration of the call.
   virtual void publish(double time, std::span<const double> ranks,
                        std::span<const std::uint32_t> assignment,
-                       std::uint32_t num_shards) = 0;
+                       std::uint32_t num_shards) {
+    if (ranks.size() != assignment.size()) {
+      throw std::invalid_argument("RankSnapshotSink::publish: size mismatch");
+    }
+    std::vector<std::vector<std::uint32_t>> members(num_shards);
+    std::vector<std::vector<double>> shard_ranks(num_shards);
+    for (std::uint32_t page = 0; page < assignment.size(); ++page) {
+      const std::uint32_t sh = assignment[page];
+      if (sh >= num_shards) {
+        throw std::invalid_argument(
+            "RankSnapshotSink::publish: shard id >= num_shards");
+      }
+      members[sh].push_back(page);
+      shard_ranks[sh].push_back(ranks[page]);
+    }
+    std::vector<GroupCut> cuts(num_shards);
+    for (std::uint32_t sh = 0; sh < num_shards; ++sh) {
+      cuts[sh] = GroupCut{members[sh], shard_ranks[sh]};
+    }
+    publish_groups(time, cuts, static_cast<std::uint32_t>(ranks.size()),
+                   /*ownership_version=*/0);
+  }
 
-  /// Group-structured variant of publish(): one cut per ranker group, the
-  /// group's shard id being its position in `groups`. Members are
-  /// ascending global page ids (PageGroup's invariant) and groups
-  /// partition the owned pages; pages in no group (post-crash orphans)
-  /// read as unowned. This is the engine's publish path: handing the
+  /// One consistent cut of the engine at virtual time `time`, one entry per
+  /// ranker group, the group's shard id being its position in `groups`.
+  /// Members are ascending global page ids (PageGroup's invariant) and
+  /// groups partition the owned pages; pages in no group (post-crash
+  /// orphans) read as unowned. Called at construction, every
+  /// snapshot_interval of virtual time at loop-step boundaries, and after
+  /// every warm start (initial seeding, churn handoff, checkpoint restore)
+  /// — so ownership changes are republished promptly. Handing the
   /// per-group views straight through lets the sink scatter into its own
   /// storage exactly once instead of the engine materializing dense
-  /// vectors the sink would immediately re-copy and re-scan — the
-  /// difference between blowing and meeting the < 5% serving overhead
-  /// budget at 50k+ pages. Same validity contract as publish(): the spans
-  /// die when the call returns. Default: materialize and forward.
+  /// vectors the sink would immediately re-copy and re-scan. The spans die
+  /// when the call returns.
   ///
   /// `ownership_version` is a monotone counter the publisher bumps whenever
   /// the page → group map changes (0 = unknown). Ranks change every
@@ -72,18 +93,7 @@ class RankSnapshotSink {
   /// rewriting it.
   virtual void publish_groups(double time, std::span<const GroupCut> groups,
                               std::uint32_t num_pages,
-                              std::uint64_t ownership_version) {
-    static_cast<void>(ownership_version);  // the dense path always rebuilds
-    std::vector<double> ranks(num_pages, 0.0);
-    std::vector<std::uint32_t> assignment(num_pages, UINT32_MAX);
-    for (std::size_t sh = 0; sh < groups.size(); ++sh) {
-      for (std::size_t i = 0; i < groups[sh].members.size(); ++i) {
-        ranks[groups[sh].members[i]] = groups[sh].ranks[i];
-        assignment[groups[sh].members[i]] = static_cast<std::uint32_t>(sh);
-      }
-    }
-    publish(time, ranks, assignment, static_cast<std::uint32_t>(groups.size()));
-  }
+                              std::uint64_t ownership_version) = 0;
 
   /// Every previously published epoch is now a lie: a checkpoint restore
   /// rolled the engine back past it (the serving twin of drop_in_flight()'s
@@ -107,51 +117,12 @@ enum class Algorithm {
   kDPR2,
 };
 
-/// Reliable-exchange configuration (see src/transport/reliable.hpp and
-/// DESIGN.md §8 "Reliable exchange contract"). The paper ships Y slices
-/// fire-and-forget; these knobs add the reliability layer it hand-waves.
-struct ReliabilityOptions {
-  /// Stamp every Y slice with a per-(src,dst) epoch and reject stale
-  /// reordered slices at the receiver (counted in
-  /// EngineCounters::duplicates_rejected). Without this, jittered latency
-  /// lets a delayed older Y silently replace a newer X entry.
-  bool epochs = false;
-  /// Acknowledge delivered slices and retransmit unacked ones with
-  /// exponential backoff + jitter. Implies `epochs` (retransmission without
-  /// the duplicate filter would double-apply). Only the newest epoch per
-  /// peer is buffered/retransmitted — superseded slices are dropped, so the
-  /// buffer is O(1) per peer.
-  bool retransmit = false;
-  /// One-way virtual-time delay of an ack message.
-  double ack_latency = 0.1;
-  /// Delivery probability of acks. Negative = same as the data channel's
-  /// delivery_probability (the default); settable separately so the chaos
-  /// harness can inject ack-only loss.
-  double ack_delivery_probability = -1.0;
-  /// Retransmit timeout schedule: first timeout, multiplier per attempt,
-  /// cap, and multiplicative jitter (delay = rto * (1 + U[0, jitter))).
-  double rto_initial = 1.0;
-  double rto_backoff = 2.0;
-  double rto_max = 8.0;
-  double rto_jitter = 0.25;
-  /// Consecutive unacked retransmit timers before the peer is suspected
-  /// dead; a suspected peer's retransmits are parked (fresh sends still go
-  /// out and double as probes; any ack or received data un-suspects).
-  std::uint32_t suspicion_after = 4;
-  /// Graceful degradation: when a peer becomes suspected, scale its stored
-  /// contribution to this ranker's X by this factor (applied once per
-  /// suspicion event). 1 (default) keeps the last value in force — the only
-  /// setting under which Thm 4.1 monotonicity survives a suspicion.
-  double suspect_decay = 1.0;
-};
-
 struct EngineOptions {
   Algorithm algorithm = Algorithm::kDPR1;
   double alpha = 0.85;
 
   /// Inner-loop termination for DPR1's GroupPageRank call (L1 delta).
   double inner_epsilon = 1e-12;
-  std::size_t inner_max_iterations = 500;
 
   /// Probability a Y message actually reaches its destination (the paper's
   /// p, read as delivery probability).
@@ -169,13 +140,18 @@ struct EngineOptions {
 
   /// Additional per-message delivery delay drawn uniformly from
   /// [0, latency_jitter). Nonzero jitter reorders messages on the same
-  /// (src, dst) pair — exactly the hazard ReliabilityOptions::epochs
-  /// guards against. Applies on top of delivery_latency / overlay hops.
+  /// (src, dst) pair — exactly the hazard the reliable layer's epochs
+  /// guard against. Applies on top of delivery_latency / overlay hops.
   double latency_jitter = 0.0;
 
-  /// Reliable-exchange layer (epochs, ack/retransmit, failure detection).
-  /// Default-constructed = fire-and-forget, the paper's channel.
-  ReliabilityOptions reliability;
+  /// Reliable-exchange layer (src/transport/reliable.hpp, DESIGN.md §8),
+  /// all of it or none: per-(src,dst) epochs reject stale reordered slices,
+  /// cumulative acks ride their own lossy channel (it starts at
+  /// delivery_probability), the newest unacked slice per peer is
+  /// retransmitted on a fixed backoff schedule, and a peer that misses 4
+  /// timers in a row is suspected (its retransmits park; fresh sends still
+  /// probe it). false (default) = fire-and-forget, the paper's channel.
+  bool reliable = false;
 
   /// Full-stack mode: route every Y message over this overlay (ranker i
   /// lives on overlay node i; requires overlay->num_nodes() >= k). Delivery

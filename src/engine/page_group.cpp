@@ -168,24 +168,6 @@ void PageGroup::refresh_x(std::uint32_t source_group, const YSlice& slice) {
   }
 }
 
-void PageGroup::scale_received(std::uint32_t source_group, double factor) {
-  if (!(factor >= 0.0 && factor <= 1.0)) {
-    throw std::invalid_argument("PageGroup::scale_received: factor out of [0,1]");
-  }
-  const auto it = received_.find(source_group);
-  if (it == received_.end()) return;  // never heard from that peer
-  // p2plint: allow(no-unordered-iteration): distinct keys write distinct
-  // x_/forcing_ slots, so the per-entry updates commute bitwise.
-  for (auto& [local, value] : it->second) {
-    const double decayed = value * factor;
-    const double delta = decayed - value;
-    x_[local] += delta;
-    forcing_[local] += delta;
-    value = decayed;
-    if (delta != 0.0) wl_state_.mark_forcing_dirty(local);
-  }
-}
-
 PageGroup::WorklistCarry PageGroup::export_worklist_carry() const {
   WorklistCarry carry;
   if (!wl_state_.primed) return carry;

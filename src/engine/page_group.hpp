@@ -92,12 +92,6 @@ class PageGroup {
   /// when the last index is not a page of this group.
   void refresh_x(std::uint32_t source_group, const YSlice& slice);
 
-  /// Graceful degradation on suspected peer death: scale every stored X
-  /// contribution received from `source_group` by `factor` (in [0, 1]).
-  /// The next genuine slice from that peer supersedes the decayed values
-  /// entry-by-entry, exactly like any refresh.
-  void scale_received(std::uint32_t source_group, double factor);
-
   /// Frontier state of the worklist kernel every sweep runs (DESIGN.md §6):
   /// tallies of skipped/recomputed rows; for tests and benchmarks.
   [[nodiscard]] const rank::WorklistState& worklist_state() const noexcept {

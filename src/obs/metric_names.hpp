@@ -128,11 +128,6 @@ inline constexpr std::string_view kServeDegradedReads = "serve.degraded_reads";
 /// Queries that touched a shard marked unavailable by the supervisor.
 inline constexpr std::string_view kServeShardUnavailableReads =
     "serve.shard_unavailable_reads";
-/// Reads past the staleness bound that were NOT flagged — the degraded-
-/// serving contract says this is impossible; the counter is the machine
-/// check (must stay 0, audited externally to the flagging path).
-inline constexpr std::string_view kServeStaleBoundViolations =
-    "serve.stale_bound_violations";
 
 // --- trace event names ---------------------------------------------------
 inline constexpr std::string_view kTraceStep = "engine.step";

@@ -1,11 +1,19 @@
 #include "recover/supervisor.hpp"
 
 #include "obs/metric_names.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/snapshot.hpp"
 
 namespace p2prank::recover {
+
+namespace {
+
+/// Consecutive ticks a suspicion quorum must hold before eviction.
+constexpr std::uint32_t kEvictAfter = 2;
+/// Consecutive ticks of clean link probes before an evicted ranker rejoins.
+constexpr std::uint32_t kRejoinAfter = 2;
+
+}  // namespace
 
 RecoverySupervisor::RecoverySupervisor(engine::DistributedRanking& sim,
                                        SupervisorOptions opts)
@@ -17,11 +25,6 @@ RecoverySupervisor::RecoverySupervisor(engine::DistributedRanking& sim,
       probe_streak_(k_, 0),
       epochs_(k_, 0),
       ledger_(sim.current_assignment()) {
-  if (opts_.metrics != nullptr) {
-    evictions_cell_ = &opts_.metrics->counter(obs::names::kRecoverEvictions);
-    rejoins_cell_ = &opts_.metrics->counter(obs::names::kRecoverRejoins);
-    resyncs_cell_ = &opts_.metrics->counter(obs::names::kRecoverResyncs);
-  }
   if (opts_.serve_store != nullptr) {
     // A predecessor supervisor (pre-graph-update) may have left down-marks.
     for (std::uint32_t r = 0; r < k_; ++r) {
@@ -83,7 +86,6 @@ void RecoverySupervisor::evict(std::uint32_t r, std::uint32_t successor,
   probe_streak_[r] = 0;
   ++epochs_[r];
   ++evictions_;
-  if (evictions_cell_ != nullptr) ++*evictions_cell_;
   if (opts_.serve_store != nullptr) {
     opts_.serve_store->set_shard_health(r, false);
   }
@@ -132,7 +134,6 @@ void RecoverySupervisor::rejoin(std::uint32_t r, double now) {
   }
   readmit(r);
   ++rejoins_;
-  if (rejoins_cell_ != nullptr) ++*rejoins_cell_;
   trace("rejoin", now, r, static_cast<double>(donor));
 }
 
@@ -150,7 +151,7 @@ void RecoverySupervisor::tick(double now) {
     std::uint32_t successor = 0;
     if (eviction_quorum(r, successor)) {
       ++suspect_streak_[r];
-      if (!changed && suspect_streak_[r] >= opts_.evict_after) {
+      if (!changed && suspect_streak_[r] >= kEvictAfter) {
         evict(r, successor, now);
         changed = true;
       }
@@ -170,7 +171,7 @@ void RecoverySupervisor::tick(double now) {
     }
     if (probes_clean(r)) {
       ++probe_streak_[r];
-      if (!changed && probe_streak_[r] >= opts_.rejoin_after) {
+      if (!changed && probe_streak_[r] >= kRejoinAfter) {
         rejoin(r, now);
         changed = states_[r] == RankerState::kHealthy;
       }
@@ -188,7 +189,6 @@ void RecoverySupervisor::resync(double now) {
     }
   }
   ++resyncs_;
-  if (resyncs_cell_ != nullptr) ++*resyncs_cell_;
   trace("resync", now, 0, 0.0);
 }
 

@@ -12,8 +12,8 @@
 //                       detection, reliable.hpp). One noisy peer cannot
 //                       evict anyone; a partition that separates r from the
 //                       majority side can.
-//   eviction          — after evict_after consecutive quorum ticks, r's
-//                       pages are handed to a successor chosen *among the
+//   eviction          — after 2 consecutive quorum ticks, r's pages are
+//                       handed to a successor chosen *among the
 //                       suspecters* (the majority side of the cut — they can
 //                       reach each other, so the handoff is serviceable):
 //                       the suspecter owning the most pages, lowest index on
@@ -22,12 +22,12 @@
 //                       the minority) blocks the eviction. At most one
 //                       membership change per tick keeps decisions serial
 //                       and replayable.
-//   rejoin            — an evicted ranker is readmitted after rejoin_after
-//                       consecutive ticks in which the deterministic link
-//                       probe (FaultPlane::link_up) reports both directions
-//                       clean to every page-owning ranker. It re-enters via
-//                       the overlay's join split, taking the upper half of
-//                       the largest live group's pages.
+//   rejoin            — an evicted ranker is readmitted after 2 consecutive
+//                       ticks in which the deterministic link probe
+//                       (FaultPlane::link_up) reports both directions clean
+//                       to every page-owning ranker. It re-enters via the
+//                       overlay's join split, taking the upper half of the
+//                       largest live group's pages.
 //
 // The supervisor mirrors every decision into its own page → owner *ledger*.
 // The ledger is the machine-checkable contract: the chaos runner compares
@@ -54,7 +54,6 @@
 #include "engine/distributed.hpp"
 
 namespace p2prank::obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace p2prank::obs
 
@@ -65,16 +64,14 @@ class SnapshotStore;
 namespace p2prank::recover {
 
 struct SupervisorOptions {
-  /// Consecutive ticks a suspicion quorum must hold before eviction.
-  std::uint32_t evict_after = 2;
-  /// Consecutive ticks of clean link probes before an evicted ranker rejoins.
-  std::uint32_t rejoin_after = 2;
   /// Harness self-test fault: "forget" the ledger update on rejoin. The
   /// runner's ledger cross-check MUST flag the run (scenario_fuzz --broken).
   bool break_rejoin_ledger = false;
   /// Optional sinks; pure observation except serve_store, which receives
-  /// shard-health marks (down at eviction, up at rejoin/resync).
-  obs::MetricsRegistry* metrics = nullptr;
+  /// shard-health marks (down at eviction, up at rejoin/resync). The
+  /// evictions(), rejoins() and resyncs() tallies are the caller's to
+  /// export (the chaos runner adds them to its registry at the end of a
+  /// run).
   obs::Tracer* tracer = nullptr;
   serve::SnapshotStore* serve_store = nullptr;
 };
@@ -146,9 +143,6 @@ class RecoverySupervisor {
   std::uint64_t evictions_ = 0;
   std::uint64_t rejoins_ = 0;
   std::uint64_t resyncs_ = 0;
-  std::uint64_t* evictions_cell_ = nullptr;
-  std::uint64_t* rejoins_cell_ = nullptr;
-  std::uint64_t* resyncs_cell_ = nullptr;
 };
 
 }  // namespace p2prank::recover

@@ -45,6 +45,12 @@ double ZipfSampler::probability(std::size_t i) const {
 
 namespace {
 
+/// Mean service time of a point-rank query.
+constexpr double kServicePoint = 0.002;
+/// Mean service time of a top-K query: base + per_entry · k.
+constexpr double kServiceTopkBase = 0.004;
+constexpr double kServiceTopkPerEntry = 0.0002;
+
 void validate(const LoadGenOptions& o, std::size_t num_pages) {
   const auto positive = [](double v) { return v > 0.0 && std::isfinite(v); };
   if (num_pages == 0) {
@@ -58,14 +64,6 @@ void validate(const LoadGenOptions& o, std::size_t num_pages) {
   }
   if (!positive(o.think_mean)) {
     throw std::invalid_argument("LoadGenOptions.think_mean: must be > 0");
-  }
-  if (!positive(o.service_point) || !positive(o.service_topk_base)) {
-    throw std::invalid_argument("LoadGenOptions.service_*: must be > 0");
-  }
-  if (!(o.service_topk_per_entry >= 0.0) ||
-      !std::isfinite(o.service_topk_per_entry)) {
-    throw std::invalid_argument(
-        "LoadGenOptions.service_topk_per_entry: must be >= 0 and finite");
   }
   if (!(o.topk_fraction >= 0.0 && o.topk_fraction <= 1.0)) {
     throw std::invalid_argument("LoadGenOptions.topk_fraction: must be in [0,1]");
@@ -133,8 +131,8 @@ void LoadGenerator::issue(std::uint32_t client) {
       checksum_ = fold(checksum_, e.page);
       checksum_ = fold(checksum_, double_bits(e.rank));
     }
-    service_mean = opts_.service_topk_base +
-                   opts_.service_topk_per_entry * static_cast<double>(opts_.top_k);
+    service_mean =
+        kServiceTopkBase + kServiceTopkPerEntry * static_cast<double>(opts_.top_k);
   } else {
     key = zipf_.sample(rng_);
     const PointResult r = server_.rank(static_cast<std::uint32_t>(key));
@@ -144,7 +142,7 @@ void LoadGenerator::issue(std::uint32_t client) {
     checksum_ = fold(checksum_, 0x20u);
     checksum_ = fold(checksum_, epoch);
     checksum_ = fold(checksum_, double_bits(r.rank));
-    service_mean = opts_.service_point;
+    service_mean = kServicePoint;
   }
   checksum_ = fold(checksum_, key);
 

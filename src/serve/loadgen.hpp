@@ -2,7 +2,8 @@
 // (DESIGN.md §12). Simulated clients live in virtual time on their own
 // sim::EventQueue: each client thinks (exponential), issues a point-rank or
 // top-K query against a SnapshotStore through a RankServer, waits for one
-// of `servers` service slots (FIFO), is serviced (exponential), and loops.
+// of `servers` service slots (FIFO), is serviced (exponential; mean 0.002
+// for a point query, 0.004 + 0.0002·K for a top-K one), and loops.
 // That makes throughput self-limiting — the closed-loop property — and the
 // whole run a pure function of (options, store contents at each acquire).
 //
@@ -53,11 +54,6 @@ struct LoadGenOptions {
   std::uint32_t servers = 4;
   /// Mean think time between a client's completion and its next issue.
   double think_mean = 1.0;
-  /// Mean service time of a point-rank query.
-  double service_point = 0.002;
-  /// Mean service time of a top-K query: base + per_entry * k.
-  double service_topk_base = 0.004;
-  double service_topk_per_entry = 0.0002;
   /// Probability a query is top-K (rest are point-rank).
   double topk_fraction = 0.2;
   /// K of every top-K query.

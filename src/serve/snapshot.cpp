@@ -13,15 +13,6 @@ namespace p2prank::serve {
 // ---------------------------------------------------------------------------
 // RankSnapshot
 
-void RankSnapshot::build(std::uint64_t epoch, double time,
-                         std::span<const double> ranks,
-                         std::span<const std::uint32_t> assignment,
-                         std::uint32_t num_shards, std::size_t capacity) {
-  ranks_.assign(ranks.begin(), ranks.end());
-  shard_of_.assign(assignment.begin(), assignment.end());
-  index(epoch, time, num_shards, capacity);
-}
-
 void RankSnapshot::build_groups(std::uint64_t epoch, double time,
                                 std::span<const engine::GroupCut> groups,
                                 std::uint32_t num_pages,
@@ -70,8 +61,11 @@ void RankSnapshot::build_groups(std::uint64_t epoch, double time,
   // Blocked k-way merge of the groups' ascending member lists: the dense
   // writes land inside one cache-resident window at a time instead of
   // striding the whole vector once per group, and the per-shard top-K
-  // admission (same threshold rule as build()'s scan) rides the same pass.
-  // The whole publish reads and writes each byte exactly once. Each
+  // admission rides the same pass. Once a shard's heap is full, a page must
+  // beat the worst retained rank to change the index; each shard's pages
+  // arrive in ascending id order, so a rank tie always loses to the earlier
+  // page and `rank <= admit` is an exact reject. The whole publish reads
+  // and writes each byte exactly once. Each
   // (group, block) slice end is found by binary search up front so the hot
   // loop carries a single trip count instead of a per-element bounds test.
   double* const dst_ranks = ranks_.data();
@@ -112,42 +106,6 @@ void RankSnapshot::build_groups(std::uint64_t epoch, double time,
       cursor_scratch_[sh] = stop;
       admit_scratch_[sh] = admit;
     }
-  }
-  for (ShardIndex& s : shards_) topk_finalize(s.top);
-}
-
-void RankSnapshot::index(std::uint64_t epoch, double time,
-                         std::uint32_t num_shards, std::size_t capacity) {
-  epoch_ = epoch;
-  time_ = time;
-  num_shards_ = num_shards;
-  capacity_ = capacity;
-  ownership_version_ = 0;  // dense build: shard_of_ provenance unknown
-
-  shards_.resize(num_shards);
-  for (ShardIndex& s : shards_) {
-    s.epoch = epoch;
-    s.pages = 0;
-    s.top.clear();  // keeps capacity — the buffer-reuse path allocates nothing
-  }
-  // Per-shard admission threshold: once a shard's heap is full, a page must
-  // beat the worst retained rank to change the index. Pages arrive in
-  // ascending id order, so a rank tie always loses to the earlier page —
-  // `rank <= threshold` is an exact reject, and the common case (page not
-  // in its shard's top-K) costs two loads and a compare instead of an
-  // out-of-line heap call. This keeps the publish cheap enough for the
-  // < 5% serving-overhead budget.
-  admit_scratch_.assign(
-      num_shards, capacity == 0 ? std::numeric_limits<double>::infinity()
-                                : -std::numeric_limits<double>::infinity());
-  for (std::uint32_t page = 0; page < shard_of_.size(); ++page) {
-    const std::uint32_t sh = shard_of_[page];
-    ShardIndex& s = shards_[sh];
-    ++s.pages;
-    const double rank = ranks_[page];
-    if (rank <= admit_scratch_[sh]) continue;
-    topk_offer(s.top, capacity_, TopKEntry{page, rank});
-    if (s.top.size() == capacity_) admit_scratch_[sh] = s.top.front().rank;
   }
   for (ShardIndex& s : shards_) topk_finalize(s.top);
 }
@@ -269,14 +227,6 @@ void SnapshotStore::commit() {
   last_slot_ = slot;
   ++next_epoch_;
   ++published_;
-}
-
-void SnapshotStore::publish(double time, std::span<const double> ranks,
-                            std::span<const std::uint32_t> assignment,
-                            std::uint32_t num_shards) {
-  next_buffer().build(next_epoch_, time, ranks, assignment, num_shards,
-                      capacity_);
-  commit();
 }
 
 void SnapshotStore::publish_groups(double time,

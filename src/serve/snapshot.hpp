@@ -55,8 +55,9 @@ struct ShardIndex {
 
 /// One immutable cut of the engine: global ranks, page → shard ownership,
 /// and per-shard top-K indexes, all stamped with one epoch. Construction
-/// happens only inside SnapshotStore::publish (simulation thread); after
-/// that every member is const-in-practice and safe to read concurrently.
+/// happens only inside SnapshotStore::publish_groups (simulation thread);
+/// after that every member is const-in-practice and safe to read
+/// concurrently.
 class RankSnapshot {
  public:
   RankSnapshot() = default;
@@ -100,26 +101,15 @@ class RankSnapshot {
  private:
   friend class SnapshotStore;
 
-  /// (Re)build this object in place, reusing vector capacity — the
-  /// double-buffer's reuse path goes through here.
-  void build(std::uint64_t epoch, double time, std::span<const double> ranks,
-             std::span<const std::uint32_t> assignment,
-             std::uint32_t num_shards, std::size_t capacity);
-
-  /// build() from per-group views (the engine's publish path): scatters and
-  /// indexes in one blocked pass, reading and writing each byte once — and
-  /// skipping the dense shard-map rewrite entirely when this buffer was
-  /// last built under the same nonzero ownership_version. Produces
-  /// bit-identical state to build() on the materialized vectors.
+  /// (Re)build this object in place from per-group views, reusing vector
+  /// capacity (the double buffer's reuse path): scatters and indexes in one
+  /// blocked pass, reading and writing each byte once — and skipping the
+  /// dense shard-map rewrite entirely when this buffer was last built under
+  /// the same nonzero ownership_version.
   void build_groups(std::uint64_t epoch, double time,
                     std::span<const engine::GroupCut> groups,
                     std::uint32_t num_pages, std::uint64_t ownership_version,
                     std::size_t capacity);
-
-  /// Shared tail of build(): stamp the header fields and rebuild the
-  /// per-shard top-K indexes from ranks_/shard_of_.
-  void index(std::uint64_t epoch, double time, std::uint32_t num_shards,
-             std::size_t capacity);
 
   std::uint64_t epoch_ = 0;
   double time_ = 0.0;
@@ -131,8 +121,8 @@ class RankSnapshot {
   /// Ownership version shard_of_ was last built under (0 = must rebuild).
   std::uint64_t ownership_version_ = 0;
   /// Per-shard admission thresholds and merge cursors, live only inside
-  /// build()/build_groups() — publisher scratch kept as members so the
-  /// buffer-reuse path allocates nothing.
+  /// build_groups() — publisher scratch kept as members so the buffer-reuse
+  /// path allocates nothing.
   std::vector<double> admit_scratch_;
   std::vector<std::size_t> cursor_scratch_;
 };
@@ -145,10 +135,8 @@ class SnapshotStore final : public engine::RankSnapshotSink {
   /// `top_k_capacity` is the per-shard index depth built at every publish.
   explicit SnapshotStore(std::size_t top_k_capacity = 16);
 
-  // RankSnapshotSink (simulation thread only).
-  void publish(double time, std::span<const double> ranks,
-               std::span<const std::uint32_t> assignment,
-               std::uint32_t num_shards) override;
+  // RankSnapshotSink (simulation thread only). The dense publish() is the
+  // base class's: it validates and forwards here.
   void publish_groups(double time, std::span<const engine::GroupCut> groups,
                       std::uint32_t num_pages,
                       std::uint64_t ownership_version) override;

@@ -1,28 +1,21 @@
 #include "transport/reliable.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace p2prank::transport {
 
-ReliableExchange::ReliableExchange(ReliableOptions opts, std::uint64_t seed)
-    : opts_(opts), rng_(seed) {
-  if (!(opts_.rto_initial > 0.0)) {
-    throw std::invalid_argument("ReliableOptions::rto_initial: must be > 0");
-  }
-  if (!(opts_.rto_backoff >= 1.0)) {
-    throw std::invalid_argument("ReliableOptions::rto_backoff: must be >= 1");
-  }
-  if (!(opts_.rto_max >= opts_.rto_initial)) {
-    throw std::invalid_argument("ReliableOptions::rto_max: must be >= rto_initial");
-  }
-  if (!(opts_.rto_jitter >= 0.0)) {
-    throw std::invalid_argument("ReliableOptions::rto_jitter: must be >= 0");
-  }
-  if (opts_.suspicion_after == 0) {
-    throw std::invalid_argument("ReliableOptions::suspicion_after: must be >= 1");
-  }
-}
+namespace {
+
+// The fixed timer schedule (DESIGN.md §8): delay = rto · U[1, 1 + jitter),
+// rto starting at 1 and doubling per retransmission. The RTO doubles only
+// on kRetransmit, which needs fewer than kSuspicionAfter strikes, so it
+// peaks at 1 · 2³ = 8 before the pair is suspected.
+constexpr double kRtoInitial = 1.0;
+constexpr double kRtoBackoff = 2.0;
+constexpr double kRtoJitter = 0.25;
+constexpr std::uint32_t kSuspicionAfter = 4;
+
+}  // namespace
 
 ReliableExchange::PairState& ReliableExchange::state(std::uint32_t src,
                                                      std::uint32_t dst) {
@@ -41,7 +34,7 @@ void ReliableExchange::clear_suspicion(PairState& st) {
     --suspected_pairs_;
   }
   st.attempts = 0;
-  st.rto = opts_.rto_initial;
+  st.rto = kRtoInitial;
 }
 
 void ReliableExchange::reset_transient(PairState& st) {
@@ -55,11 +48,11 @@ Epoch ReliableExchange::begin_send(std::uint32_t src, std::uint32_t dst) {
   if (st.pending == 0) {
     // Healthy pair (nothing outstanding): start from a fresh backoff.
     st.attempts = 0;
-    st.rto = opts_.rto_initial;
+    st.rto = kRtoInitial;
   }
   // A prior epoch is still unacked: keep the backed-off rto and strike
   // count. Resetting here let every fresh send restart the timer at
-  // rto_initial, so a long partition produced an unbounded retransmit
+  // the initial RTO, so a long partition produced an unbounded retransmit
   // storm at the minimum interval and suspicion could never trip.
   st.pending = epoch;  // supersedes any older unacked epoch
   return epoch;
@@ -67,9 +60,8 @@ Epoch ReliableExchange::begin_send(std::uint32_t src, std::uint32_t dst) {
 
 double ReliableExchange::timer_delay(std::uint32_t src, std::uint32_t dst) {
   PairState& st = state(src, dst);
-  const double rto = st.rto > 0.0 ? st.rto : opts_.rto_initial;
-  return rto * (1.0 + (opts_.rto_jitter > 0.0 ? rng_.uniform(0.0, opts_.rto_jitter)
-                                              : 0.0));
+  const double rto = st.rto > 0.0 ? st.rto : kRtoInitial;
+  return rto * (1.0 + rng_.uniform(0.0, kRtoJitter));
 }
 
 ReliableExchange::TimerVerdict ReliableExchange::on_timer(std::uint32_t src,
@@ -87,7 +79,7 @@ ReliableExchange::TimerVerdict ReliableExchange::on_timer(std::uint32_t src,
     // this timer dies either way (no kRetransmit, no rto advance).
     if (epoch <= st.acked || st.suspected) return TimerVerdict::kSuperseded;
     ++st.attempts;
-    if (st.attempts >= opts_.suspicion_after) {
+    if (st.attempts >= kSuspicionAfter) {
       st.suspected = true;
       ++suspected_pairs_;
       ++suspicion_events_;
@@ -104,13 +96,13 @@ ReliableExchange::TimerVerdict ReliableExchange::on_timer(std::uint32_t src,
   }
   if (st.suspected) return TimerVerdict::kParked;
   ++st.attempts;
-  if (st.attempts >= opts_.suspicion_after) {
+  if (st.attempts >= kSuspicionAfter) {
     st.suspected = true;
     ++suspected_pairs_;
     ++suspicion_events_;
     return TimerVerdict::kSuspectNow;
   }
-  st.rto = std::min(st.rto * opts_.rto_backoff, opts_.rto_max);
+  st.rto *= kRtoBackoff;
   return TimerVerdict::kRetransmit;
 }
 

@@ -24,17 +24,19 @@
 //    send supersedes the older (the superseded payload is dropped by the
 //    caller, so the retransmit buffer is O(1) per peer, O(K) per ranker).
 //    Acks are cumulative: an ack for epoch e clears any pending epoch <= e.
-//    Retransmit timers back off exponentially (rto_initial, x rto_backoff,
-//    capped at rto_max) with multiplicative jitter so retransmissions from
-//    many pairs do not synchronize.
+//    Retransmit timers back off exponentially (RTO 1, doubling per
+//    retransmission) with multiplicative jitter U[1, 1.25) so
+//    retransmissions from many pairs do not synchronize. The schedule is
+//    fixed: the 4th expired timer suspects the peer before a 4th doubling
+//    could happen, so the RTO never exceeds 8 and needs no cap.
 //
-//  * Failure detection. suspicion_after expired timers without an
-//    intervening ack mark the peer suspected; further retransmits for the
-//    pair are parked (fresh sends still go out and double as probes). A
-//    timer whose epoch was superseded by a newer fresh send still counts a
-//    strike when that epoch was never acked — otherwise a sender whose loop
-//    interval undercuts the rto would supersede every pending epoch before
-//    its timer fired and a hard partition could never trip suspicion. Any
+//  * Failure detection. 4 expired timers without an intervening ack mark
+//    the peer suspected; further retransmits for the pair are parked
+//    (fresh sends still go out and double as probes). A timer whose epoch
+//    was superseded by a newer fresh send still counts a strike when that
+//    epoch was never acked — otherwise a sender whose loop interval
+//    undercuts the rto would supersede every pending epoch before its timer
+//    fired and a hard partition could never trip suspicion. Any
 //    evidence of life — an ack, or data received *from* the peer — clears
 //    suspicion and resets the backoff, so a rebooted or un-partitioned peer
 //    resumes promptly. Data and ack traffic double as heartbeats: every ranker
@@ -53,14 +55,6 @@ namespace p2prank::transport {
 /// Per-pair send sequence number. 0 is reserved for "nothing yet".
 using Epoch = std::uint64_t;
 
-struct ReliableOptions {
-  double rto_initial = 1.0;   ///< first retransmit timeout (virtual time)
-  double rto_backoff = 2.0;   ///< multiplier per retransmission (>= 1)
-  double rto_max = 8.0;       ///< backoff cap
-  double rto_jitter = 0.25;   ///< timer delay is rto * (1 + U[0, jitter))
-  std::uint32_t suspicion_after = 4;  ///< missed-ack timers before suspicion
-};
-
 class ReliableExchange {
  public:
   /// What the caller should do when a retransmit timer fires.
@@ -69,11 +63,12 @@ class ReliableExchange {
     kSuperseded,  ///< a newer epoch replaced this one: timer is dead
     kAcked,       ///< the epoch was acked meanwhile: timer is dead
     kSuspectNow,  ///< this strike crossed the threshold: peer now suspected,
-                  ///< park retransmits (and optionally decay its X share)
+                  ///< park retransmits
     kParked,      ///< already suspected: keep parked
   };
 
-  ReliableExchange(ReliableOptions opts, std::uint64_t seed);
+  /// `seed` drives the timer jitter draws.
+  explicit ReliableExchange(std::uint64_t seed) : rng_(seed) {}
 
   // --- Sender side ---------------------------------------------------------
 
@@ -152,7 +147,7 @@ class ReliableExchange {
     Epoch pending = 0;        // sender: unacked epoch (0 = none)
     Epoch acked = 0;          // sender: cumulative ack high-water mark
     Epoch accepted = 0;       // receiver: accept high-water mark
-    double rto = 0.0;         // current timeout (0 = rto_initial not applied)
+    double rto = 0.0;         // current timeout (0 = never sent)
     std::uint32_t attempts = 0;
     bool suspected = false;
   };
@@ -169,7 +164,6 @@ class ReliableExchange {
   // to the simulation thread that owns the engine driving it. Nothing here
   // is locked; every mutable member below declares that explicitly. The
   // ThreadPool's fork-join workers must never be handed a reference.
-  ReliableOptions opts_;
   util::Rng rng_ P2P_EXTERNALLY_SYNCHRONIZED;  // jitter draws advance state
   std::unordered_map<std::uint64_t, PairState> pairs_ P2P_EXTERNALLY_SYNCHRONIZED;
   std::uint64_t duplicates_rejected_ P2P_EXTERNALLY_SYNCHRONIZED = 0;

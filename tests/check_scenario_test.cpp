@@ -205,6 +205,12 @@ TEST(Scenario, ParseTolerlatesCommentsAndRejectsGarbage) {
   EXPECT_THROW(Scenario::parse_text("pages banana\n"), std::runtime_error);
   EXPECT_THROW(Scenario::parse_text(s.to_text() + "op 1.0 frobnicate\n"),
                std::runtime_error);
+  // serialize() writes exactly the fields each line needs; a trailing token
+  // would otherwise be dropped silently (to_text could not reproduce it).
+  for (const char* line : {"pages 400 junk\n", "k 8 9\n", "op 1.5 crash 2 7\n"}) {
+    EXPECT_THROW(Scenario::parse_text(s.to_text() + line), std::runtime_error)
+        << line;
+  }
 }
 
 // The acceptance gate: every corpus scenario — crashes, pauses, loss bursts,

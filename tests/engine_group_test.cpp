@@ -204,14 +204,6 @@ class DenseTwin {
     }
   }
 
-  void scale_received(std::uint32_t source, double factor) {
-    for (auto& [local, value] : held_[source]) {
-      const double decayed = value * factor;
-      forcing_[local] += decayed - value;
-      value = decayed;
-    }
-  }
-
   void set_ranks(std::span<const double> ranks) {
     cur_.assign(ranks.begin(), ranks.end());
   }
@@ -331,10 +323,6 @@ void check_frontier_matches_dense_twin(std::size_t threads) {
   refresh(group, twin, 1, zeroed);
   sweeps(group, twin, 6, "entry landing at 0.0");
   solve(group, twin, 0.0, "fixed point after refresh");
-  group.scale_received(2, 0.5);
-  twin.scale_received(2, 0.5);
-  sweeps(group, twin, 6, "scale_received");
-  solve(group, twin, 1e-12, "solve after scale_received");
 
   std::vector<double> scaled(twin.ranks().begin(), twin.ranks().end());
   for (double& r : scaled) r *= 0.9;

@@ -63,7 +63,7 @@ std::vector<double>* ReliableFixture::reference_ = nullptr;
 // epoch filter rejects exactly those slices (counted in
 // EngineCounters::duplicates_rejected), restoring monotone growth under the
 // same channel.
-EngineOptions jittery_options(bool epochs) {
+EngineOptions jittery_options(bool reliable) {
   EngineOptions o;
   o.algorithm = Algorithm::kDPR2;
   o.alpha = kAlpha;
@@ -72,7 +72,7 @@ EngineOptions jittery_options(bool epochs) {
   o.delivery_latency = 0.2;
   o.latency_jitter = 4.0;  // >> inter-step wait: reorders are routine
   o.seed = 11;
-  o.reliability.epochs = epochs;
+  o.reliable = reliable;
   return o;
 }
 
@@ -151,44 +151,6 @@ TEST_F(ReliableFixture, OptionValidationNamesTheBadField) {
   o = base;
   o.send_threshold = -1.0;
   expect_invalid(o, "send_threshold");
-  o = base;
-  o.reliability.ack_latency = -1.0;
-  expect_invalid(o, "ack_latency");
-  o = base;
-  o.reliability.ack_delivery_probability = 1.5;
-  expect_invalid(o, "ack_delivery_probability");
-  o = base;
-  o.reliability.rto_initial = 0.0;
-  expect_invalid(o, "rto_initial");
-  o = base;
-  o.reliability.rto_backoff = 0.5;
-  expect_invalid(o, "rto_backoff");
-  o = base;
-  o.reliability.rto_max = 0.5;  // < rto_initial (1.0)
-  expect_invalid(o, "rto_max");
-  o = base;
-  o.reliability.rto_jitter = -1.0;
-  expect_invalid(o, "rto_jitter");
-  o = base;
-  o.reliability.suspicion_after = 0;
-  expect_invalid(o, "suspicion_after");
-  o = base;
-  o.reliability.suspect_decay = 2.0;
-  expect_invalid(o, "suspect_decay");
-}
-
-TEST_F(ReliableFixture, RetransmitImpliesEpochs) {
-  const auto a = assignment(4);
-  EngineOptions o;
-  o.alpha = kAlpha;
-  o.delivery_probability = 0.5;
-  o.reliability.retransmit = true;  // epochs left false on purpose
-  DistributedRanking sim(*graph_, a, 4, o, pool());
-  sim.set_reference(*reference_);
-  (void)sim.run(20.0, 5.0);
-  // The dup filter must be live: retransmits of delivered epochs land here.
-  EXPECT_GT(sim.counters().retransmissions, 0u);
-  EXPECT_EQ(sim.counters().zombie_retransmits, 0u);
 }
 
 // --- Satellite 3: lossy-channel convergence, reliable vs fire-and-forget -
@@ -201,7 +163,7 @@ EngineOptions lossy_options(bool reliable) {
   o.t1 = 1.0;
   o.t2 = 1.0;
   o.seed = 2024;
-  o.reliability.retransmit = reliable;
+  o.reliable = reliable;
   return o;
 }
 
@@ -244,7 +206,7 @@ TEST_F(ReliableFixture, CutAcksCountInPartitionDropsButNotMessagesLost) {
   const auto a = assignment(2);
   EngineOptions o;
   o.alpha = kAlpha;
-  o.reliability.retransmit = true;
+  o.reliable = true;
   DistributedRanking sim(*graph_, a, 2, o, pool());
   sim.set_reference(*reference_);
   sim.set_partition(/*side_a_mask=*/0b1, /*deliver_ab=*/1.0, /*deliver_ba=*/0.0);
@@ -263,7 +225,7 @@ TEST_F(ReliableFixture, LeaveAndJoinConservePagesAndRanks) {
   o.algorithm = Algorithm::kDPR2;
   o.alpha = kAlpha;
   o.seed = 5;
-  o.reliability.retransmit = true;
+  o.reliable = true;
   DistributedRanking sim(*graph_, a, 4, o, pool());
   sim.set_reference(*reference_);
   (void)sim.run(20.0, 5.0);
@@ -339,12 +301,9 @@ TEST(ReliableSuspicion, SilentPeerGetsSuspectedAndAcksRecoverIt) {
   o.t1 = 1.0;
   o.t2 = 1.0;
   o.seed = 3;
-  o.reliability.retransmit = true;
-  o.reliability.ack_delivery_probability = 0.0;  // acks never arrive
-  o.reliability.rto_initial = 0.5;
-  o.reliability.rto_max = 1.0;
-  o.reliability.suspicion_after = 2;
+  o.reliable = true;
   DistributedRanking sim(g, a, 2, o, pool());
+  sim.set_ack_delivery_probability(0.0);  // acks never arrive
   sim.set_reference(open_system_reference(g, kAlpha, pool()));
   (void)sim.run(5.0, 5.0);  // pair (0 -> 1) now holds an unacked epoch
   ASSERT_GT(sim.pending_retransmits(), 0u);

@@ -164,6 +164,17 @@ TEST(Checkpoint, RejectsMalformedLines) {
   const auto g = test::two_cycle();
   std::stringstream bad("s.edu/a notanumber\n");
   EXPECT_THROW((void)load_ranks(g, bad), std::runtime_error);
+  // save_ranks writes each URL once. A repeat would silently win over the
+  // first line, and here it even satisfies the header's count while
+  // leaving s.edu/b at 0.
+  std::stringstream repeated(
+      "# p2prank checkpoint v1: 2 pages\ns.edu/a 0.5\ns.edu/a 0.25\n");
+  try {
+    (void)load_ranks(g, repeated);
+    FAIL() << "repeated url accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Checkpoint, CommentsIgnored) {

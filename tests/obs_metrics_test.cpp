@@ -134,7 +134,7 @@ std::string engine_snapshot(std::size_t pool_threads, std::uint64_t trace_cap,
   engine::EngineOptions eo;
   eo.algorithm = engine::Algorithm::kDPR2;
   eo.delivery_probability = 0.9;
-  eo.reliability.retransmit = true;
+  eo.reliable = true;
   eo.seed = 77;
   eo.metrics = &metrics;
   eo.tracer = &tracer;
@@ -197,7 +197,7 @@ TEST(ObsDeterminism, AttachingSinksDoesNotChangeTheRun) {
   const auto run = [&](MetricsRegistry* m, Tracer* t) {
     engine::EngineOptions eo;
     eo.delivery_probability = 0.8;
-    eo.reliability.retransmit = true;
+    eo.reliable = true;
     eo.seed = 123;
     eo.metrics = m;
     eo.tracer = t;
@@ -234,11 +234,11 @@ std::pair<engine::EngineCounters, std::vector<std::uint64_t>> run_with_ack_proba
   util::ThreadPool pool(2);
   engine::EngineOptions eo;
   eo.delivery_probability = 1.0;
-  eo.reliability.retransmit = true;
-  eo.reliability.ack_delivery_probability = ack_p;
+  eo.reliable = true;
   eo.seed = 31;
   eo.metrics = metrics;
   engine::DistributedRanking sim(g, assignment, 4, eo, pool);
+  sim.set_ack_delivery_probability(ack_p);
   sim.set_reference(engine::open_system_reference(g, eo.alpha, pool));
   (void)sim.run(40.0);
   const auto per_group = sim.records_sent_per_group();

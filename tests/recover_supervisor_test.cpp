@@ -35,7 +35,7 @@ engine::EngineOptions reliable_options(std::uint64_t seed) {
   o.t1 = 0.5;
   o.t2 = 1.0;
   o.seed = seed;
-  o.reliability.retransmit = true;
+  o.reliable = true;
   return o;
 }
 
@@ -167,8 +167,8 @@ TEST(RecoverySupervisor, ResyncAdoptsScriptedChurn) {
 
 // --- Satellite: long-partition transport regression ---------------------
 //
-// Before the backoff fix, every fresh send reset the pair's rto to
-// rto_initial, so a long partition retransmitted at the minimum interval
+// Before the backoff fix, every fresh send reset the pair's rto to the
+// initial RTO, so a long partition retransmitted at the minimum interval
 // forever (a storm); and before the superseded-strike fix, those same fresh
 // sends kept any timer from ever striking, so suspicion could not trip and
 // the storm never even parked. Run >= 10k outer steps under a hard cut and
@@ -195,7 +195,7 @@ TEST(RecoverySupervisor, TenThousandStepPartitionIsBoundedAndDetected) {
   EXPECT_EQ(sim.counters().zombie_retransmits, 0u);
   // Suspicion parks the cut pairs' retransmits after a handful of strikes;
   // everything left is ordinary loss-free ack traffic. Pre-fix this was a
-  // storm at rto_initial cadence (tens of thousands).
+  // storm at the initial RTO's cadence (tens of thousands).
   EXPECT_LT(sim.counters().retransmissions, sim.counters().messages_sent / 10)
       << "retransmit volume looks like a storm";
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -184,6 +185,31 @@ TEST(ServeSnapshotStore, OwnershipVersionReuseKeepsShardMapExact) {
   expect_matches(store, assign_a, 7.0);
   publish_with(store, assign_b, 8.0, 0);
   expect_matches(store, assign_b, 8.0);
+}
+
+TEST(ServeSnapshotStore, DensePublishRejectsShardOutOfRange) {
+  // The dense publish validates its whole input before it forwards to
+  // publish_groups: a shard id past num_shards, or an assignment whose
+  // length differs from the ranks', throws and publishes nothing.
+  SnapshotStore store(4);
+  const std::vector<double> ranks = {0.1, 0.2, 0.3};
+  const std::vector<std::uint32_t> past_end = {0, 1, 7};
+  const std::vector<std::uint32_t> unowned = {0, UINT32_MAX, 1};
+  const std::vector<std::uint32_t> short_map = {0, 1};
+  EXPECT_THROW(store.publish(1.0, ranks, past_end, 2), std::invalid_argument);
+  EXPECT_THROW(store.publish(1.0, ranks, unowned, 2), std::invalid_argument);
+  EXPECT_THROW(store.publish(1.0, ranks, short_map, 2), std::invalid_argument);
+  EXPECT_EQ(store.latest_epoch(), 0u);
+  EXPECT_EQ(store.acquire(), nullptr);
+
+  const std::vector<std::uint32_t> valid = {0, 1, 1};
+  store.publish(2.0, ranks, valid, 2);
+  EXPECT_EQ(store.latest_epoch(), 1u);
+  const auto snap = store.acquire();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->shard_of(2), 1u);
+  EXPECT_EQ(snap->rank(2), 0.3);
+  EXPECT_EQ(snap->shard(1).pages, 2u);
 }
 
 TEST(ServeSnapshotStore, InvalidateMarksStaleButKeepsServing) {

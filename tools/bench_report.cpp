@@ -7,7 +7,7 @@
 // EXPERIMENTS.md "p sweep with retransmission"): it sweeps the delivery
 // probability p and, at each level, runs the SAME graph + seed to the
 // convergence threshold under both channel schemes — the paper's
-// fire-and-forget and the reliable exchange layer (epochs + retransmit) —
+// fire-and-forget and the reliable exchange layer (EngineOptions::reliable) —
 // and appends virtual convergence time plus the full message accounting
 // (retransmissions, acks, duplicate rejections, retransmit overhead) to
 // BENCH_reliability.json with schema "p2prank-reliability-bench-v1".
@@ -222,7 +222,7 @@ ReliabilityPoint run_reliability_point(const graph::WebGraph& g,
   eo.t1 = 4.0;
   eo.t2 = 4.0;
   eo.seed = opts.seed ^ 0xabcdef12345ULL;
-  eo.reliability.retransmit = reliable;  // implies epochs + failure detection
+  eo.reliable = reliable;  // epochs, acks, retransmission, failure detection
   engine::DistributedRanking sim(g, assignment, opts.k, eo, pool);
   sim.set_reference(reference);
   ReliabilityPoint point;
@@ -517,13 +517,6 @@ class TimingSink final : public engine::RankSnapshotSink {
  public:
   explicit TimingSink(engine::RankSnapshotSink& inner) : inner_(inner) {}
 
-  void publish(double time, std::span<const double> ranks,
-               std::span<const std::uint32_t> assignment,
-               std::uint32_t num_shards) override {
-    const auto t0 = Clock::now();
-    inner_.publish(time, ranks, assignment, num_shards);
-    record(t0);
-  }
   void publish_groups(double time, std::span<const engine::GroupCut> groups,
                       std::uint32_t num_pages,
                       std::uint64_t ownership_version) override {
@@ -844,7 +837,7 @@ int run_recovery_bench(const Options& opts) {
   eo.t1 = 0.5;
   eo.t2 = 1.0;
   eo.seed = opts.seed ^ 0x4ec04e4ULL;
-  eo.reliability.retransmit = true;
+  eo.reliable = true;
   serve::SnapshotStore store(/*top_k_capacity=*/16);
   eo.snapshot_sink = &store;
   eo.snapshot_interval = 4.0;
@@ -853,9 +846,7 @@ int run_recovery_bench(const Options& opts) {
 
   engine::DistributedRanking sim(g, assignment, opts.k, eo, pool);
   sim.set_reference(reference);
-  p2prank::obs::MetricsRegistry metrics;
   recover::SupervisorOptions so;
-  so.metrics = &metrics;
   so.serve_store = &store;
   recover::RecoverySupervisor sup(sim, so);
   serve::RankServer server(store);
@@ -937,10 +928,6 @@ int run_recovery_bench(const Options& opts) {
   // still reaches the reference fixed point.
   const engine::ConvergenceResult reconverge =
       sim.run_until_error(1e-6, sim.now() + 4000.0, 2.0);
-
-  serve::export_serve_metrics(store, server, metrics);
-  metrics.counter(p2prank::obs::names::kServeStaleBoundViolations) =
-      stale_bound_violations;
 
   std::size_t edges = 0;
   for (graph::PageId u = 0; u < g.num_pages(); ++u) edges += g.out_degree(u);

@@ -68,7 +68,8 @@ cmake --build --preset asan --target scenario_fuzz graph_builder_test \
   graph_io_test graph_updates_test streaming_builder_test rankmeter \
   obs_metrics_test util_bytes_test transport_frame_test transport_wire_test \
   rank_matrix_test engine_group_test engine_incremental_test engine_wiring_test \
-  -j"$(nproc)"
+  serve_snapshot_test serve_degraded_test engine_termination_checkpoint_test \
+  transport_reliable_test -j"$(nproc)"
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
 # WebGraph accessors (the old out_links(0) UB), loader reject paths, binary
@@ -100,6 +101,18 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_group_te
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_incremental_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_wiring_test "$@"
 echo "ASan: matrix and engine wiring suites clean"
+
+# Serving and state-transfer inputs (DESIGN.md §12): the dense publish
+# validates shard ids before it indexes per-shard state, the degraded-read
+# paths index shard health by id, checkpoint loading matches untrusted URL
+# lines against the graph, and the reliable layer's per-pair state is
+# driven directly by its schedule test.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/serve_snapshot_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/serve_degraded_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_termination_checkpoint_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/transport_reliable_test "$@"
+echo "ASan: serving, checkpoint and reliable-exchange suites clean"
+
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \

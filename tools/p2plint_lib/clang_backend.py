@@ -1,8 +1,8 @@
 """Optional clang AST backend.
 
 When clang++ is on PATH, declaration-layer facts for the registry rules
-(OpKind enumerators, EngineOptions/ReliabilityOptions fields, members of
-serialize/parse structs) are cross-checked against a real compiler AST
+(OpKind enumerators, EngineOptions fields, members of serialize/parse
+structs) are cross-checked against a real compiler AST
 (`clang++ -Xclang -ast-dump -ast-dump-filter=<decl>`): any enumerator or
 field the builtin parser missed is spliced into the IR, so macro tricks or
 exotic declaration syntax cannot hide a registry entry.
@@ -25,7 +25,7 @@ def clang_path():
 
 
 # Declarations worth a compiler's opinion: the registry/matrix inputs.
-_INTERESTING = ("OpKind", "EngineOptions", "ReliabilityOptions")
+_INTERESTING = ("OpKind", "EngineOptions")
 
 _ENUMERATOR_RE = re.compile(
     r"EnumConstantDecl\b.*?(?:<[^>]*>)?\s*"

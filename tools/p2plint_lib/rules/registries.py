@@ -105,11 +105,11 @@ def rule_scenario_op_matrix(f, ctx):
     return out
 
 
-_OPTIONS_STRUCTS = ("EngineOptions", "ReliabilityOptions")
+_OPTIONS_STRUCTS = ("EngineOptions",)
 
 
 def rule_engine_options_registry(f, ctx):
-    """Every EngineOptions / ReliabilityOptions field must be mentioned in
+    """Every EngineOptions field must be mentioned in
     DistributedRanking::validated() — with a range check, or a comment
     recording that any value is valid. New knobs require a decision, not a
     silent default. (Comment mentions count: registration is the point.)"""
