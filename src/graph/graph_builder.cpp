@@ -1,7 +1,6 @@
 #include "graph/graph_builder.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -49,23 +48,31 @@ SiteId GraphBuilder::intern_site(std::string_view site) {
   return id;
 }
 
+void GraphBuilder::check_page(PageId p) const {
+  if (p >= urls_.size()) {
+    throw std::out_of_range("GraphBuilder: page id " + std::to_string(p) +
+                            " was never interned");
+  }
+}
+
 void GraphBuilder::add_link(PageId from, PageId to) {
-  assert(from < urls_.size() && to < urls_.size());
-  links_.emplace_back(from, to);
+  check_page(from);
+  check_page(to);
+  links_.push_back({from, to});
 }
 
 void GraphBuilder::add_link_to_url(PageId from, std::string_view to_url) {
-  assert(from < urls_.size());
+  check_page(from);
   const auto it = url_to_page_.find(std::string(to_url));
   if (it != url_to_page_.end()) {
-    links_.emplace_back(from, it->second);
+    links_.push_back({from, it->second});
   } else {
     unresolved_links_.emplace_back(from, std::string(to_url));
   }
 }
 
 void GraphBuilder::add_external_link(PageId from, std::uint32_t count) {
-  assert(from < urls_.size());
+  check_page(from);
   if (count > std::numeric_limits<std::uint32_t>::max() - external_out_[from]) {
     throw std::overflow_error("GraphBuilder: external out-degree overflow at '" +
                               urls_[from] + "'");
@@ -84,63 +91,77 @@ WebGraph GraphBuilder::build() && {
   for (auto& [from, url] : unresolved_links_) {
     const auto it = url_to_page_.find(url);
     if (it != url_to_page_.end()) {
-      links_.emplace_back(from, it->second);
+      links_.push_back({from, it->second});
     } else {
-      // Deferred externals bypass add_external_link, so repeat its guard.
-      if (external_out_[from] == std::numeric_limits<std::uint32_t>::max()) {
-        throw std::overflow_error(
-            "GraphBuilder: external out-degree overflow at '" + urls_[from] + "'");
-      }
-      ++external_out_[from];
+      add_external_link(from);
     }
   }
   unresolved_links_.clear();
 
-  // Canonical form (web_graph.hpp): rows sorted by (from, to), so
-  // splice/streaming paths can reproduce these arrays bitwise.
-  std::sort(links_.begin(), links_.end());
+  std::vector<Edge> links;
+  links.swap(links_);
+  return std::move(*this).build_from_stream(
+      [&links](const ChunkSink& sink) { sink(links); });
+}
 
+WebGraph GraphBuilder::build_from_stream(const EdgeSource& source) && {
+  if (!links_.empty() || !unresolved_links_.empty()) {
+    throw std::logic_error("GraphBuilder: build_from_stream with buffered links");
+  }
   const std::size_t n = urls_.size();
   WebGraph g;
-  g.table_ = WebGraph::make_table(std::move(urls_), std::move(site_names_),
-                                  std::move(page_sites_));
+
+  // Pass 1: per-source degree counts size the out-CSR exactly.
+  g.out_offsets_.assign(n + 1, 0);
+  source([&](std::span<const Edge> chunk) {
+    for (const Edge& e : chunk) {
+      if (e.from >= n || e.to >= n) {
+        throw std::out_of_range("GraphBuilder: edge endpoint not interned");
+      }
+      ++g.out_offsets_[e.from + 1];
+    }
+  });
+  for (std::size_t i = 0; i < n; ++i) g.out_offsets_[i + 1] += g.out_offsets_[i];
+  g.out_targets_.resize(g.out_offsets_[n]);
+
+  // Pass 2: scatter targets into their rows.
+  {
+    std::vector<std::uint64_t> cursor(g.out_offsets_.begin(),
+                                      g.out_offsets_.end() - 1);
+    source([&](std::span<const Edge> chunk) {
+      for (const Edge& e : chunk) {
+        if (e.from >= n || e.to >= n) {
+          throw std::out_of_range("GraphBuilder: edge endpoint not interned");
+        }
+        if (cursor[e.from] >= g.out_offsets_[e.from + 1]) {
+          throw std::logic_error("GraphBuilder: edge source replay mismatch at '" +
+                                 urls_[e.from] + "'");
+        }
+        g.out_targets_[cursor[e.from]++] = e.to;
+      }
+    });
+    for (PageId u = 0; u < n; ++u) {
+      if (cursor[u] != g.out_offsets_[u + 1]) {
+        throw std::logic_error("GraphBuilder: edge source replay mismatch at '" +
+                               urls_[u] + "'");
+      }
+    }
+  }
+
+  // Canonical form (web_graph.hpp): sort each out-row, then derive the
+  // in-rows from the sorted out-rows.
+  for (PageId u = 0; u < n; ++u) {
+    std::sort(g.out_targets_.begin() + static_cast<std::ptrdiff_t>(g.out_offsets_[u]),
+              g.out_targets_.begin() +
+                  static_cast<std::ptrdiff_t>(g.out_offsets_[u + 1]));
+  }
+  g.derive_in_rows();
+
+  // Externals are read last: a source may tally them during a replay.
   g.external_out_ = std::move(external_out_);
   for (const auto e : g.external_out_) g.total_external_ += e;
-
-  // Out CSR: links_ is sorted by source already, so a counting scatter
-  // preserves per-row target order.
-  g.out_offsets_.assign(n + 1, 0);
-  for (const auto& [from, to] : links_) {
-    (void)to;
-    ++g.out_offsets_[from + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) g.out_offsets_[i + 1] += g.out_offsets_[i];
-  g.out_targets_.resize(links_.size());
-  {
-    std::vector<std::uint64_t> cursor(g.out_offsets_.begin(), g.out_offsets_.end() - 1);
-    for (const auto& [from, to] : links_) {
-      g.out_targets_[cursor[from]++] = to;
-    }
-  }
-
-  // In CSR via counting sort on target; scanning links_ in (from, to) order
-  // leaves each in-row's sources ascending.
-  g.in_offsets_.assign(n + 1, 0);
-  for (const auto& [from, to] : links_) {
-    (void)from;
-    ++g.in_offsets_[to + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) g.in_offsets_[i + 1] += g.in_offsets_[i];
-  g.in_sources_.resize(links_.size());
-  {
-    std::vector<std::uint64_t> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
-    for (const auto& [from, to] : links_) {
-      g.in_sources_[cursor[to]++] = from;
-    }
-  }
-  links_.clear();
-  links_.shrink_to_fit();
-
+  g.table_ = WebGraph::make_table(std::move(urls_), std::move(site_names_),
+                                  std::move(page_sites_));
   return g;
 }
 

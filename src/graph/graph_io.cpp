@@ -270,7 +270,6 @@ class GraphBinaryIo {
     expect_fits(r, m, 1, "link");
     g.out_offsets_.assign(n + 1, 0);
     g.out_targets_.reserve(m);
-    g.in_offsets_.assign(n + 1, 0);
     for (std::uint64_t p = 0; p < n; ++p) {
       const std::uint64_t degree = need(r.varint());
       PageId prev = 0;
@@ -282,7 +281,6 @@ class GraphBinaryIo {
         }
         prev += static_cast<PageId>(gap);
         g.out_targets_.push_back(prev);
-        ++g.in_offsets_[prev + 1];
       }
       g.out_offsets_[p + 1] = g.out_targets_.size();
     }
@@ -293,20 +291,9 @@ class GraphBinaryIo {
       throw std::runtime_error("load_graph_binary: trailing bytes");
     }
 
-    // In-CSR derived exactly as the builders do: ascending-source scan over
-    // the (already canonical) out rows.
-    for (std::uint64_t i = 0; i < n; ++i) g.in_offsets_[i + 1] += g.in_offsets_[i];
-    g.in_sources_.resize(m);
-    {
-      std::vector<std::uint64_t> cursor(g.in_offsets_.begin(),
-                                        g.in_offsets_.end() - 1);
-      for (PageId u = 0; u < n; ++u) {
-        for (std::uint64_t k = g.out_offsets_[u]; k < g.out_offsets_[u + 1]; ++k) {
-          g.in_sources_[cursor[g.out_targets_[k]]++] = u;
-        }
-      }
-    }
-
+    // The out rows are already canonical; derive the in-rows as the builder
+    // does.
+    g.derive_in_rows();
     g.table_ = WebGraph::make_table(std::move(urls), std::move(site_names),
                                     std::move(sites));
     return g;

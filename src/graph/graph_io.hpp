@@ -41,7 +41,9 @@ void save_graph_binary(const WebGraph& g, std::ostream& out);
 void save_graph_binary_file(const WebGraph& g, const std::string& path);
 
 /// Parse the binary CSR format. Throws std::runtime_error on a bad magic,
-/// truncated stream, or CSR that violates the canonical-form invariants.
+/// truncated stream, CSR that violates the canonical-form invariants, or a
+/// page table that repeats a URL or a site name (which find(), the text
+/// format and checkpoints could not tell apart).
 [[nodiscard]] WebGraph load_graph_binary(std::istream& in);
 [[nodiscard]] WebGraph load_graph_binary_file(const std::string& path);
 

@@ -1,14 +1,12 @@
 #include "graph/synthetic_web.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/graph_builder.hpp"
-#include "graph/streaming_builder.hpp"
 #include "util/rng.hpp"
 
 namespace p2prank::graph {
@@ -46,7 +44,7 @@ std::string url_of(const std::string& site_name, std::uint32_t j) {
 // --- Site universes -------------------------------------------------------
 // Sample relative site sizes from a power law, then scale so that the
 // crawled total lands near target_pages. Consumes cfg.num_sites draws from
-// `rng`; the streamed path replays this to restore the RNG stream position
+// `rng`; each edge replay repeats this to restore the RNG stream position
 // before re-emitting links.
 std::vector<std::uint32_t> draw_site_sizes(const SyntheticWebConfig& cfg,
                                            util::Rng& rng) {
@@ -96,7 +94,7 @@ double degree_scale(const SyntheticWebConfig& cfg) {
 //      pages), producing the heavy in-degree tail of the real web.
 // Uncrawled targets become external links. `rng` continues the stream that
 // draw_site_sizes started; the PageId of crawled index (s, j) is
-// page_prefix[s] + j because both builders intern pages in that order.
+// page_prefix[s] + j because the builder interns pages in that order.
 template <typename LinkFn, typename ExtFn>
 void emit_links(const SyntheticWebConfig& cfg,
                 const std::vector<std::uint32_t>& crawled_size,
@@ -159,38 +157,12 @@ SyntheticWebConfig google2002_config(std::uint32_t pages, std::uint64_t seed) {
 
 WebGraph generate_synthetic_web(const SyntheticWebConfig& cfg) {
   validate(cfg);
-  util::Rng rng(cfg.seed);
-  const auto crawled_size = draw_site_sizes(cfg, rng);
-  const auto page_prefix = prefix_of(crawled_size);
-  const std::uint32_t sites = cfg.num_sites;
-
-  GraphBuilder builder;
-  for (std::uint32_t s = 0; s < sites; ++s) {
-    const std::string site_name = site_name_of(s);
-    for (std::uint32_t j = 0; j < crawled_size[s]; ++j) {
-      const PageId id = builder.add_page(url_of(site_name, j), site_name);
-      assert(id == page_prefix[s] + j);
-      (void)id;
-    }
-  }
-
-  const double deg_scale = degree_scale(cfg);
-  emit_links(
-      cfg, crawled_size, page_prefix, deg_scale, rng,
-      [&](PageId from, PageId to) { builder.add_link(from, to); },
-      [&](PageId from) { builder.add_external_link(from); });
-
-  return std::move(builder).build();
-}
-
-WebGraph generate_synthetic_web_streamed(const SyntheticWebConfig& cfg) {
-  validate(cfg);
   util::Rng size_rng(cfg.seed);
   const auto crawled_size = draw_site_sizes(cfg, size_rng);
   const auto page_prefix = prefix_of(crawled_size);
   const std::uint32_t sites = cfg.num_sites;
 
-  StreamingGraphBuilder builder;
+  GraphBuilder builder;
   for (std::uint32_t s = 0; s < sites; ++s) {
     const std::string site_name = site_name_of(s);
     for (std::uint32_t j = 0; j < crawled_size[s]; ++j) {
@@ -201,13 +173,13 @@ WebGraph generate_synthetic_web_streamed(const SyntheticWebConfig& cfg) {
   const double deg_scale = degree_scale(cfg);
   constexpr std::size_t kChunk = 1 << 16;
   int replay = 0;
-  auto source = [&](const StreamingGraphBuilder::ChunkSink& sink) {
+  auto source = [&](const GraphBuilder::ChunkSink& sink) {
     // Each replay re-seeds and re-draws the site sizes so the link stream
-    // picks up at the same RNG position as the buffered generator.
+    // picks up at the same RNG position every time.
     util::Rng rng(cfg.seed);
     (void)draw_site_sizes(cfg, rng);
     const bool tally_externals = replay++ == 0;
-    std::vector<StreamingGraphBuilder::Edge> chunk;
+    std::vector<GraphBuilder::Edge> chunk;
     chunk.reserve(kChunk);
     emit_links(
         cfg, crawled_size, page_prefix, deg_scale, rng,
@@ -220,12 +192,16 @@ WebGraph generate_synthetic_web_streamed(const SyntheticWebConfig& cfg) {
         },
         [&](PageId from) {
           // External tallies accumulate during the first replay only (the
-          // builder accepts them mid-stream; see add_external_links).
-          if (tally_externals) builder.add_external_links(from, 1);
+          // builder reads them after the last; see add_external_link).
+          if (tally_externals) builder.add_external_link(from);
         });
     if (!chunk.empty()) sink(chunk);
   };
   return std::move(builder).build_from_stream(source);
+}
+
+WebGraph generate_synthetic_web_streamed(const SyntheticWebConfig& cfg) {
+  return generate_synthetic_web(cfg);
 }
 
 }  // namespace p2prank::graph

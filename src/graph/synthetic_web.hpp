@@ -59,16 +59,13 @@ struct SyntheticWebConfig {
 [[nodiscard]] SyntheticWebConfig google2002_config(std::uint32_t pages = 100'000,
                                                    std::uint64_t seed = 42);
 
-/// Generate a crawl. Deterministic in cfg.seed.
+/// Generate a crawl. Deterministic in cfg.seed. Links are regenerated
+/// chunk by chunk on each of GraphBuilder::build_from_stream's two replays
+/// instead of being buffered, so peak memory is the CSR plus one chunk
+/// rather than the whole edge list, at any scale.
 [[nodiscard]] WebGraph generate_synthetic_web(const SyntheticWebConfig& cfg);
 
-/// Same crawl, built through StreamingGraphBuilder: links are regenerated
-/// chunk-by-chunk on each counting/scatter pass instead of being buffered,
-/// so peak memory is one chunk rather than the whole edge list. Produces a
-/// WebGraph whose CSR arrays are bitwise-identical to
-/// generate_synthetic_web(cfg) — both paths draw from the same RNG stream
-/// and land in the canonical sorted form (locked by test). Use this for the
-/// multi-million-page scale benches.
+/// The same call under its former name, kept for perfbench's `gen`.
 [[nodiscard]] WebGraph generate_synthetic_web_streamed(const SyntheticWebConfig& cfg);
 
 }  // namespace p2prank::graph

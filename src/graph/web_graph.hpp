@@ -18,10 +18,10 @@
 // ascending target order (duplicates adjacent), and the in-link rows —
 // derived from the sorted out rows — in ascending source order. Two graphs
 // with the same link multiset therefore have bitwise-identical CSR arrays
-// no matter how they were built (GraphBuilder, StreamingGraphBuilder, the
-// incremental splice of apply_updates, or the binary loader), which is what
-// lets the incremental update path promise bitwise-identical rank vectors
-// (DESIGN.md §14).
+// no matter how they were built (GraphBuilder from buffered or streamed
+// edges, the incremental splice of apply_updates, or the binary loader),
+// which is what lets the incremental update path promise bitwise-identical
+// rank vectors (DESIGN.md §14).
 //
 // The page-identity state (URLs, sites, the site→pages CSR, the URL index)
 // lives in an immutable PageTable shared via shared_ptr: an incremental
@@ -47,7 +47,6 @@ inline constexpr PageId kInvalidPage = static_cast<PageId>(-1);
 inline constexpr SiteId kInvalidSite = static_cast<SiteId>(-1);
 
 class GraphBuilder;
-class StreamingGraphBuilder;
 class GraphSplicer;
 class GraphBinaryIo;
 
@@ -137,7 +136,6 @@ class WebGraph {
 
  private:
   friend class GraphBuilder;
-  friend class StreamingGraphBuilder;
   friend class GraphSplicer;
   friend class GraphBinaryIo;
 
@@ -154,11 +152,19 @@ class WebGraph {
   };
 
   /// Derive the site→pages CSR and URL index and freeze the identity state.
-  /// Shared by every construction path (GraphBuilder, StreamingGraphBuilder,
-  /// the binary loader).
+  /// Shared by every construction path (GraphBuilder, the splicer, the
+  /// binary loader). Throws std::runtime_error naming a repeated URL or
+  /// site name: find(), the text format and checkpoints identify pages and
+  /// sites by name, so a repeat could not round-trip.
   static std::shared_ptr<const PageTable> make_table(
       std::vector<std::string> urls, std::vector<std::string> site_names,
       std::vector<SiteId> sites);
+
+  /// Derive the in-CSR from the sorted out-rows (out_offsets_ sized n+1):
+  /// an ascending-source scan leaves every in-row ascending. Shared by
+  /// GraphBuilder and the binary loader; only the splicer patches in-rows
+  /// itself.
+  void derive_in_rows();
 
   std::shared_ptr<const PageTable> table_;
   std::vector<std::uint64_t> out_offsets_;  // size n+1

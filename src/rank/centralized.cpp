@@ -32,13 +32,11 @@ SolveResult centralized_pagerank(const graph::WebGraph& g,
     for (std::size_t i = 0; i < n; ++i) e[i] = personalization[i] / sum;
   }
 
-  // Precompute c / d(u); see CentralizedOptions::count_external_links for
-  // which degree d(u) is.
+  // Precompute c / d(u). Algorithm 1 builds its matrix from the crawled
+  // collection only, so d(u) counts links *within* the crawl.
   std::vector<double> push_weight(n, 0.0);
   for (graph::PageId u = 0; u < n; ++u) {
-    const auto d = opts.count_external_links
-                       ? static_cast<std::size_t>(g.out_degree(u))
-                       : g.out_links(u).size();
+    const std::size_t d = g.out_links(u).size();
     if (d > 0) push_weight[u] = opts.damping / static_cast<double>(d);
   }
 

@@ -19,12 +19,6 @@ struct CentralizedOptions {
   double epsilon = 1e-10;
   std::size_t max_iterations = 1000;
   bool record_residuals = false;
-  /// Algorithm 1 builds its matrix from the crawled collection only, so the
-  /// classic d(u) counts links *within* the crawl (false, the default). Set
-  /// true to divide by the full out-degree including uncrawled targets —
-  /// the share pointing outside then joins the lost norm D and is
-  /// redistributed by E, which makes the error contract much faster than c.
-  bool count_external_links = false;
   /// Invoked with the iterate after every iteration; return false to stop
   /// early (used to count iterations until some external criterion).
   std::function<bool(std::span<const double>)> on_iteration;

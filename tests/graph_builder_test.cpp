@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/web_graph.hpp"
@@ -181,11 +184,124 @@ TEST(GraphBuilder, OutRowsAreSortedEvenWithoutDedup) {
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
 
+TEST(GraphBuilder, RejectsOutOfRangeIds) {
+  GraphBuilder b;
+  const auto a = b.add_page("s.edu/a", "s.edu");
+  EXPECT_THROW(b.add_link(a, a + 1), std::out_of_range);
+  EXPECT_THROW(b.add_link(a + 1, a), std::out_of_range);
+  EXPECT_THROW(b.add_link_to_url(a + 1, "s.edu/a"), std::out_of_range);
+  EXPECT_THROW(b.add_external_link(a + 1), std::out_of_range);
+  const auto g = std::move(b).build();
+  EXPECT_EQ(g.num_pages(), 1u);
+  EXPECT_EQ(g.num_links(), 0u);
+  EXPECT_EQ(g.num_external_links(), 0u);
+}
+
 TEST(GraphBuilder, FindLooksUpInternedPages) {
   GraphBuilder b;
   const auto a = b.add_page("s.edu/a", "s.edu");
   EXPECT_EQ(b.find("s.edu/a"), std::optional<PageId>{a});
   EXPECT_FALSE(b.find("s.edu/missing").has_value());
+}
+
+/// Replayable source that delivers a fixed edge list in fixed-size chunks.
+GraphBuilder::EdgeSource chunked(std::vector<GraphBuilder::Edge> edges,
+                                 std::size_t chunk) {
+  return [edges = std::move(edges), chunk](const GraphBuilder::ChunkSink& sink) {
+    for (std::size_t i = 0; i < edges.size(); i += chunk) {
+      const std::size_t len = std::min(chunk, edges.size() - i);
+      sink(std::span<const GraphBuilder::Edge>(edges.data() + i, len));
+    }
+  };
+}
+
+TEST(GraphBuilder, StreamMatchesBuildOnSmallGraph) {
+  GraphBuilder ref;
+  const auto a = ref.add_page("s.edu/a", "s.edu");
+  const auto b = ref.add_page("s.edu/b", "s.edu");
+  const auto c = ref.add_page("t.edu/c", "t.edu");
+  ref.add_link(a, b);
+  ref.add_link(a, c);
+  ref.add_link(c, a);
+  ref.add_link(a, b);  // parallel edge
+  ref.add_external_link(b, 4);
+  const auto want = std::move(ref).build();
+
+  GraphBuilder sb;
+  sb.add_page("s.edu/a", "s.edu");
+  sb.add_page("s.edu/b", "s.edu");
+  sb.add_page("t.edu/c", "t.edu");
+  sb.add_external_link(b, 4);
+  // Deliberately unsorted delivery: the builder canonicalizes rows itself.
+  const auto got = std::move(sb).build_from_stream(
+      chunked({{a, c}, {a, b}, {c, a}, {a, b}}, 2));
+
+  ASSERT_EQ(got.num_pages(), want.num_pages());
+  ASSERT_EQ(got.num_links(), want.num_links());
+  ASSERT_EQ(got.num_external_links(), want.num_external_links());
+  for (PageId p = 0; p < want.num_pages(); ++p) {
+    EXPECT_EQ(got.url(p), want.url(p));
+    EXPECT_EQ(got.site(p), want.site(p));
+    EXPECT_EQ(got.external_out_degree(p), want.external_out_degree(p));
+    const auto out_g = got.out_links(p);
+    const auto out_w = want.out_links(p);
+    EXPECT_EQ(std::vector<PageId>(out_g.begin(), out_g.end()),
+              std::vector<PageId>(out_w.begin(), out_w.end()));
+    const auto in_g = got.in_links(p);
+    const auto in_w = want.in_links(p);
+    EXPECT_EQ(std::vector<PageId>(in_g.begin(), in_g.end()),
+              std::vector<PageId>(in_w.begin(), in_w.end()));
+  }
+}
+
+TEST(GraphBuilder, StreamConflictingSiteReAddThrows) {
+  GraphBuilder sb;
+  sb.add_page("s.edu/a", "s.edu");
+  EXPECT_THROW((void)sb.add_page("s.edu/a", "other.edu"), std::invalid_argument);
+  EXPECT_EQ(sb.add_page("s.edu/a", "s.edu"), 0u);
+  // The rejected re-add left no trace in the streamed build either.
+  const auto g = std::move(sb).build_from_stream(chunked({}, 1));
+  EXPECT_EQ(g.num_pages(), 1u);
+  EXPECT_EQ(g.num_sites(), 1u);
+}
+
+TEST(GraphBuilder, StreamRejectsUnknownEndpoints) {
+  GraphBuilder sb;
+  sb.add_page("s.edu/a", "s.edu");
+  EXPECT_THROW((void)std::move(sb).build_from_stream(chunked({{0, 5}}, 8)),
+               std::out_of_range);
+}
+
+TEST(GraphBuilder, StreamRejectsNonReplayableSource) {
+  GraphBuilder sb;
+  const auto a = sb.add_page("s.edu/a", "s.edu");
+  const auto b = sb.add_page("s.edu/b", "s.edu");
+  // Source that delivers an extra edge on the second pass.
+  int pass = 0;
+  const auto source = [&](const GraphBuilder::ChunkSink& sink) {
+    std::vector<GraphBuilder::Edge> edges{{a, b}};
+    if (pass++ > 0) edges.push_back({a, b});
+    sink(edges);
+  };
+  EXPECT_THROW((void)std::move(sb).build_from_stream(source), std::logic_error);
+}
+
+TEST(GraphBuilder, StreamRejectsBufferedLinks) {
+  GraphBuilder sb;
+  const auto a = sb.add_page("s.edu/a", "s.edu");
+  sb.add_link(a, a);
+  EXPECT_THROW((void)std::move(sb).build_from_stream(chunked({}, 1)),
+               std::logic_error);
+}
+
+TEST(GraphBuilder, StreamEmptyBuildsEmptyRows) {
+  GraphBuilder sb;
+  sb.add_page("s.edu/a", "s.edu");
+  const auto g =
+      std::move(sb).build_from_stream([](const GraphBuilder::ChunkSink&) {});
+  EXPECT_EQ(g.num_pages(), 1u);
+  EXPECT_EQ(g.num_links(), 0u);
+  EXPECT_TRUE(g.out_links(0).empty());
 }
 
 TEST(WebGraph, DefaultConstructedAccessorsAreSafe) {

@@ -331,6 +331,44 @@ TEST(GraphBinaryIo, RejectsWrappingLinkGap) {
                std::runtime_error);
 }
 
+/// Loads `bytes` and expects the loader's runtime_error naming `repeat`.
+void expect_repeat_rejected(const std::string& bytes, const std::string& repeat) {
+  try {
+    (void)load_binary(bytes);
+    ADD_FAILURE() << "loaded a page table that repeats '" << repeat << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + repeat + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphBinaryIo, RejectsRepeatedUrl) {
+  // Two pages both named a.edu/x would make find() see page 0 only, and a
+  // text round trip would fold them into one page with a self-loop.
+  GraphBuilder b;
+  const auto x = b.add_page("a.edu/x", "a.edu");
+  const auto y = b.add_page("a.edu/y", "a.edu");
+  b.add_link(x, y);
+  std::string bytes = binary_of(std::move(b).build());
+  const auto at = bytes.find("a.edu/y");
+  ASSERT_NE(at, std::string::npos);
+  expect_repeat_rejected(bytes.replace(at, 7, "a.edu/x"), "a.edu/x");
+}
+
+TEST(GraphBinaryIo, RejectsRepeatedSiteName) {
+  // Two sites both named a.edu would merge on a text round trip and turn
+  // the cross-site link intra-site.
+  GraphBuilder b;
+  const auto x = b.add_page("a.edu/x", "a.edu");
+  const auto y = b.add_page("b.edu/y", "b.edu");
+  b.add_link(x, y);
+  std::string bytes = binary_of(std::move(b).build());
+  const auto at = bytes.find("b.edu");  // the site table precedes the URLs
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_LT(at, bytes.find("a.edu/x"));
+  expect_repeat_rejected(bytes.replace(at, 5, "a.edu"), "a.edu");
+}
+
 TEST(GraphBinaryIo, EveryPrefixTruncationThrows) {
   const std::string bytes = binary_of(parallel_edges_and_externals());
   for (std::size_t len = 0; len < bytes.size(); ++len) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "graph/graph_builder.hpp"
 #include "graph/graph_stats.hpp"
+#include "util/rng.hpp"
 
 namespace p2prank::graph {
 namespace {
@@ -49,13 +52,27 @@ TEST(SyntheticWeb, DeterministicForSeed) {
 }
 
 TEST(SyntheticWeb, StreamedBuildIsBitwiseIdenticalToBuilderPath) {
-  // The two-pass streamed ingest must land on the exact same canonical CSR
-  // as the in-memory GraphBuilder path — same draws, same rows, same
-  // externals. This is what lets bench_report generate huge webs without
-  // materializing the edge list.
+  // The generator streams its edges through two replays and never buffers
+  // them; GraphBuilder::build() fed the same pages, the same links in
+  // shuffled order and the same external counts must land on the exact same
+  // canonical CSR. Shuffling makes the check fail if either path stops
+  // sorting its rows.
   const auto cfg = google2002_config(8000, 17);
-  const auto g = generate_synthetic_web(cfg);
-  const auto s = generate_synthetic_web_streamed(cfg);
+  const auto s = generate_synthetic_web(cfg);
+  GraphBuilder b;
+  std::vector<std::pair<PageId, PageId>> links;
+  for (PageId p = 0; p < s.num_pages(); ++p) {
+    b.add_page(s.url(p), s.site_name(s.site(p)));
+    b.add_external_link(p, s.external_out_degree(p));
+    for (const PageId v : s.out_links(p)) links.emplace_back(p, v);
+  }
+  util::Rng rng(cfg.seed);
+  for (std::size_t i = links.size(); i > 1; --i) {
+    std::swap(links[i - 1], links[rng.below(i)]);
+  }
+  for (const auto& [u, v] : links) b.add_link(u, v);
+  const auto g = std::move(b).build();
+
   ASSERT_EQ(s.num_pages(), g.num_pages());
   ASSERT_EQ(s.num_sites(), g.num_sites());
   ASSERT_EQ(s.num_links(), g.num_links());

@@ -42,17 +42,18 @@
 // or a missed eviction/rejoin also fail the run.
 //
 // --scale is the DESIGN.md §14 scale sweep: for each requested row (default
-// 1M and 10M pages) it streams a synthetic web into the chunked two-pass
-// builder, round-trips it through the binary edge-list format, runs a fixed
+// 1M and 10M pages) it generates a synthetic web (edges streamed through the
+// builder's two-pass assembly, never buffered whole), round-trips it
+// through the binary edge-list format, runs a fixed
 // number of bounded rank sweeps, and then measures the update path — a
 // 1k-edge link-only delta applied via the incremental splice vs the full
 // rebuild oracle. Appends rows to BENCH_scale.json with schema
 // "p2prank-scale-bench-v1". Contract (enforced by exit code): on rows of
 // >= 1M pages the incremental splice must beat the rebuild by >= 10x.
 // --scale --determinism-check instead runs the small bitwise gates wired
-// into tier-bench-smoke: streamed == builder CSR, binary round-trip
-// identity, splice == rebuild CSR, and incremental warm-start ==
-// rebuild-then-warm-start rank vectors.
+// into tier-bench-smoke: streamed generator == buffered build of its
+// shuffled links, binary round-trip identity, splice == rebuild CSR, and
+// incremental warm-start == rebuild-then-warm-start rank vectors.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -67,10 +68,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/distributed.hpp"
 #include "engine/reference.hpp"
+#include "graph/graph_builder.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/graph_updates.hpp"
 #include "graph/synthetic_web.hpp"
@@ -1104,8 +1107,7 @@ int run_scale_bench(const Options& opts) {
     // Streamed two-pass ingest: edges are generated chunk by chunk and never
     // buffered whole, so peak memory is the CSR itself plus one chunk.
     graph::WebGraph g;
-    row.generate_s = timed_seconds(
-        [&] { g = graph::generate_synthetic_web_streamed(cfg); });
+    row.generate_s = timed_seconds([&] { g = graph::generate_synthetic_web(cfg); });
     row.pages = g.num_pages();
     row.edges = g.num_links();
     row.externals = g.num_external_links();
@@ -1212,20 +1214,39 @@ int run_scale_determinism_check(Options opts) {
       ok = false;
     }
   };
-  std::string why;
+  // same_graph() runs before the message is built, so it names the row.
+  const auto expect_same = [&](const graph::WebGraph& a, const graph::WebGraph& b,
+                               const std::string& what) {
+    std::string why;
+    if (!same_graph(a, b, &why)) expect(false, what + ": " + why);
+  };
   const auto cfg = graph::google2002_config(opts.pages, opts.seed);
 
-  // Gate 1: streamed two-pass ingest == in-memory builder, bitwise.
+  // Gate 1: the generator's streamed build == a buffered build() of the same
+  // pages, its links in shuffled order and its external counts, bitwise.
   const auto g = graph::generate_synthetic_web(cfg);
-  const auto streamed = graph::generate_synthetic_web_streamed(cfg);
-  expect(same_graph(g, streamed, &why), "streamed != builder: " + why);
+  {
+    graph::GraphBuilder b;
+    std::vector<std::pair<graph::PageId, graph::PageId>> links;
+    for (graph::PageId p = 0; p < g.num_pages(); ++p) {
+      b.add_page(g.url(p), g.site_name(g.site(p)));
+      b.add_external_link(p, g.external_out_degree(p));
+      for (const graph::PageId v : g.out_links(p)) links.emplace_back(p, v);
+    }
+    util::Rng rng(opts.seed ^ 0x5b0ff1eULL);
+    for (std::size_t i = links.size(); i > 1; --i) {
+      std::swap(links[i - 1], links[rng.below(i)]);
+    }
+    for (const auto& [u, v] : links) b.add_link(u, v);
+    expect_same(std::move(b).build(), g, "buffered build != streamed generator");
+  }
 
   // Gate 2: binary round-trip identity.
   {
     std::stringstream buf;
     graph::save_graph_binary(g, buf);
     const auto loaded = graph::load_graph_binary(buf);
-    expect(same_graph(g, loaded, &why), "binary round trip: " + why);
+    expect_same(g, loaded, "binary round trip");
   }
 
   // Gate 3: incremental splice == rebuild oracle on a link-only delta.
@@ -1234,7 +1255,7 @@ int run_scale_determinism_check(Options opts) {
   expect(delta.incremental, "link-only delta not incremental");
   {
     const auto rebuilt = graph::apply_updates_rebuild(g, ups);
-    expect(same_graph(delta.graph, rebuilt, &why), "splice != rebuild: " + why);
+    expect_same(delta.graph, rebuilt, "splice != rebuild");
   }
 
   // Gate 4: incremental warm start == rebuild-then-warm-start, bitwise (the

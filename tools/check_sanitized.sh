@@ -65,7 +65,7 @@ echo "TSan: chaos-scenario smoke corpus clean (--partition)"
 # on, so every retransmit/ack/churn code path runs under the checks.
 cmake --preset asan
 cmake --build --preset asan --target scenario_fuzz graph_builder_test \
-  graph_io_test graph_updates_test streaming_builder_test rankmeter \
+  graph_io_test graph_updates_test rankmeter \
   obs_metrics_test util_bytes_test transport_frame_test transport_wire_test \
   rank_matrix_test engine_group_test engine_incremental_test engine_wiring_test \
   serve_snapshot_test serve_degraded_test engine_termination_checkpoint_test \
@@ -73,13 +73,12 @@ cmake --build --preset asan --target scenario_fuzz graph_builder_test \
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
 # WebGraph accessors (the old out_links(0) UB), loader reject paths, binary
-# round trips, streamed two-pass ingest, and the incremental update splice
+# round trips, streamed two-pass builds, and the incremental update splice
 # against its rebuild oracle — the suites whose bugs ASan sees and a plain
 # build might not.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/graph_builder_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/graph_io_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/graph_updates_test "$@"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/streaming_builder_test "$@"
 echo "ASan: graph edge-case suites clean"
 
 # The byte codec and the two transport decoders built on it (DESIGN.md §3,
