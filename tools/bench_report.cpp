@@ -1,7 +1,10 @@
 // bench_report — machine-readable engine-level benchmark snapshots. Each
 // mode appends one labelled run to its own BENCH_*.json file (created when
-// missing), so results accumulate across changes. A mode flag is required;
-// kernel throughput lives in bench/micro_kernels.
+// missing or empty), so results accumulate across changes. An existing --out
+// that is not a bench_report file under the mode's schema tag is refused
+// before anything is measured, and left untouched. A mode flag is required;
+// kernel throughput lives in bench/micro_kernels. The engine modes run on
+// the crawl, round-robin partition and reference of experiment.hpp.
 //
 // --reliability runs the reliable-exchange benchmark (Fig. 7 analogue,
 // EXPERIMENTS.md "p sweep with retransmission"): it sweeps the delivery
@@ -59,7 +62,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -68,28 +70,24 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "engine/distributed.hpp"
-#include "engine/reference.hpp"
+#include "experiment.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/graph_updates.hpp"
-#include "graph/synthetic_web.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "obs/metric_names.hpp"
 #include "rank/link_matrix.hpp"
 #include "recover/supervisor.hpp"
-#include "serve/loadgen.hpp"
-#include "serve/snapshot.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace p2prank;
+using tools::Experiment;
+using tools::make_experiment;
 using Clock = std::chrono::steady_clock;
 
 struct Options {
@@ -171,49 +169,126 @@ std::string json_number(double v) {
   return t.str();
 }
 
-/// Append `run` to the "runs" array of `path`, or create the file with the
-/// given schema tag. Only files written by this tool are understood;
-/// anything else is replaced.
-void write_report(const std::string& path, const std::string& schema,
-                  const std::string& run) {
-  static constexpr const char* kTail = "\n  ]\n}\n";
-  std::string existing;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      existing = buf.str();
+/// One run record of a BENCH_*.json file: (key, value) fields in the order
+/// added. Doubles render through json_number, integers plainly, bools as
+/// true/false and anything else as an escaped string; a list of row records
+/// renders one row object per line.
+class Record {
+ public:
+  template <typename T>
+  Record& add(const std::string& key, const T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      fields_.emplace_back(key, value ? "true" : "false");
+    } else if constexpr (std::is_integral_v<T>) {
+      fields_.emplace_back(key, std::to_string(value));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      fields_.emplace_back(key, json_number(value));
+    } else {
+      fields_.emplace_back(key, "\"" + json_escape(value) + "\"");
     }
+    return *this;
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("bench_report: cannot write " + path);
-  const std::size_t tail_at = existing.rfind(kTail);
-  if (!existing.empty() && tail_at != std::string::npos &&
-      tail_at + std::strlen(kTail) == existing.size()) {
-    out << existing.substr(0, tail_at) << ",\n" << run << kTail;
-  } else {
-    out << "{\n  \"schema\": \"" << schema << "\",\n  \"runs\": [\n"
-        << run << kTail;
+  Record& add(const std::string& key, const std::vector<Record>& rows) {
+    std::string list = "[\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      list += "        " + rows[i].row_json() + (i + 1 < rows.size() ? ",\n" : "\n");
+    }
+    fields_.emplace_back(key, list + "      ]");
+    return *this;
   }
+
+  /// As an element of the "runs" array: one field per line.
+  [[nodiscard]] std::string run_json() const {
+    std::string out = "    {\n";
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      out += "      \"" + fields_[i].first + "\": " + fields_[i].second +
+             (i + 1 < fields_.size() ? ",\n" : "\n");
+    }
+    return out + "    }";
+  }
+
+ private:
+  [[nodiscard]] std::string row_json() const {
+    std::string out = "{";
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      out += (i == 0 ? "\"" : ", \"") + fields_[i].first + "\": " +
+             fields_[i].second;
+    }
+    return out + "}";
+  }
+
+  std::vector<std::pair<std::string, std::string>> fields_;
+};
+
+/// The BENCH_*.json file a mode appends its run to, created when missing or
+/// empty. It is opened before any measurement: a non-empty file that this
+/// tool did not write under the same schema tag is refused and left as it
+/// is, so --out never replaces a foreign file or mixes two modes' records.
+class Report {
+ public:
+  Report(const Options& opts, std::string schema)
+      : path_(opts.out), label_(opts.label), schema_(std::move(schema)) {
+    (void)runs_so_far();
+  }
+
+  void append(const Record& run) const {
+    const std::string runs = runs_so_far();
+    std::ofstream out(path_, std::ios::trunc);
+    if (!out) throw std::runtime_error("bench_report: cannot write " + path_);
+    out << (runs.empty() ? header() : runs + ",\n") << run.run_json() << kTail;
+    std::cout << "appended run \"" << label_ << "\" to " << path_ << "\n";
+  }
+
+ private:
+  static constexpr std::string_view kTail = "\n  ]\n}\n";
+
+  [[nodiscard]] std::string header() const {
+    return "{\n  \"schema\": \"" + schema_ + "\",\n  \"runs\": [\n";
+  }
+
+  /// The file's bytes before its closing tail; empty if the file is missing
+  /// or empty.
+  [[nodiscard]] std::string runs_so_far() const {
+    std::ostringstream buf;
+    if (std::ifstream in(path_, std::ios::binary); in) buf << in.rdbuf();
+    std::string bytes = buf.str();
+    if (bytes.empty()) return bytes;
+    const std::string head = header();
+    if (bytes.size() < head.size() + kTail.size() || !bytes.starts_with(head) ||
+        !bytes.ends_with(kTail)) {
+      throw std::runtime_error("bench_report: refusing to write " + path_ +
+                               ": not a bench_report file with schema \"" +
+                               schema_ + "\"");
+    }
+    bytes.resize(bytes.size() - kTail.size());
+    return bytes;
+  }
+
+  std::string path_;
+  std::string label_;
+  std::string schema_;
+};
+
+/// The fields that open a record on one experiment graph.
+Record graph_record(const Options& opts, const Experiment& e) {
+  Record r;
+  r.add("label", opts.label)
+      .add("pages", opts.pages)
+      .add("edges", e.edges())
+      .add("k", opts.k)
+      .add("graph_seed", opts.seed);
+  return r;
 }
 
 // --- Reliability benchmark ---------------------------------------------------
 
-struct ReliabilityPoint {
-  double delivery_p = 1.0;
-  bool reliable = false;
-  engine::ConvergenceResult res;
-};
-
 /// One run to the error threshold on the standard synthetic graph, modulo
 /// the channel scheme. Same graph, same partition, same engine seed across
 /// every point: the only varying inputs are p and the scheme.
-ReliabilityPoint run_reliability_point(const graph::WebGraph& g,
-                                       const std::vector<std::uint32_t>& assignment,
-                                       const std::vector<double>& reference,
-                                       const Options& opts, double p,
-                                       bool reliable, util::ThreadPool& pool) {
+engine::ConvergenceResult run_reliability_point(const Experiment& e,
+                                                const Options& opts, double p,
+                                                bool reliable,
+                                                util::ThreadPool& pool) {
   engine::EngineOptions eo;
   eo.algorithm = engine::Algorithm::kDPR2;
   eo.alpha = opts.alpha;
@@ -226,128 +301,63 @@ ReliabilityPoint run_reliability_point(const graph::WebGraph& g,
   eo.t2 = 4.0;
   eo.seed = opts.seed ^ 0xabcdef12345ULL;
   eo.reliable = reliable;  // epochs, acks, retransmission, failure detection
-  engine::DistributedRanking sim(g, assignment, opts.k, eo, pool);
-  sim.set_reference(reference);
-  ReliabilityPoint point;
-  point.delivery_p = p;
-  point.reliable = reliable;
-  point.res = sim.run_until_error(opts.error_threshold, opts.max_time, 1.0);
-  return point;
+  engine::DistributedRanking sim(e.graph, e.assignment, e.k, eo, pool);
+  sim.set_reference(e.reference);
+  return sim.run_until_error(opts.error_threshold, opts.max_time, 1.0);
 }
 
-std::string render_reliability_run(const Options& opts, std::size_t edges,
-                                   const std::vector<ReliabilityPoint>& points) {
-  std::ostringstream os;
-  os << "    {\n";
-  os << "      \"label\": \"" << json_escape(opts.label) << "\",\n";
-  os << "      \"pages\": " << opts.pages << ",\n";
-  os << "      \"edges\": " << edges << ",\n";
-  os << "      \"k\": " << opts.k << ",\n";
-  os << "      \"graph_seed\": " << opts.seed << ",\n";
-  os << "      \"alpha\": " << json_number(opts.alpha) << ",\n";
-  os << "      \"error_threshold\": " << json_number(opts.error_threshold) << ",\n";
-  os << "      \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& pt = points[i];
-    const auto& r = pt.res;
-    const double overhead =
-        r.messages_sent == 0
-            ? 0.0
-            : static_cast<double>(r.retransmissions) /
-                  static_cast<double>(r.messages_sent);
-    os << "        {\"delivery_p\": " << json_number(pt.delivery_p)
-       << ", \"scheme\": \""
-       << (pt.reliable ? "reliable" : "fire_and_forget") << "\", "
-       << "\"reached\": " << (r.reached ? "true" : "false") << ", "
-       << "\"time\": " << json_number(r.time) << ", "
-       << "\"mean_outer_steps\": " << json_number(r.mean_outer_steps) << ", "
-       << "\"messages_sent\": " << r.messages_sent << ", "
-       << "\"messages_lost\": " << r.messages_lost << ", "
-       << "\"retransmissions\": " << r.retransmissions << ", "
-       << "\"acks_sent\": " << r.acks_sent << ", "
-       << "\"duplicates_rejected\": " << r.duplicates_rejected << ", "
-       << "\"retransmit_overhead\": " << json_number(overhead) << ", "
-       << "\"final_relative_error\": " << json_number(r.final_relative_error)
-       << "}" << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  os << "      ]\n";
-  os << "    }";
-  return os.str();
-}
-
-int run_reliability_bench(const Options& opts) {
-  const auto g = graph::generate_synthetic_web(
-      graph::google2002_config(opts.pages, opts.seed));
+int run_reliability_bench(const Options& opts, const Report& report) {
   auto& pool = util::ThreadPool::shared();
-  // Round-robin partition: deterministic, balanced, independent of the
-  // partition library (this benchmark compares channels, not partitions).
-  std::vector<std::uint32_t> assignment(g.num_pages());
-  for (std::uint32_t p = 0; p < g.num_pages(); ++p) assignment[p] = p % opts.k;
-  const std::vector<double> reference =
-      engine::open_system_reference(g, opts.alpha, pool);
+  const Experiment e =
+      make_experiment(opts.pages, opts.seed, opts.k, opts.alpha, pool);
 
   static constexpr double kLevels[] = {1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4};
-  std::vector<ReliabilityPoint> points;
+  std::vector<Record> points;
   for (const double p : kLevels) {
     for (const bool reliable : {false, true}) {
-      points.push_back(run_reliability_point(g, assignment, reference, opts, p,
-                                             reliable, pool));
-      const auto& pt = points.back();
+      const engine::ConvergenceResult r =
+          run_reliability_point(e, opts, p, reliable, pool);
       std::cout << "  p=" << p << ' '
                 << (reliable ? "reliable       " : "fire-and-forget")
-                << "  t=" << pt.res.time
-                << (pt.res.reached ? "" : " (NOT converged)")
-                << "  msgs=" << pt.res.messages_sent
-                << " rexmit=" << pt.res.retransmissions
-                << " dups=" << pt.res.duplicates_rejected << "\n";
+                << "  t=" << r.time << (r.reached ? "" : " (NOT converged)")
+                << "  msgs=" << r.messages_sent
+                << " rexmit=" << r.retransmissions
+                << " dups=" << r.duplicates_rejected << "\n";
+      const double overhead =
+          r.messages_sent == 0
+              ? 0.0
+              : static_cast<double>(r.retransmissions) /
+                    static_cast<double>(r.messages_sent);
+      points.push_back(
+          Record()
+              .add("delivery_p", p)
+              .add("scheme", reliable ? "reliable" : "fire_and_forget")
+              .add("reached", r.reached)
+              .add("time", r.time)
+              .add("mean_outer_steps", r.mean_outer_steps)
+              .add("messages_sent", r.messages_sent)
+              .add("messages_lost", r.messages_lost)
+              .add("retransmissions", r.retransmissions)
+              .add("acks_sent", r.acks_sent)
+              .add("duplicates_rejected", r.duplicates_rejected)
+              .add("retransmit_overhead", overhead)
+              .add("final_relative_error", r.final_relative_error));
     }
   }
 
-  std::size_t edges = 0;
-  for (graph::PageId u = 0; u < g.num_pages(); ++u) edges += g.out_degree(u);
-  write_report(opts.out, "p2prank-reliability-bench-v1",
-               render_reliability_run(opts, edges, points));
-  std::cout << "appended run \"" << opts.label << "\" to " << opts.out << "\n";
+  report.append(graph_record(opts, e)
+                    .add("alpha", opts.alpha)
+                    .add("error_threshold", opts.error_threshold)
+                    .add("points", points));
   return 0;
 }
 
 // --- Observability overhead benchmark ----------------------------------------
 
-std::string render_obs_run(const Options& opts, std::size_t edges,
-                           std::size_t pool_threads, double span,
-                           double baseline_ns, double instrumented_ns,
-                           const p2prank::obs::Tracer& tracer) {
-  const double overhead = instrumented_ns / baseline_ns - 1.0;
-  std::ostringstream os;
-  os << "    {\n";
-  os << "      \"label\": \"" << json_escape(opts.label) << "\",\n";
-  os << "      \"pages\": " << opts.pages << ",\n";
-  os << "      \"edges\": " << edges << ",\n";
-  os << "      \"k\": " << opts.k << ",\n";
-  os << "      \"graph_seed\": " << opts.seed << ",\n";
-  os << "      \"alpha\": " << json_number(opts.alpha) << ",\n";
-  os << "      \"pool_threads\": " << pool_threads << ",\n";
-  os << "      \"span_virtual_time\": " << json_number(span) << ",\n";
-  os << "      \"baseline_ns_per_span\": " << json_number(baseline_ns) << ",\n";
-  os << "      \"instrumented_ns_per_span\": " << json_number(instrumented_ns)
-     << ",\n";
-  os << "      \"overhead\": " << json_number(overhead) << ",\n";
-  os << "      \"trace_events\": " << tracer.size() << ",\n";
-  os << "      \"trace_dropped\": " << tracer.dropped() << "\n";
-  os << "    }";
-  return os.str();
-}
-
-int run_obs_bench(const Options& opts) {
-  const auto g = graph::generate_synthetic_web(
-      graph::google2002_config(opts.pages, opts.seed));
+int run_obs_bench(const Options& opts, const Report& report) {
   auto& pool = util::ThreadPool::shared();
-  // Round-robin partition, as in the reliability bench: this measures the
-  // observability tax, not partition quality.
-  std::vector<std::uint32_t> assignment(g.num_pages());
-  for (std::uint32_t p = 0; p < g.num_pages(); ++p) assignment[p] = p % opts.k;
-  const std::vector<double> reference =
-      engine::open_system_reference(g, opts.alpha, pool);
+  const Experiment e =
+      make_experiment(opts.pages, opts.seed, opts.k, opts.alpha, pool);
 
   const auto make_engine = [&](p2prank::obs::MetricsRegistry* m,
                                p2prank::obs::Tracer* t) {
@@ -357,9 +367,9 @@ int run_obs_bench(const Options& opts) {
     eo.seed = opts.seed ^ 0x0b5e55ULL;
     eo.metrics = m;
     eo.tracer = t;
-    auto sim = std::make_unique<engine::DistributedRanking>(g, assignment,
-                                                            opts.k, eo, pool);
-    sim->set_reference(reference);
+    auto sim = std::make_unique<engine::DistributedRanking>(
+        e.graph, e.assignment, e.k, eo, pool);
+    sim->set_reference(e.reference);
     return sim;
   };
 
@@ -382,12 +392,9 @@ int run_obs_bench(const Options& opts) {
     instr_t += kSpan;
     (void)instrumented->run(instr_t, kSpan);
   });
-  p2prank::obs::export_pool_metrics(pool, metrics);
 
-  std::size_t edges = 0;
-  for (graph::PageId u = 0; u < g.num_pages(); ++u) edges += g.out_degree(u);
   const double overhead = instrumented_ns / baseline_ns - 1.0;
-  std::cout << "graph: " << opts.pages << " pages, " << edges << " edges; k="
+  std::cout << "graph: " << opts.pages << " pages, " << e.edges() << " edges; k="
             << opts.k << "; pool " << pool.size() << " thread(s)\n"
             << "  bare:         " << baseline_ns / 1e6 << " ms per " << kSpan
             << " virtual time units\n"
@@ -396,121 +403,34 @@ int run_obs_bench(const Options& opts) {
             << "  overhead:     " << overhead * 100.0 << "% ("
             << tracer.size() << " trace events, " << tracer.dropped()
             << " dropped)\n";
-  write_report(opts.out, "p2prank-obs-bench-v1",
-               render_obs_run(opts, edges, pool.size(), kSpan, baseline_ns,
-                              instrumented_ns, tracer));
-  std::cout << "appended run \"" << opts.label << "\" to " << opts.out << "\n";
+  report.append(graph_record(opts, e)
+                    .add("alpha", opts.alpha)
+                    .add("pool_threads", pool.size())
+                    .add("span_virtual_time", kSpan)
+                    .add("baseline_ns_per_span", baseline_ns)
+                    .add("instrumented_ns_per_span", instrumented_ns)
+                    .add("overhead", overhead)
+                    .add("trace_events", tracer.size())
+                    .add("trace_dropped", tracer.dropped()));
   return 0;
 }
 
 // --- Rank-serving benchmark --------------------------------------------------
 
 constexpr std::uint32_t kServeServers = 64;
-constexpr double kServeSlice = 1.0;  // engine <-> loadgen interleave step
 
-/// One complete co-simulated serving run: a DPR2 engine with a SnapshotStore
-/// attached, advanced slice by slice of virtual time, with the closed-loop
-/// load generator querying the store in between. Returns everything the
-/// determinism check byte-compares.
-struct ServeRunOut {
-  serve::LoadGenReport report;
-  std::string stream;    // per-query log (record_stream only)
-  std::string snapshot;  // final snapshot, serialized
-  std::uint64_t snapshots_published = 0;
-  std::uint64_t buffer_reuses = 0;
-};
-
-ServeRunOut one_serve_run(const graph::WebGraph& g,
-                          const std::vector<std::uint32_t>& assignment,
-                          const std::vector<double>& reference,
-                          const Options& opts, util::ThreadPool& pool,
-                          std::uint32_t clients, double duration,
-                          bool record_stream,
-                          p2prank::obs::MetricsRegistry* metrics = nullptr) {
-  engine::EngineOptions eo;
-  eo.algorithm = engine::Algorithm::kDPR2;
-  eo.alpha = opts.alpha;
-  eo.seed = opts.seed ^ 0x5e57e0ULL;
-  serve::SnapshotStore store(/*top_k_capacity=*/16);
-  eo.snapshot_sink = &store;
-  engine::DistributedRanking sim(g, assignment, opts.k, eo, pool);
-  sim.set_reference(reference);
-
+/// The closed-loop serving run of --serve and of its determinism check:
+/// opts.clients clients on kServeServers service slots, with a snapshot
+/// indexing the top 16 pages published every 1.0 of virtual time.
+tools::ServeRun bench_serve_run(const Experiment& e, const Options& opts,
+                                util::ThreadPool& pool, bool record_stream) {
   serve::LoadGenOptions lg;
-  lg.clients = clients;
+  lg.clients = opts.clients;
   lg.servers = kServeServers;
   lg.seed = opts.seed ^ 0x10adULL;
   lg.record_stream = record_stream;
-  serve::LoadGenerator gen(store, g.num_pages(), lg, metrics);
-
-  for (double t = kServeSlice; t <= duration + 1e-9; t += kServeSlice) {
-    (void)sim.run(t, kServeSlice);
-    gen.run_until(t);
-  }
-
-  ServeRunOut out;
-  out.report = gen.report();
-  out.stream = gen.stream_log();
-  std::ostringstream snap;
-  if (const auto s = store.acquire()) s->serialize(snap);
-  out.snapshot = snap.str();
-  out.snapshots_published = store.published();
-  out.buffer_reuses = store.buffer_reuses();
-  if (metrics != nullptr) {
-    serve::export_serve_metrics(store, gen.server(), *metrics);
-    metrics->gauge(p2prank::obs::names::kServeQps) = out.report.qps;
-    metrics->gauge(p2prank::obs::names::kServeLatencyP50) = out.report.p50;
-    metrics->gauge(p2prank::obs::names::kServeLatencyP99) = out.report.p99;
-    metrics->gauge(p2prank::obs::names::kServeMaxQueueDepth) =
-        static_cast<double>(out.report.max_queue_depth);
-  }
-  return out;
-}
-
-std::string render_serve_run(const Options& opts, std::size_t edges,
-                             std::uint32_t loadgen_pages,
-                             std::size_t pool_threads, double baseline_ns,
-                             double serving_ns, double publish_ns,
-                             double snapshot_interval, double overhead,
-                             const ServeRunOut& run) {
-  const auto& r = run.report;
-  std::ostringstream os;
-  os << "    {\n";
-  os << "      \"label\": \"" << json_escape(opts.label) << "\",\n";
-  os << "      \"pages\": " << opts.pages << ",\n";
-  os << "      \"edges\": " << edges << ",\n";
-  os << "      \"loadgen_pages\": " << loadgen_pages << ",\n";
-  os << "      \"k\": " << opts.k << ",\n";
-  os << "      \"graph_seed\": " << opts.seed << ",\n";
-  os << "      \"pool_threads\": " << pool_threads << ",\n";
-  os << "      \"clients\": " << opts.clients << ",\n";
-  os << "      \"servers\": " << kServeServers << ",\n";
-  os << "      \"duration_virtual\": " << json_number(opts.serve_duration)
-     << ",\n";
-  os << "      \"baseline_ns_per_span\": " << json_number(baseline_ns) << ",\n";
-  os << "      \"serving_ns_per_span\": " << json_number(serving_ns) << ",\n";
-  os << "      \"publish_ns_per_snapshot\": " << json_number(publish_ns)
-     << ",\n";
-  os << "      \"snapshot_interval\": " << json_number(snapshot_interval)
-     << ",\n";
-  os << "      \"publish_overhead\": " << json_number(overhead) << ",\n";
-  os << "      \"qps\": " << json_number(r.qps) << ",\n";
-  os << "      \"p50\": " << json_number(r.p50) << ",\n";
-  os << "      \"p99\": " << json_number(r.p99) << ",\n";
-  os << "      \"max_latency\": " << json_number(r.max_latency) << ",\n";
-  os << "      \"issued\": " << r.issued << ",\n";
-  os << "      \"completed\": " << r.completed << ",\n";
-  os << "      \"point_queries\": " << r.point_queries << ",\n";
-  os << "      \"topk_queries\": " << r.topk_queries << ",\n";
-  os << "      \"torn_reads\": " << r.torn_reads << ",\n";
-  os << "      \"stale_reads\": " << r.stale_reads << ",\n";
-  os << "      \"unavailable\": " << r.unavailable << ",\n";
-  os << "      \"max_queue_depth\": " << r.max_queue_depth << ",\n";
-  os << "      \"snapshots_published\": " << run.snapshots_published << ",\n";
-  os << "      \"buffer_reuses\": " << run.buffer_reuses << ",\n";
-  os << "      \"checksum\": " << r.checksum << "\n";
-  os << "    }";
-  return os.str();
+  return tools::serve_run(e, lg, /*snapshot_interval=*/1.0,
+                          /*top_k_capacity=*/16, opts.serve_duration, pool);
 }
 
 /// Forwards RankSnapshotSink calls to the real store while timing each
@@ -549,19 +469,13 @@ class TimingSink final : public engine::RankSnapshotSink {
   std::vector<double> samples_;
 };
 
-int run_serve_bench(const Options& opts) {
+int run_serve_bench(const Options& opts, const Report& report) {
   auto& pool = util::ThreadPool::shared();
   // Phase 1 graph at full scale (default 50k pages, like the obs bench):
   // the publish-overhead ratio only means something where sweeps carry
-  // their real memory traffic. Round-robin partition, as in the
-  // reliability/obs benches: this measures the serving layer, not
-  // partition quality.
-  const auto g = graph::generate_synthetic_web(
-      graph::google2002_config(opts.pages, opts.seed));
-  std::vector<std::uint32_t> assignment(g.num_pages());
-  for (std::uint32_t p = 0; p < g.num_pages(); ++p) assignment[p] = p % opts.k;
-  const std::vector<double> reference =
-      engine::open_system_reference(g, opts.alpha, pool);
+  // their real memory traffic.
+  const Experiment e =
+      make_experiment(opts.pages, opts.seed, opts.k, opts.alpha, pool);
 
   // Phase 1 — publish overhead: a sweep span, bare vs with a SnapshotStore
   // attached, publishing once per mean outer iteration ((t1+t2)/2 of the
@@ -579,15 +493,12 @@ int run_serve_bench(const Options& opts) {
     return 0.5 * (defaults.t1 + defaults.t2);
   }();
   const auto make_engine = [&](engine::RankSnapshotSink* sink) {
-    engine::EngineOptions eo;
-    eo.algorithm = engine::Algorithm::kDPR2;
-    eo.alpha = opts.alpha;
-    eo.seed = opts.seed ^ 0x5e57e0ULL;
+    engine::EngineOptions eo = tools::serving_engine_options(e);
     eo.snapshot_sink = sink;
     eo.snapshot_interval = snapshot_interval;
-    auto sim = std::make_unique<engine::DistributedRanking>(g, assignment,
-                                                            opts.k, eo, pool);
-    sim->set_reference(reference);
+    auto sim = std::make_unique<engine::DistributedRanking>(
+        e.graph, e.assignment, e.k, eo, pool);
+    sim->set_reference(e.reference);
     return sim;
   };
   constexpr double kSpan = 10.0;
@@ -634,26 +545,16 @@ int run_serve_bench(const Options& opts) {
   // smaller graph keeps the co-simulated wall time sane; the serving-side
   // numbers (QPS, latency, epoch accounting) don't need the 50k sweeps.
   const std::uint32_t loadgen_pages = std::min<std::uint32_t>(opts.pages, 2000);
-  const auto g2 = graph::generate_synthetic_web(
-      graph::google2002_config(loadgen_pages, opts.seed));
-  std::vector<std::uint32_t> assignment2(g2.num_pages());
-  for (std::uint32_t p = 0; p < g2.num_pages(); ++p) {
-    assignment2[p] = p % opts.k;
-  }
-  const std::vector<double> reference2 =
-      engine::open_system_reference(g2, opts.alpha, pool);
-  p2prank::obs::MetricsRegistry metrics;
+  const Experiment loop =
+      make_experiment(loadgen_pages, opts.seed, opts.k, opts.alpha, pool);
   const auto wall_start = Clock::now();
-  const ServeRunOut run =
-      one_serve_run(g2, assignment2, reference2, opts, pool, opts.clients,
-                    opts.serve_duration, /*record_stream=*/false, &metrics);
+  const tools::ServeRun run =
+      bench_serve_run(loop, opts, pool, /*record_stream=*/false);
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - wall_start).count();
 
-  std::size_t edges = 0;
-  for (graph::PageId u = 0; u < g.num_pages(); ++u) edges += g.out_degree(u);
   const auto& r = run.report;
-  std::cout << "overhead graph: " << opts.pages << " pages, " << edges
+  std::cout << "overhead graph: " << opts.pages << " pages, " << e.edges()
             << " edges; closed-loop graph: " << loadgen_pages << " pages; k="
             << opts.k << "; pool " << pool.size() << " thread(s)\n"
             << "  publish overhead: " << overhead * 100.0 << "% (median "
@@ -671,11 +572,38 @@ int run_serve_bench(const Options& opts) {
             << " snapshots=" << run.snapshots_published << " (reused "
             << run.buffer_reuses << " buffers)\n";
 
-  write_report(opts.out, "p2prank-serve-bench-v1",
-               render_serve_run(opts, edges, loadgen_pages, pool.size(),
-                                baseline_ns, serving_ns, publish_ns,
-                                snapshot_interval, overhead, run));
-  std::cout << "appended run \"" << opts.label << "\" to " << opts.out << "\n";
+  Record record;
+  record.add("label", opts.label)
+      .add("pages", opts.pages)
+      .add("edges", e.edges())
+      .add("loadgen_pages", loadgen_pages)
+      .add("k", opts.k)
+      .add("graph_seed", opts.seed)
+      .add("pool_threads", pool.size())
+      .add("clients", opts.clients)
+      .add("servers", kServeServers)
+      .add("duration_virtual", opts.serve_duration)
+      .add("baseline_ns_per_span", baseline_ns)
+      .add("serving_ns_per_span", serving_ns)
+      .add("publish_ns_per_snapshot", publish_ns)
+      .add("snapshot_interval", snapshot_interval)
+      .add("publish_overhead", overhead)
+      .add("qps", r.qps)
+      .add("p50", r.p50)
+      .add("p99", r.p99)
+      .add("max_latency", r.max_latency)
+      .add("issued", r.issued)
+      .add("completed", r.completed)
+      .add("point_queries", r.point_queries)
+      .add("topk_queries", r.topk_queries)
+      .add("torn_reads", r.torn_reads)
+      .add("stale_reads", r.stale_reads)
+      .add("unavailable", r.unavailable)
+      .add("max_queue_depth", r.max_queue_depth)
+      .add("snapshots_published", run.snapshots_published)
+      .add("buffer_reuses", run.buffer_reuses)
+      .add("checksum", r.checksum);
+  report.append(record);
   if (r.torn_reads != 0) {
     std::cerr << "bench_report: FAIL — " << r.torn_reads
               << " torn-epoch read(s); the serving contract requires zero\n";
@@ -692,21 +620,15 @@ int run_serve_determinism_check(Options opts) {
   opts.clients = std::min<std::uint32_t>(opts.clients, 256);
   opts.serve_duration = std::min(opts.serve_duration, 30.0);
 
-  const auto g = graph::generate_synthetic_web(
-      graph::google2002_config(opts.pages, opts.seed));
-  std::vector<std::uint32_t> assignment(g.num_pages());
-  for (std::uint32_t p = 0; p < g.num_pages(); ++p) assignment[p] = p % opts.k;
-
   const auto run_with_pool = [&](std::size_t threads) {
     util::ThreadPool pool(threads);
-    const std::vector<double> reference =
-        engine::open_system_reference(g, opts.alpha, pool);
-    return one_serve_run(g, assignment, reference, opts, pool, opts.clients,
-                         opts.serve_duration, /*record_stream=*/true);
+    return bench_serve_run(
+        make_experiment(opts.pages, opts.seed, opts.k, opts.alpha, pool), opts,
+        pool, /*record_stream=*/true);
   };
-  const ServeRunOut a = run_with_pool(1);
-  const ServeRunOut b = run_with_pool(1);
-  const ServeRunOut c = run_with_pool(2);
+  const tools::ServeRun a = run_with_pool(1);
+  const tools::ServeRun b = run_with_pool(1);
+  const tools::ServeRun c = run_with_pool(2);
 
   bool ok = true;
   const auto expect = [&](bool cond, const char* what) {
@@ -749,85 +671,12 @@ struct RecoveryEpisode {
   bool rejoined = false;
 };
 
-std::string render_recovery_run(const Options& opts, std::size_t edges,
-                                double staleness_bound,
-                                const std::vector<RecoveryEpisode>& episodes,
-                                const engine::DistributedRanking& sim,
-                                const recover::RecoverySupervisor& sup,
-                                const serve::RankServer& server,
-                                std::uint64_t stale_bound_violations,
-                                const engine::ConvergenceResult& reconverge) {
-  double evict_sum = 0.0, evict_max = 0.0, rejoin_sum = 0.0, rejoin_max = 0.0;
-  for (const auto& e : episodes) {
-    const double ev = e.evict_time - e.cut_time;
-    const double rj = e.rejoin_time - e.heal_time;
-    evict_sum += ev;
-    evict_max = std::max(evict_max, ev);
-    rejoin_sum += rj;
-    rejoin_max = std::max(rejoin_max, rj);
-  }
-  const double n = episodes.empty() ? 1.0 : static_cast<double>(episodes.size());
-  std::ostringstream os;
-  os << "    {\n";
-  os << "      \"label\": \"" << json_escape(opts.label) << "\",\n";
-  os << "      \"pages\": " << opts.pages << ",\n";
-  os << "      \"edges\": " << edges << ",\n";
-  os << "      \"k\": " << opts.k << ",\n";
-  os << "      \"graph_seed\": " << opts.seed << ",\n";
-  os << "      \"staleness_bound\": " << json_number(staleness_bound) << ",\n";
-  os << "      \"episodes\": [\n";
-  for (std::size_t i = 0; i < episodes.size(); ++i) {
-    const auto& e = episodes[i];
-    os << "        {\"victim\": " << e.victim << ", "
-       << "\"cut_time\": " << json_number(e.cut_time) << ", "
-       << "\"eviction_latency\": " << json_number(e.evict_time - e.cut_time)
-       << ", "
-       << "\"heal_time\": " << json_number(e.heal_time) << ", "
-       << "\"rejoin_latency\": " << json_number(e.rejoin_time - e.heal_time)
-       << "}" << (i + 1 < episodes.size() ? "," : "") << "\n";
-  }
-  os << "      ],\n";
-  os << "      \"eviction_latency_mean\": " << json_number(evict_sum / n)
-     << ",\n";
-  os << "      \"eviction_latency_max\": " << json_number(evict_max) << ",\n";
-  os << "      \"rejoin_latency_mean\": " << json_number(rejoin_sum / n)
-     << ",\n";
-  os << "      \"rejoin_latency_max\": " << json_number(rejoin_max) << ",\n";
-  os << "      \"evictions\": " << sup.evictions() << ",\n";
-  os << "      \"rejoins\": " << sup.rejoins() << ",\n";
-  os << "      \"queries\": " << server.queries() << ",\n";
-  os << "      \"degraded_reads\": " << server.degraded_reads() << ",\n";
-  os << "      \"shard_down_reads\": " << server.shard_down_reads() << ",\n";
-  os << "      \"stale_reads\": " << server.stale_reads() << ",\n";
-  os << "      \"unavailable\": " << server.unavailable() << ",\n";
-  os << "      \"torn_reads\": " << server.torn_reads() << ",\n";
-  os << "      \"stale_bound_violations\": " << stale_bound_violations << ",\n";
-  const engine::EngineCounters c = sim.counters();
-  os << "      \"partition_drops\": " << c.partition_drops << ",\n";
-  os << "      \"frames_corrupted\": " << c.frames_corrupted << ",\n";
-  os << "      \"frames_quarantined\": " << c.frames_quarantined << ",\n";
-  os << "      \"retransmissions\": " << c.retransmissions << ",\n";
-  os << "      \"messages_sent\": " << c.messages_sent << ",\n";
-  os << "      \"reconverged\": " << (reconverge.reached ? "true" : "false")
-     << ",\n";
-  os << "      \"reconverge_time\": " << json_number(reconverge.time) << ",\n";
-  os << "      \"final_relative_error\": "
-     << json_number(reconverge.final_relative_error) << "\n";
-  os << "    }";
-  return os.str();
-}
-
-int run_recovery_bench(const Options& opts) {
-  const auto g = graph::generate_synthetic_web(
-      graph::google2002_config(opts.pages, opts.seed));
+int run_recovery_bench(const Options& opts, const Report& report) {
   auto& pool = util::ThreadPool::shared();
-  // Round-robin partition, as in the other engine-level benches: this
-  // measures the recovery machinery, not partition quality. It also makes
-  // victim-owned probe pages trivial to name: page v belongs to ranker v.
-  std::vector<std::uint32_t> assignment(g.num_pages());
-  for (std::uint32_t p = 0; p < g.num_pages(); ++p) assignment[p] = p % opts.k;
-  const std::vector<double> reference =
-      engine::open_system_reference(g, opts.alpha, pool);
+  // The round-robin partition makes victim-owned probe pages trivial to
+  // name: page v belongs to ranker v.
+  const Experiment e =
+      make_experiment(opts.pages, opts.seed, opts.k, opts.alpha, pool);
 
   // Fast step cadence so detection latency reflects the supervisor's
   // escalation (quorum + streak), not a leisurely exchange timer; a sparse
@@ -847,8 +696,8 @@ int run_recovery_bench(const Options& opts) {
   constexpr double kStaleBound = 2.0;
   constexpr double kTick = 1.0;
 
-  engine::DistributedRanking sim(g, assignment, opts.k, eo, pool);
-  sim.set_reference(reference);
+  engine::DistributedRanking sim(e.graph, e.assignment, e.k, eo, pool);
+  sim.set_reference(e.reference);
   recover::SupervisorOptions so;
   so.serve_store = &store;
   recover::RecoverySupervisor sup(sim, so);
@@ -895,36 +744,36 @@ int run_recovery_bench(const Options& opts) {
   constexpr double kEpisodeTimeout = 300.0;
   constexpr double kDegradedDwell = 10.0;
   for (std::uint32_t i = 0; i < opts.episodes; ++i) {
-    RecoveryEpisode e;
-    e.victim = i % (opts.k - 1);  // rotate, keep probe_page's ranker healthy
-    e.cut_time = sim.now();
-    sim.set_partition(std::uint64_t{1} << e.victim, 0.0, 0.0);
+    RecoveryEpisode ep;
+    ep.victim = i % (opts.k - 1);  // rotate, keep probe_page's ranker healthy
+    ep.cut_time = sim.now();
+    sim.set_partition(std::uint64_t{1} << ep.victim, 0.0, 0.0);
     sim.set_corruption(0.25);  // every outage also stresses the codec
-    drive(e.victim, e.cut_time + kEpisodeTimeout, [&] {
-      return sup.state(e.victim) == recover::RankerState::kEvicted;
+    drive(ep.victim, ep.cut_time + kEpisodeTimeout, [&] {
+      return sup.state(ep.victim) == recover::RankerState::kEvicted;
     });
-    e.evicted = sup.state(e.victim) == recover::RankerState::kEvicted;
-    e.evict_time = sim.now();
+    ep.evicted = sup.state(ep.victim) == recover::RankerState::kEvicted;
+    ep.evict_time = sim.now();
     // Dwell evicted: degraded serving against the down shard is the point.
-    drive(e.victim, sim.now() + kDegradedDwell, [] { return false; });
-    e.heal_time = sim.now();
+    drive(ep.victim, sim.now() + kDegradedDwell, [] { return false; });
+    ep.heal_time = sim.now();
     sim.heal_partition();
     sim.set_corruption(0.0);
-    drive(e.victim, e.heal_time + kEpisodeTimeout, [&] {
-      return sup.state(e.victim) == recover::RankerState::kHealthy;
+    drive(ep.victim, ep.heal_time + kEpisodeTimeout, [&] {
+      return sup.state(ep.victim) == recover::RankerState::kHealthy;
     });
-    e.rejoined = sup.state(e.victim) == recover::RankerState::kHealthy;
-    e.rejoin_time = sim.now();
-    if (!e.evicted || !e.rejoined) {
+    ep.rejoined = sup.state(ep.victim) == recover::RankerState::kHealthy;
+    ep.rejoin_time = sim.now();
+    if (!ep.evicted || !ep.rejoined) {
       std::cerr << "bench_report: FAIL — episode " << i << " victim "
-                << e.victim << (e.evicted ? " never rejoined" : " never evicted")
+                << ep.victim << (ep.evicted ? " never rejoined" : " never evicted")
                 << " within " << kEpisodeTimeout << " virtual time units\n";
       ok = false;
     }
-    episodes.push_back(e);
-    std::cout << "  episode " << i << ": victim " << e.victim
-              << "  evict latency " << e.evict_time - e.cut_time
-              << "  rejoin latency " << e.rejoin_time - e.heal_time << "\n";
+    episodes.push_back(ep);
+    std::cout << "  episode " << i << ": victim " << ep.victim
+              << "  evict latency " << ep.evict_time - ep.cut_time
+              << "  rejoin latency " << ep.rejoin_time - ep.heal_time << "\n";
   }
 
   // All members back: the handoffs must have conserved pages, so the run
@@ -932,10 +781,8 @@ int run_recovery_bench(const Options& opts) {
   const engine::ConvergenceResult reconverge =
       sim.run_until_error(1e-6, sim.now() + 4000.0, 2.0);
 
-  std::size_t edges = 0;
-  for (graph::PageId u = 0; u < g.num_pages(); ++u) edges += g.out_degree(u);
   const engine::EngineCounters counts = sim.counters();
-  std::cout << "graph: " << opts.pages << " pages, " << edges << " edges; k="
+  std::cout << "graph: " << opts.pages << " pages, " << e.edges() << " edges; k="
             << opts.k << "; " << episodes.size() << " episode(s)\n"
             << "  evictions=" << sup.evictions() << " rejoins=" << sup.rejoins()
             << " partition_drops=" << counts.partition_drops
@@ -948,10 +795,48 @@ int run_recovery_bench(const Options& opts) {
             << " at t=" << reconverge.time << " (err="
             << reconverge.final_relative_error << ")\n";
 
-  write_report(opts.out, "p2prank-recovery-bench-v1",
-               render_recovery_run(opts, edges, kStaleBound, episodes, sim, sup,
-                                   server, stale_bound_violations, reconverge));
-  std::cout << "appended run \"" << opts.label << "\" to " << opts.out << "\n";
+  double evict_sum = 0.0, evict_max = 0.0, rejoin_sum = 0.0, rejoin_max = 0.0;
+  std::vector<Record> rows;
+  for (const auto& ep : episodes) {
+    const double ev = ep.evict_time - ep.cut_time;
+    const double rj = ep.rejoin_time - ep.heal_time;
+    evict_sum += ev;
+    evict_max = std::max(evict_max, ev);
+    rejoin_sum += rj;
+    rejoin_max = std::max(rejoin_max, rj);
+    rows.push_back(Record()
+                       .add("victim", ep.victim)
+                       .add("cut_time", ep.cut_time)
+                       .add("eviction_latency", ev)
+                       .add("heal_time", ep.heal_time)
+                       .add("rejoin_latency", rj));
+  }
+  const double n = episodes.empty() ? 1.0 : static_cast<double>(episodes.size());
+  report.append(graph_record(opts, e)
+                    .add("staleness_bound", kStaleBound)
+                    .add("episodes", rows)
+                    .add("eviction_latency_mean", evict_sum / n)
+                    .add("eviction_latency_max", evict_max)
+                    .add("rejoin_latency_mean", rejoin_sum / n)
+                    .add("rejoin_latency_max", rejoin_max)
+                    .add("evictions", sup.evictions())
+                    .add("rejoins", sup.rejoins())
+                    .add("queries", server.queries())
+                    .add("degraded_reads", server.degraded_reads())
+                    .add("shard_down_reads", server.shard_down_reads())
+                    .add("stale_reads", server.stale_reads())
+                    .add("unavailable", server.unavailable())
+                    .add("torn_reads", server.torn_reads())
+                    .add("stale_bound_violations", stale_bound_violations)
+                    .add("partition_drops", counts.partition_drops)
+                    .add("frames_corrupted", counts.frames_corrupted)
+                    .add("frames_quarantined", counts.frames_quarantined)
+                    .add("retransmissions", counts.retransmissions)
+                    .add("messages_sent", counts.messages_sent)
+                    .add("reconverged", reconverge.reached)
+                    .add("reconverge_time", reconverge.time)
+                    .add("final_relative_error",
+                         reconverge.final_relative_error));
 
   if (stale_bound_violations != 0) {
     std::cerr << "bench_report: FAIL — " << stale_bound_violations
@@ -1058,45 +943,12 @@ struct ScaleRow {
   double speedup = 0.0;
 };
 
-std::string render_scale_run(const Options& opts,
-                             const std::vector<ScaleRow>& rows,
-                             std::size_t pool_threads) {
-  std::ostringstream os;
-  os << "    {\n";
-  os << "      \"label\": \"" << json_escape(opts.label) << "\",\n";
-  os << "      \"graph_seed\": " << opts.seed << ",\n";
-  os << "      \"alpha\": " << json_number(opts.alpha) << ",\n";
-  os << "      \"pool_threads\": " << pool_threads << ",\n";
-  os << "      \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    os << "        {\"pages_target\": " << r.pages_target << ", "
-       << "\"pages\": " << r.pages << ", "
-       << "\"edges\": " << r.edges << ", "
-       << "\"externals\": " << r.externals << ", "
-       << "\"generate_s\": " << json_number(r.generate_s) << ", "
-       << "\"save_s\": " << json_number(r.save_s) << ", "
-       << "\"load_s\": " << json_number(r.load_s) << ", "
-       << "\"binary_bytes\": " << r.binary_bytes << ", "
-       << "\"rank_sweeps\": " << r.sweeps << ", "
-       << "\"rank_s\": " << json_number(r.rank_s) << ", "
-       << "\"delta_edges\": " << r.delta_edges << ", "
-       << "\"incremental_ms\": " << json_number(r.incremental_ms) << ", "
-       << "\"rebuild_ms\": " << json_number(r.rebuild_ms) << ", "
-       << "\"update_speedup\": " << json_number(r.speedup) << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "      ]\n";
-  os << "    }";
-  return os.str();
-}
-
-int run_scale_bench(const Options& opts) {
+int run_scale_bench(const Options& opts, const Report& report) {
   auto& pool = util::ThreadPool::shared();
   const std::vector<std::uint64_t> targets =
       opts.scale_rows.empty() ? std::vector<std::uint64_t>{1'000'000, 10'000'000}
                               : opts.scale_rows;
-  std::vector<ScaleRow> rows;
+  std::vector<Record> rows;
   bool ok = true;
   for (const std::uint64_t target : targets) {
     ScaleRow row;
@@ -1194,12 +1046,30 @@ int run_scale_bench(const Options& opts) {
               << "    " << row.delta_edges << "-edge delta: incremental "
               << row.incremental_ms << " ms vs rebuild " << row.rebuild_ms
               << " ms (" << row.speedup << "x)\n";
-    rows.push_back(row);
+    rows.push_back(Record()
+                       .add("pages_target", row.pages_target)
+                       .add("pages", row.pages)
+                       .add("edges", row.edges)
+                       .add("externals", row.externals)
+                       .add("generate_s", row.generate_s)
+                       .add("save_s", row.save_s)
+                       .add("load_s", row.load_s)
+                       .add("binary_bytes", row.binary_bytes)
+                       .add("rank_sweeps", row.sweeps)
+                       .add("rank_s", row.rank_s)
+                       .add("delta_edges", row.delta_edges)
+                       .add("incremental_ms", row.incremental_ms)
+                       .add("rebuild_ms", row.rebuild_ms)
+                       .add("update_speedup", row.speedup));
   }
 
-  write_report(opts.out, "p2prank-scale-bench-v1",
-               render_scale_run(opts, rows, pool.size()));
-  std::cout << "appended run \"" << opts.label << "\" to " << opts.out << "\n";
+  Record run;
+  run.add("label", opts.label)
+      .add("graph_seed", opts.seed)
+      .add("alpha", opts.alpha)
+      .add("pool_threads", pool.size())
+      .add("rows", rows);
+  report.append(run);
   return ok ? 0 : 1;
 }
 
@@ -1220,11 +1090,13 @@ int run_scale_determinism_check(Options opts) {
     std::string why;
     if (!same_graph(a, b, &why)) expect(false, what + ": " + why);
   };
-  const auto cfg = graph::google2002_config(opts.pages, opts.seed);
+  // Every gate runs on one crawl; gate 4 ranks it over 4 rankers.
+  util::ThreadPool pool(2);
+  const Experiment e = make_experiment(opts.pages, opts.seed, 4, opts.alpha, pool);
+  const graph::WebGraph& g = e.graph;
 
   // Gate 1: the generator's streamed build == a buffered build() of the same
   // pages, its links in shuffled order and its external counts, bitwise.
-  const auto g = graph::generate_synthetic_web(cfg);
   {
     graph::GraphBuilder b;
     std::vector<std::pair<graph::PageId, graph::PageId>> links;
@@ -1261,15 +1133,12 @@ int run_scale_determinism_check(Options opts) {
   // Gate 4: incremental warm start == rebuild-then-warm-start, bitwise (the
   // engine half of the §14 contract).
   {
-    util::ThreadPool pool(2);
-    std::vector<std::uint32_t> assignment(g.num_pages());
-    for (std::uint32_t p = 0; p < g.num_pages(); ++p) assignment[p] = p % 4;
     engine::EngineOptions eo;
     eo.algorithm = engine::Algorithm::kDPR1;
     eo.alpha = opts.alpha;
     eo.seed = opts.seed ^ 0x5ca1edEULL;
-    engine::DistributedRanking sim0(g, assignment, 4, eo, pool);
-    sim0.set_reference(engine::open_system_reference(g, opts.alpha, pool));
+    engine::DistributedRanking sim0(g, e.assignment, e.k, eo, pool);
+    sim0.set_reference(e.reference);
     (void)sim0.run(30.0, 30.0);
     const auto ranks = sim0.global_ranks();
     auto carry = sim0.export_worklist_carry();
@@ -1279,12 +1148,12 @@ int run_scale_determinism_check(Options opts) {
 
     const auto reference =
         engine::open_system_reference(delta.graph, opts.alpha, pool);
-    engine::DistributedRanking inc(delta.graph, assignment, 4, eo, pool);
+    engine::DistributedRanking inc(delta.graph, e.assignment, e.k, eo, pool);
     inc.set_reference(reference);
     inc.warm_start_incremental(ranks, std::move(carry), delta.in_changed,
                                delta.degree_changed);
     (void)inc.run(40.0, 40.0);
-    engine::DistributedRanking reb(delta.graph, assignment, 4, eo, pool);
+    engine::DistributedRanking reb(delta.graph, e.assignment, e.k, eo, pool);
     reb.set_reference(reference);
     reb.warm_start(ranks);
     (void)reb.run(40.0, 40.0);
@@ -1437,15 +1306,23 @@ Options parse_args(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     const Options opts = parse_args(argc, argv);
-    if (opts.reliability) return run_reliability_bench(opts);
-    if (opts.obs) return run_obs_bench(opts);
-    if (opts.recovery) return run_recovery_bench(opts);
-    if (opts.serve) {
-      return opts.determinism_check ? run_serve_determinism_check(opts)
-                                    : run_serve_bench(opts);
+    if (opts.determinism_check) {
+      return opts.serve ? run_serve_determinism_check(opts)
+                        : run_scale_determinism_check(opts);
     }
-    return opts.determinism_check ? run_scale_determinism_check(opts)
-                                  : run_scale_bench(opts);
+    // Each Report checks --out before its mode measures anything.
+    if (opts.reliability) {
+      return run_reliability_bench(
+          opts, Report(opts, "p2prank-reliability-bench-v1"));
+    }
+    if (opts.obs) return run_obs_bench(opts, Report(opts, "p2prank-obs-bench-v1"));
+    if (opts.serve) {
+      return run_serve_bench(opts, Report(opts, "p2prank-serve-bench-v1"));
+    }
+    if (opts.recovery) {
+      return run_recovery_bench(opts, Report(opts, "p2prank-recovery-bench-v1"));
+    }
+    return run_scale_bench(opts, Report(opts, "p2prank-scale-bench-v1"));
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 1;

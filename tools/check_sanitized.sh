@@ -65,7 +65,7 @@ echo "TSan: chaos-scenario smoke corpus clean (--partition)"
 # on, so every retransmit/ack/churn code path runs under the checks.
 cmake --preset asan
 cmake --build --preset asan --target scenario_fuzz graph_builder_test \
-  graph_io_test graph_updates_test rankmeter \
+  graph_io_test graph_updates_test \
   obs_metrics_test util_bytes_test transport_frame_test transport_wire_test \
   rank_matrix_test engine_group_test engine_incremental_test engine_wiring_test \
   serve_snapshot_test serve_degraded_test engine_termination_checkpoint_test \
@@ -131,6 +131,6 @@ echo "ASan: chaos-scenario smoke corpus clean (base + --reliable + --serve + --p
 # The instrumented path: engines export counters into a registry that
 # outlives them (graph-update rebuilds, churn retiring groups).
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/obs_metrics_test "$@"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/rankmeter --smoke \
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz --smoke \
   --quiet --seeds-file tests/corpus/scenario_seeds.txt
-echo "ASan: instrumented runs clean (obs_metrics_test + rankmeter --smoke)"
+echo "ASan: instrumented runs clean (obs_metrics_test + scenario_fuzz --smoke)"

@@ -8,24 +8,19 @@
 // SnapshotStore attached (epoch-swapped snapshots every --interval of
 // virtual time), and drives the closed-loop load generator against the live
 // store — simulated clients issuing Zipf-keyed point-rank and top-K queries
-// in the same virtual timeline the engine sweeps in. Prints QPS and p50/p99
-// latency and the serving-contract accounting; exits 1 on any torn-epoch
-// read (the contract requires exactly zero) or if nothing was served.
+// in the same virtual timeline the engine sweeps in. It is the serving run
+// of experiment.hpp that bench_report --serve measures, here under the
+// load-mix flags below and with its metrics and trace written out. Prints
+// QPS and p50/p99 latency and the serving-contract accounting; exits 1 on
+// any torn-epoch read (the contract requires exactly zero), if nothing was
+// served, or on a bad setup such as --k 0.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "engine/distributed.hpp"
-#include "engine/reference.hpp"
-#include "graph/synthetic_web.hpp"
-#include "obs/metric_names.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "serve/loadgen.hpp"
-#include "serve/snapshot.hpp"
-#include "util/thread_pool.hpp"
+#include "experiment.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -121,47 +116,15 @@ int main(int argc, char** argv) {
 
   try {
     util::Stopwatch wall;
-    const auto g = graph::generate_synthetic_web(
-        graph::google2002_config(opts.pages, opts.seed));
     auto& pool = util::ThreadPool::shared();
-    std::vector<std::uint32_t> assignment(g.num_pages());
-    for (std::uint32_t p = 0; p < g.num_pages(); ++p) {
-      assignment[p] = p % opts.k;
-    }
-    const std::vector<double> reference =
-        engine::open_system_reference(g, opts.alpha, pool);
-
+    const tools::Experiment e =
+        tools::make_experiment(opts.pages, opts.seed, opts.k, opts.alpha, pool);
     obs::MetricsRegistry metrics;
     obs::Tracer tracer;
-    serve::SnapshotStore store(opts.top_k_capacity);
-
-    engine::EngineOptions eo;
-    eo.algorithm = engine::Algorithm::kDPR2;
-    eo.alpha = opts.alpha;
-    eo.seed = opts.seed ^ 0x5e57e0ULL;
-    eo.snapshot_sink = &store;
-    eo.snapshot_interval = opts.interval;
-    engine::DistributedRanking sim(g, assignment, opts.k, eo, pool);
-    sim.set_reference(reference);
-
-    serve::LoadGenerator gen(store, g.num_pages(), opts.load, &metrics,
-                             opts.trace_out.empty() ? nullptr : &tracer);
-
-    // Co-simulate: one virtual-time slice of sweeps, then the same slice of
-    // client traffic against whatever the engine published.
-    const double slice = 1.0;
-    for (double t = slice; t <= opts.duration + 1e-9; t += slice) {
-      (void)sim.run(t, slice);
-      gen.run_until(t);
-    }
-
-    const serve::LoadGenReport r = gen.report();
-    serve::export_serve_metrics(store, gen.server(), metrics);
-    metrics.gauge(obs::names::kServeQps) = r.qps;
-    metrics.gauge(obs::names::kServeLatencyP50) = r.p50;
-    metrics.gauge(obs::names::kServeLatencyP99) = r.p99;
-    metrics.gauge(obs::names::kServeMaxQueueDepth) =
-        static_cast<double>(r.max_queue_depth);
+    const tools::ServeRun run = tools::serve_run(
+        e, opts.load, opts.interval, opts.top_k_capacity, opts.duration, pool,
+        &metrics, opts.trace_out.empty() ? nullptr : &tracer);
+    const serve::LoadGenReport& r = run.report;
 
     if (!opts.quiet) {
       std::cout << "graph: " << opts.pages << " pages, k=" << opts.k
@@ -174,11 +137,11 @@ int main(int argc, char** argv) {
                 << "  qps=" << r.qps << " p50=" << r.p50 << " p99=" << r.p99
                 << " max=" << r.max_latency << " max_queue_depth="
                 << r.max_queue_depth << "\n"
-                << "  snapshots=" << store.published() << " (reused "
-                << store.buffer_reuses() << " buffers), torn_reads="
+                << "  snapshots=" << run.snapshots_published << " (reused "
+                << run.buffer_reuses << " buffers), torn_reads="
                 << r.torn_reads << " stale_reads=" << r.stale_reads
                 << " unavailable=" << r.unavailable << "\n"
-                << "  final relative error " << sim.relative_error_now()
+                << "  final relative error " << run.final_relative_error
                 << ", " << wall.elapsed_seconds() << " s wall\n";
     }
 

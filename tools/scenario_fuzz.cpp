@@ -11,6 +11,8 @@
 //   scenario_fuzz --seeds 50 --partition --broken  # supervisor self-test:
 //                                        # the rejoin ledger fault must be
 //                                        # caught on every seed
+//   scenario_fuzz --seed 17 --metrics-out m.json --trace-out t.json
+//   scenario_fuzz --seeds-file tests/corpus/scenario_seeds.txt --smoke
 //
 // Each scenario expands a 64-bit seed into a fault schedule (crash / pause /
 // resume / loss bursts / checkpoint save+restore / graph update / ranker
@@ -18,7 +20,19 @@
 // DistributedRanking through it, and checks the paper's theorems as runtime
 // invariants (see src/check/). On a violation the trace is minimized to a
 // minimal reproducing op list and written to --trace-dir as a replayable
-// file. Exit code: 0 all clean, 1 violations found, 2 usage error.
+// file.
+//
+// --metrics-out / --trace-out attach one MetricsRegistry and one Tracer to
+// every selected scenario (counters accumulate across scenarios; each
+// scenario restarts the virtual clock, so multi-seed traces overlay their
+// timelines) and write a deterministic metrics snapshot (JSON) and a
+// Chrome/Perfetto trace keyed to virtual time at the end. Minimization
+// replays run without them. --smoke instead runs each scenario twice with
+// fresh sinks and demands byte-identical snapshots and traces — the
+// determinism contract of DESIGN.md §11 — and writes nothing.
+//
+// Exit code: 0 all clean, 1 violations (or, with --smoke, nondeterminism)
+// found, 2 usage error or an output file that cannot be written.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -31,6 +45,8 @@
 #include "check/minimize.hpp"
 #include "check/runner.hpp"
 #include "check/scenario.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -48,6 +64,8 @@ int usage(std::ostream& err) {
          "                     [--threads T] [--tail-time T] [--quiet]\n"
          "                     [--reliable] [--serve]\n"
          "                     [--partition] [--full-rebuild]\n"
+         "                     [--metrics-out PATH] [--trace-out PATH]\n"
+         "                     [--smoke] [--unstable]\n"
          "  --reliable  force every scenario onto the reliable exchange\n"
          "              layer (epochs + retransmission + failure detection)\n"
          "  --full-rebuild\n"
@@ -63,7 +81,15 @@ int usage(std::ostream& err) {
          "              ledger cross-check) and guarantee every scenario a\n"
          "              partition episode and a corruption burst. With\n"
          "              --broken the supervisor's rejoin ledger update is\n"
-         "              deliberately skipped and every run must FAIL.\n";
+         "              deliberately skipped and every run must FAIL.\n"
+         "  --metrics-out PATH, --trace-out PATH\n"
+         "              record every selected scenario into one metrics\n"
+         "              registry and one virtual-time tracer; write the\n"
+         "              metrics snapshot (JSON) and the Chrome trace at the end\n"
+         "  --smoke     run each scenario twice with fresh sinks and fail\n"
+         "              unless the two metrics snapshots and the two traces\n"
+         "              are byte-identical; writes nothing\n"
+         "  --unstable  include pool-size-dependent counters in the snapshot\n";
   return 2;
 }
 
@@ -78,6 +104,44 @@ std::string scenario_label(const Scenario& s) {
       << (s.recovery ? " recovery" : "")
       << (s.latency_jitter > 0.0 ? " jitter" : "");
   return out.str();
+}
+
+/// Observability sinks, and the pool tallies of the runs recorded into them
+/// alone: minimization replays share the pool but not the sinks.
+struct Sinks {
+  p2prank::obs::MetricsRegistry metrics;
+  p2prank::obs::Tracer tracer;
+  p2prank::util::ThreadPool::Stats pool_used;
+
+  /// Exports the pool tallies; call once, after the last recorded run.
+  [[nodiscard]] std::string metrics_json(bool include_unstable) {
+    p2prank::obs::export_pool_metrics(pool_used, metrics);
+    return metrics.snapshot(include_unstable);
+  }
+  [[nodiscard]] std::string trace_json() const {
+    std::ostringstream out;
+    tracer.write_chrome_json(out);
+    return out.str();
+  }
+};
+
+ScenarioResult run_recorded(p2prank::util::ThreadPool& pool,
+                            p2prank::check::RunnerOptions ropts,
+                            const Scenario& s, Sinks& sinks) {
+  ropts.metrics = &sinks.metrics;
+  ropts.tracer = &sinks.tracer;
+  const p2prank::util::ThreadPool::Stats before = pool.stats();
+  ScenarioResult result = ScenarioRunner(pool, ropts).run(s);
+  // Stats has operator- only: used - (before - after) == used + this run.
+  sinks.pool_used = pool.stats() - (before - sinks.pool_used);
+  return result;
+}
+
+bool write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path);
+  out << bytes;
+  if (!out) std::cerr << "cannot write " << path << '\n';
+  return static_cast<bool>(out);
 }
 
 void write_trace(const std::string& dir, const Scenario& minimized,
@@ -177,6 +241,10 @@ int main(int argc, char** argv) {
   bool force_reliable = false;
   bool force_serve = false;
   bool force_partition = false;
+  bool smoke = false;
+  bool include_unstable = false;
+  std::string metrics_out;
+  std::string trace_out;
   std::size_t threads = 2;
   p2prank::check::RunnerOptions ropts;
 
@@ -218,6 +286,14 @@ int main(int argc, char** argv) {
         force_serve = true;
       } else if (a == "--partition") {
         force_partition = true;
+      } else if (a == "--metrics-out") {
+        metrics_out = need_value(i);
+      } else if (a == "--trace-out") {
+        trace_out = need_value(i);
+      } else if (a == "--smoke") {
+        smoke = true;
+      } else if (a == "--unstable") {
+        include_unstable = true;
       } else if (a == "--quiet") {
         quiet = true;
       } else {
@@ -281,17 +357,38 @@ int main(int argc, char** argv) {
 
   p2prank::util::ThreadPool pool(threads);
   ScenarioRunner runner(pool, ropts);
+  // --metrics-out / --trace-out: one pair of sinks across every scenario.
+  const bool record = !smoke && (!metrics_out.empty() || !trace_out.empty());
+  Sinks corpus;
   p2prank::util::Stopwatch timer;
-  std::size_t failures = 0;
+  std::size_t violations = 0;  // scenarios with at least one
+  std::size_t nondeterministic = 0;
   for (const Scenario& scenario : scenarios) {
-    const ScenarioResult result = runner.run(scenario);
-    const bool failed = !result.ok();
-    if (failed) ++failures;
-    if (!quiet || failed) {
-      std::cout << "seed " << scenario.origin_seed << ": " << result.summary()
-                << "  [" << scenario_label(scenario) << "]\n";
+    ScenarioResult result;
+    bool deterministic = true;
+    if (smoke) {
+      Sinks first;
+      Sinks second;
+      result = run_recorded(pool, ropts, scenario, first);
+      (void)run_recorded(pool, ropts, scenario, second);
+      deterministic = first.metrics_json(include_unstable) ==
+                          second.metrics_json(include_unstable) &&
+                      first.trace_json() == second.trace_json();
+      if (!deterministic) ++nondeterministic;
+    } else if (record) {
+      result = run_recorded(pool, ropts, scenario, corpus);
+    } else {
+      result = runner.run(scenario);
     }
-    if (failed) {
+    const bool failed = !result.ok() || !deterministic;
+    if (!result.ok()) ++violations;
+    if (!quiet || failed) {
+      std::cout << "seed " << scenario.origin_seed << ": "
+                << (deterministic ? "" : "NONDETERMINISTIC ")
+                << result.summary() << "  [" << scenario_label(scenario)
+                << "]\n";
+    }
+    if (!result.ok() && !smoke) {  // --smoke writes nothing
       for (const auto& v : result.violations) {
         std::cout << "  violation: " << v.invariant << " @t=" << v.time
                   << " — " << v.detail << '\n';
@@ -311,11 +408,23 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << (broken ? "[self-test mode] " : "") << scenarios.size()
-            << " scenario(s), " << failures << " violation(s), "
-            << timer.elapsed_seconds() << " s\n";
+            << " scenario(s), " << violations << " violation(s), ";
+  if (smoke) std::cout << nondeterministic << " nondeterministic, ";
+  std::cout << timer.elapsed_seconds() << " s\n";
+  if (record) {
+    const bool written =
+        (metrics_out.empty() ||
+         write_file(metrics_out, corpus.metrics_json(include_unstable))) &&
+        (trace_out.empty() || write_file(trace_out, corpus.trace_json()));
+    if (!written) return 2;
+    if (!quiet) {
+      std::cout << "recorded " << corpus.tracer.size() << " trace events ("
+                << corpus.tracer.dropped() << " dropped)\n";
+    }
+  }
   if (broken) {
     // Self-test: the deliberately broken engine must be caught every time.
-    return failures == scenarios.size() ? 0 : 1;
+    return violations == scenarios.size() ? 0 : 1;
   }
-  return failures == 0 ? 0 : 1;
+  return violations == 0 && nondeterministic == 0 ? 0 : 1;
 }
