@@ -151,13 +151,13 @@ void InvariantChecker::check_sample(std::vector<Violation>& out) {
         << " corrupted frame(s) passed validation and were applied";
     out.push_back({"corrupt-applied", t, msg.str()});
   }
-  // slice-guard: the refresh-time NaN/Inf/negative/order guard behind the
+  // slice-guard: the delivery-time NaN/Inf/negative/order guard behind the
   // codec fired. The codec quarantines garbage first, so in simulation this
   // defense-in-depth layer must never be the one that catches it.
   if (c.slices_rejected != 0) {
     std::ostringstream msg;
     msg << c.slices_rejected
-        << " slice(s) rejected by the refresh-time payload guard";
+        << " slice(s) rejected by the delivery-time payload guard";
     out.push_back({"slice-guard", t, msg.str()});
   }
 

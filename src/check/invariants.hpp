@@ -34,7 +34,7 @@
 //   corrupt-applied  counters().corrupt_frames_applied stays 0: no byte-flipped
 //                frame ever survives the codec's checksum + header
 //                validation and reaches a ranker's X (DESIGN.md §13).
-//   slice-guard  counters().slices_rejected stays 0: the refresh-time payload guard
+//   slice-guard  counters().slices_rejected stays 0: the delivery-time payload guard
 //                (NaN/Inf/negative/order) behind the codec never fires —
 //                garbage is quarantined at decode, one layer earlier.
 //   ownership    every page has exactly one owning ranker — churn handoffs

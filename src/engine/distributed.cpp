@@ -55,12 +55,6 @@ EngineOptions DistributedRanking::validated(EngineOptions o) {
   if (!(o.inner_epsilon > 0.0)) {
     throw std::invalid_argument("EngineOptions.inner_epsilon: must be > 0");
   }
-  for (const double e : o.personalization) {
-    if (!(e >= 0.0) || !std::isfinite(e)) {
-      throw std::invalid_argument(
-          "EngineOptions.personalization: entries must be >= 0 and finite");
-    }
-  }
   if (!(o.delivery_probability >= 0.0 && o.delivery_probability <= 1.0)) {
     throw std::invalid_argument(
         "EngineOptions.delivery_probability: must be in [0,1]");
@@ -108,7 +102,6 @@ DistributedRanking::DistributedRanking(const graph::WebGraph& g,
     : graph_(g),
       opts_(validated(opts)),
       pool_(pool),
-      inbox_(k),
       waits_(opts_.t1, opts_.t2, k, opts_.seed ^ 0x5851f42d4c957f2dULL),
       loss_(opts_.delivery_probability, opts_.seed ^ 0x14057b7ef767814fULL),
       ack_loss_(opts_.delivery_probability, opts_.seed ^ 0x9e3779b97f4a7c15ULL),
@@ -119,17 +112,13 @@ DistributedRanking::DistributedRanking(const graph::WebGraph& g,
     throw std::invalid_argument("DistributedRanking: assignment size mismatch");
   }
   if (k == 0) throw std::invalid_argument("DistributedRanking: k == 0");
-  if (!opts_.personalization.empty() &&
-      opts_.personalization.size() != g.num_pages()) {
-    throw std::invalid_argument("EngineOptions.personalization: size mismatch");
-  }
   if (opts_.overlay != nullptr && opts_.overlay->num_nodes() < k) {
     throw std::invalid_argument(
         "EngineOptions.overlay: fewer overlay nodes than the k ranker groups");
   }
   if (opts_.reliable) reliable_.emplace(opts_.seed ^ 0x2545f4914f6cdd1dULL);
 
-  build_groups(assignment);
+  build_groups(assignment, k);
   init_obs();
   export_metrics();  // registers every counter, so a never-run engine shows zeros
 
@@ -203,9 +192,8 @@ void DistributedRanking::export_metrics() {
   }
 }
 
-void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment) {
-  const auto k = static_cast<std::uint32_t>(inbox_.size());
-
+void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment,
+                                      std::uint32_t k) {
   // --- Place every page: its group's members and its local row there -------
   std::vector<std::vector<graph::PageId>> members(k);
   std::vector<std::uint32_t> local_index(graph_.num_pages());
@@ -223,21 +211,12 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
   groups_.clear();
   groups_.reserve(k);
   nonempty_ = 0;
-  std::vector<double> e_local;
   for (std::uint32_t grp = 0; grp < k; ++grp) {
     if (!members[grp].empty()) ++nonempty_;
-    e_local.clear();
-    if (!opts_.personalization.empty()) {
-      e_local.reserve(members[grp].size());
-      for (const graph::PageId p : members[grp]) {
-        e_local.push_back(opts_.personalization[p]);
-      }
-    }
     // A fresh group starts unprimed (its first sweep is dense), which is
     // exactly the frontier-reset rule for churn and graph-update rebuilds.
     groups_.push_back(std::make_unique<PageGroup>(graph_, std::move(members[grp]),
-                                                  placement, grp, opts_.alpha,
-                                                  e_local));
+                                                  placement, grp, opts_.alpha));
   }
 
   // Every membership change funnels through here (construction, churn);
@@ -256,20 +235,38 @@ void DistributedRanking::gather_local_ranks(std::uint32_t group,
 
 void DistributedRanking::prime_afferents() {
   // In a running deployment each ranker's X survives a crawl update — it is
-  // received state, not recomputed. Prime it by delivering every group's Y
+  // received state, not recomputed. Prime it by applying every group's Y
   // (computed from the warm ranks) directly, outside the message accounting
   // (and outside the epoch filter: priming is state transfer, not a channel
-  // send). The chaos harness's deliberately broken ranker skips priming
-  // like it skips its inbox — its whole afferent-update path is dead, so
-  // churn and restore state transfers must not silently heal it (the
-  // --broken self-test depends on the fault surviving every recovery
-  // mechanism).
+  // send).
   for (std::uint32_t src = 0; src < groups_.size(); ++src) {
     for (const std::uint32_t dest : groups_[src]->efferent_destinations()) {
-      if (dest == opts_.fault_skip_refresh_group) continue;
-      groups_[dest]->refresh_x(src, groups_[src]->compute_y(dest));
+      apply_slice(src, dest, groups_[src]->compute_y(dest));
     }
   }
+}
+
+void DistributedRanking::apply_slice(std::uint32_t src, std::uint32_t dst,
+                                     const YSlice& slice) {
+  // fault_skip_refresh_group is the chaos harness's deliberately broken
+  // ranker: its whole afferent-update path is dead, so its X stays stale
+  // and the convergence invariant must catch it. Delivery and priming both
+  // come through here, so churn and restore state transfers cannot
+  // silently heal it (the --broken self-test depends on the fault
+  // surviving every recovery mechanism).
+  if (dst == opts_.fault_skip_refresh_group) return;
+  PageGroup& pg = *groups_[dst];
+  // Poisoned-slice guard (defense in depth behind the frame codec): a
+  // NaN/Inf/negative or misordered payload must never reach refresh_x,
+  // where it would propagate through every subsequent sweep, and an index
+  // past this group (the last one is the largest) would make refresh_x
+  // throw.
+  if (!transport::entries_valid(slice.entries) ||
+      (!slice.entries.empty() && slice.entries.back().first >= pg.size())) {
+    ++tally_.slices_rejected;
+    return;
+  }
+  pg.refresh_x(src, slice);
 }
 
 void DistributedRanking::warm_start(std::span<const double> global_ranks) {
@@ -366,7 +363,6 @@ void DistributedRanking::crash_group(std::uint32_t group) {
   PageGroup& pg = *groups_.at(group);
   if (pg.size() == 0) return;  // nothing to lose, nothing scheduled
   pg.reset_state();
-  inbox_[group].clear();
   if (reliable_) {
     // The crashed ranker's transmit buffers die with its memory; the
     // per-pair epochs are transport-session state and survive (peers keep
@@ -409,10 +405,9 @@ void DistributedRanking::discard_in_flight() {
 }
 
 void DistributedRanking::drop_in_flight() {
-  // Queued inbox messages are already-delivered state and stay (a
-  // restore's crash wave clears them anyway). Accepted-epoch high-water
-  // marks survive: the channel session outlives a rollback just like it
-  // outlives a crash.
+  // Delivered slices are already in X and stay (a restore's crash wave
+  // resets it anyway). Accepted-epoch high-water marks survive: the channel
+  // session outlives a rollback just like it outlives a crash.
   discard_in_flight();
   // A restore is a global rollback for the serving layer too: every epoch
   // published from the rolled-back timeline is stale. The sink keeps
@@ -435,7 +430,7 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
   // The per-group step tallies retire with their groups: export them first.
   export_metrics();
   for (const auto& grp : groups_) retired_outer_steps_ += grp->outer_steps();
-  build_groups(assignment);
+  build_groups(assignment, num_groups());
   std::fill(exported_group_steps_.begin(), exported_group_steps_.end(), 0);
 
   std::istringstream in(text.str());
@@ -447,7 +442,6 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
   // (transport-session state), so "accepted epoch non-decreasing" holds
   // across churn.
   discard_in_flight();
-  for (auto& box : inbox_) box.clear();
 
   // Every ranker re-reports stability against the new ownership.
   std::fill(stable_flag_.begin(), stable_flag_.end(), 0);
@@ -594,15 +588,14 @@ void DistributedRanking::transmit(std::uint32_t src, std::uint32_t dst,
         retransmission ? obs::names::kTraceRetransmit : obs::names::kTraceMsgFlight,
         queue_.now(), delay, dst, {}, static_cast<double>(records));
   }
-  // The slice lands in the inbox when the event fires — unless churn
-  // rebuilt the wiring meanwhile (its local indices would be stale, so it is
-  // dropped; the sender's next step or retransmit timer repairs the loss).
-  // It moves there unless the retransmit buffer may re-ship it.
+  // The slice is delivered when the event fires — unless churn rebuilt the
+  // wiring meanwhile (its local indices would be stale, so it is dropped;
+  // the sender's next step or retransmit timer repairs the loss). It is
+  // read in place: the retransmit buffer may share the payload.
   const std::uint64_t gen = generation_;
   auto arrive = [this, src, dst, epoch, payload = std::move(payload), gen] {
     if (gen != generation_) return;
-    deliver(src, dst, epoch,
-            opts_.reliable ? YSlice(*payload) : std::move(*payload));
+    deliver(src, dst, epoch, *payload);
   };
   if (delay <= 0.0) {
     arrive();
@@ -612,17 +605,22 @@ void DistributedRanking::transmit(std::uint32_t src, std::uint32_t dst,
 }
 
 void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
-                                 transport::Epoch epoch, YSlice slice) {
+                                 transport::Epoch epoch, const YSlice& slice) {
   // Transport-level processing at delivery time: runs even when dst's
   // application loop is paused (the protocol stack stays up; only the
   // ranker sleeps) and even when dst crashed meanwhile (a reboot does not
-  // reset the channel).
+  // reset the channel). No slice lands while dst steps: deliveries run in
+  // other groups' steps, arrival events and retransmit timers.
   //
   // Corruption defense first: a quarantined frame is garbage — the receiver
   // cannot trust its addressing or epoch, so it is dropped before any
   // protocol processing (no liveness evidence, no epoch accept, no ack;
-  // the sender's retransmit timer re-ships it).
-  if (!frame_survives(src, dst, epoch, slice)) return;
+  // the sender's retransmit timer re-ships it). A surviving frame's
+  // decoded slice is what gets applied.
+  YSlice decoded;
+  const bool framed = fault_plane_.corruption_enabled();
+  if (framed && !frame_survives(src, dst, epoch, slice, decoded)) return;
+  const YSlice& received = framed ? decoded : slice;
   // Receiving data from src is evidence src is alive: clear any suspicion
   // on the reverse pair and, if a retransmit was parked there, re-arm it.
   if (reliable_ && reliable_->peer_alive(dst, src)) {
@@ -631,7 +629,7 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   // A stale epoch is counted by the filter itself (duplicates_rejected).
   if (!reliable_ || reliable_->accept(src, dst, epoch)) {
     ++tally_.deliveries;
-    inbox_[dst].emplace_back(src, std::move(slice));
+    apply_slice(src, dst, received);
   }
   if (!reliable_) return;
   // Ack even a rejected duplicate — the ack is cumulative (it carries the
@@ -662,8 +660,8 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
 }
 
 bool DistributedRanking::frame_survives(std::uint32_t src, std::uint32_t dst,
-                                        transport::Epoch epoch, YSlice& slice) {
-  if (!fault_plane_.corruption_enabled()) return true;
+                                        transport::Epoch epoch, const YSlice& slice,
+                                        YSlice& decoded) {
   // While corruption is live, every slice pays the encode → (maybe flip
   // bytes) → decode round-trip, so the defense is exercised on clean frames
   // too — a codec that mangled valid payloads would corrupt ranks and trip
@@ -671,21 +669,21 @@ bool DistributedRanking::frame_survives(std::uint32_t src, std::uint32_t dst,
   const transport::FrameHeader header{src, dst, epoch, slice.record_count};
   auto frame = transport::encode_frame(header, slice.entries);
   const bool corrupted = fault_plane_.maybe_corrupt(frame);
-  transport::DecodedFrame decoded;
-  const auto verdict = transport::decode_frame(frame, decoded);
+  transport::DecodedFrame out;
+  const auto verdict = transport::decode_frame(frame, out);
   if (verdict != transport::FrameVerdict::kOk) {
     ++tally_.frames_quarantined;
     return false;
   }
-  if (corrupted || decoded.header.src != src || decoded.header.dst != dst ||
-      decoded.header.epoch != epoch) {
+  if (corrupted || out.header.src != src || out.header.dst != dst ||
+      out.header.epoch != epoch) {
     // A corrupted frame passed the 64-bit checksum — collision odds are
     // negligible, so this tripwire staying 0 is an invariant the chaos
     // checker enforces ("zero applied corrupt frames").
     ++tally_.corrupt_frames_applied;
   }
-  slice.record_count = decoded.header.record_count;
-  slice.entries = std::move(decoded.entries);
+  decoded.record_count = out.header.record_count;
+  decoded.entries = std::move(out.entries);
   return true;
 }
 
@@ -742,30 +740,9 @@ void DistributedRanking::run_step(std::uint32_t group) {
   PageGroup& pg = *groups_[group];
   if (pg.size() == 0) return;  // departed in churn while this event was queued
 
-  // Refresh X: drain every slice that arrived since the last step. Applying
-  // in arrival order leaves exactly the newest slice per source in force
-  // (with epochs on, stale reordered slices never reached the inbox).
-  // (fault_skip_refresh_group is the chaos harness's deliberately broken
-  // engine: that group drops its inbox unapplied, so its X stays stale and
-  // the convergence invariant must catch it.)
-  auto& inbox = inbox_[group];
-  if (group != opts_.fault_skip_refresh_group) {
-    for (auto& [source, slice] : inbox) {
-      // Poisoned-slice guard (defense in depth behind the frame codec): a
-      // NaN/Inf/negative or misordered payload must never reach refresh_x,
-      // where it would propagate through every subsequent sweep, and an
-      // index past this group (the last one is the largest) would make
-      // refresh_x throw.
-      if (!transport::entries_valid(slice.entries) ||
-          (!slice.entries.empty() && slice.entries.back().first >= pg.size())) {
-        ++tally_.slices_rejected;
-        continue;
-      }
-      pg.refresh_x(source, std::move(slice));
-    }
-  }
-  inbox.clear();
-
+  // X already holds the newest slice per source: each was applied on
+  // delivery, in arrival order (with epochs on, stale reordered slices are
+  // never applied).
   const bool detect = opts_.stability_epsilon > 0.0;
   const bool dpr1 = opts_.algorithm == Algorithm::kDPR1;
   // Observability also wants the per-step residual; measuring it never

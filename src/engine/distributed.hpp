@@ -2,10 +2,12 @@
 // running DPR1 or DPR2 asynchronously over a lossy message channel, driven
 // by a discrete-event queue (the experiment apparatus of Section 5).
 //
-// Each ranker's loop step is one event: drain the inbox ("Refresh X"),
-// compute R (to convergence for DPR1, one sweep for DPR2), compute and send
-// a Y slice to every group it has cut edges into (each send independently
-// survives with probability p), then reschedule after an exponential wait.
+// Each ranker's loop step is one event: compute R (to convergence for DPR1,
+// one sweep for DPR2) from the X it holds, compute and send a Y slice to
+// every group it has cut edges into (each send independently survives with
+// probability p), then reschedule after an exponential wait. A slice that
+// survives is applied to its receiver's X when it is delivered ("Refresh
+// X"), so the receiver's next step reads the newest slice from each source.
 //
 // On top of the paper's fire-and-forget channel the engine can run the
 // reliable exchange layer (EngineOptions::reliable, src/transport/
@@ -99,8 +101,8 @@ class DistributedRanking {
   /// no-op, and one resume_group wakes the group regardless of how many
   /// pauses preceded it); pausing an empty group is allowed and harmless;
   /// an out-of-range group throws std::out_of_range. A paused ranker's
-  /// transport stack stays up: deliveries are still accepted into its inbox
-  /// and acked — only the application loop sleeps.
+  /// transport stack stays up: deliveries are still applied to its X and
+  /// acked — only the application loop sleeps.
   void pause_group(std::uint32_t group);
   /// Wake a suspended ranker; it reschedules from the current time. A
   /// resume of a group that is not paused is a no-op (never double-
@@ -109,26 +111,27 @@ class DistributedRanking {
   void resume_group(std::uint32_t group);
   [[nodiscard]] bool is_paused(std::uint32_t group) const;
 
-  /// Crash a ranker: all its in-memory state (R, X, delta baselines) and
-  /// queued inbox messages are lost; it keeps running from scratch. Peers
-  /// hold its last Y values until it sends again, and re-deliver theirs on
-  /// their next loop steps, so the group re-converges. Note that global
-  /// monotonicity (Thm 4.1) does NOT survive a crash: the rebooted ranker's
-  /// next Y is computed from its reset ranks and *replaces* the higher
-  /// pre-crash entries in peers' X, so peers' ranks can legitimately dip
-  /// before re-converging. Combine with pause/resume for a crash +
-  /// downtime, or warm_start-from-checkpoint for recovery.
+  /// Crash a ranker: all its in-memory state (R, X, delta baselines) is
+  /// lost; it keeps running from scratch. Peers hold its last Y values
+  /// until it sends again, and re-deliver theirs on their next loop steps,
+  /// so the group re-converges. Note that global monotonicity (Thm 4.1)
+  /// does NOT survive a crash: the rebooted ranker's next Y is computed
+  /// from its reset ranks and *replaces* the higher pre-crash entries in
+  /// peers' X, so peers' ranks can legitimately dip before re-converging.
+  /// Combine with pause/resume for a crash + downtime, or
+  /// warm_start-from-checkpoint for recovery.
   /// Defined edge cases: crashing a *paused* group wipes its state but
   /// leaves it paused — it reboots into standby and only runs again after
   /// resume_group; crashing an empty group is a no-op; repeated crashes are
   /// idempotent; messages already in flight (sent pre-crash with a delivery
-  /// delay) still arrive afterwards — the network does not lose them just
-  /// because the receiver rebooted (they are idempotent X patches); an
-  /// out-of-range group throws std::out_of_range. With the reliable layer
-  /// on, the crashed sender's retransmit buffers are wiped with the rest of
-  /// its memory, but per-pair epochs are transport-session state and
-  /// survive — peers keep rejecting stale slices and keep retransmitting
-  /// *to* the crashed ranker until it acks again.
+  /// delay) still arrive afterwards and are applied to the reset X — the
+  /// network does not lose them just because the receiver rebooted (they
+  /// are idempotent X patches); an out-of-range group throws
+  /// std::out_of_range. With the reliable layer on, the crashed sender's
+  /// retransmit buffers are wiped with the rest of its memory, but per-pair
+  /// epochs are transport-session state and survive — peers keep rejecting
+  /// stale slices and keep retransmitting *to* the crashed ranker until it
+  /// acks again.
   void crash_group(std::uint32_t group);
 
   /// Ranker churn: `group` departs the overlay, handing every page it owns
@@ -283,13 +286,8 @@ class DistributedRanking {
   }
 
  private:
-  struct InboxMessage {
-    std::uint32_t source = 0;
-    YSlice slice;
-  };
-
   static EngineOptions validated(EngineOptions opts);
-  void build_groups(std::span<const std::uint32_t> assignment);
+  void build_groups(std::span<const std::uint32_t> assignment, std::uint32_t k);
   void schedule_step(std::uint32_t group);
   void run_step(std::uint32_t group);
   void init_obs();
@@ -304,10 +302,13 @@ class DistributedRanking {
   /// `local` (cleared first, so one buffer serves every group).
   void gather_local_ranks(std::uint32_t group, std::span<const double> global_ranks,
                           std::vector<double>& local) const;
-  /// Warm-start X: deliver every group's Y, computed from its current
-  /// ranks, straight into each destination's X (state transfer, not a
-  /// channel send). Skips opts_.fault_skip_refresh_group.
+  /// Warm-start X: apply every group's Y, computed from its current ranks,
+  /// straight to each destination's X (state transfer, not a channel send).
   void prime_afferents();
+  /// "Refresh X" of Algorithms 3/4, the one place a slice becomes X: src's
+  /// slice goes into dst's X unless dst is opts_.fault_skip_refresh_group
+  /// or the poisoned-slice guard rejects it (counted in slices_rejected).
+  void apply_slice(std::uint32_t src, std::uint32_t dst, const YSlice& slice);
   /// Kill every undelivered slice and retransmit timer and drop the
   /// buffered payloads and pending epochs; accepted epochs survive.
   void discard_in_flight();
@@ -319,18 +320,19 @@ class DistributedRanking {
   void transmit(std::uint32_t src, std::uint32_t dst, transport::Epoch epoch,
                 std::shared_ptr<YSlice> payload, bool retransmission);
   void deliver(std::uint32_t src, std::uint32_t dst, transport::Epoch epoch,
-               YSlice slice);
+               const YSlice& slice);
   void schedule_retransmit(std::uint32_t src, std::uint32_t dst,
                            transport::Epoch epoch);
   void on_retransmit_timer(std::uint32_t src, std::uint32_t dst,
                            transport::Epoch epoch);
   void apply_churn(std::span<const std::uint32_t> assignment);
-  /// Corruption round-trip at delivery: encode the slice as a wire frame,
-  /// let the fault plane maybe flip bytes, decode + validate. Returns false
-  /// (slice untouched) when the frame was quarantined. No-op pass-through
-  /// while corruption is disabled.
+  /// Corruption round-trip at delivery: encode `slice` as a wire frame, let
+  /// the fault plane maybe flip bytes, decode + validate into `decoded`.
+  /// Returns false (`decoded` untouched) when the frame was quarantined.
+  /// Call only while corruption is enabled.
   [[nodiscard]] bool frame_survives(std::uint32_t src, std::uint32_t dst,
-                                    transport::Epoch epoch, YSlice& slice);
+                                    transport::Epoch epoch, const YSlice& slice,
+                                    YSlice& decoded);
 
   [[nodiscard]] static std::uint64_t pair_key(std::uint32_t src,
                                               std::uint32_t dst) noexcept {
@@ -346,7 +348,6 @@ class DistributedRanking {
   EngineOptions opts_;
   util::ThreadPool& pool_;
   std::vector<std::unique_ptr<PageGroup>> groups_ P2P_EXTERNALLY_SYNCHRONIZED;
-  std::vector<std::vector<InboxMessage>> inbox_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::EventQueue queue_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::WaitProcess waits_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::LossModel loss_ P2P_EXTERNALLY_SYNCHRONIZED;

@@ -103,10 +103,6 @@ class RankSnapshotSink {
   virtual void invalidate(double time) = 0;
 };
 
-// (The paper's Section 3: "The case when E is not uniform over pages can be
-// used for personalized page ranking" — EngineOptions::personalization wires
-// exactly that through the distributed engine.)
-
 /// Which of the paper's two algorithms a ranker runs per loop step.
 enum class Algorithm {
   /// DPR1 (Algorithm 3): refresh X, solve the local system to convergence
@@ -186,15 +182,10 @@ struct EngineOptions {
   /// relative-error floor on the order of threshold·(cut entries)/||R*||.
   double send_threshold = 0.0;
 
-  /// Per-page E vector for personalized ranking (Section 3). Empty means
-  /// the uniform E(v) = 1 of the paper's experiments; otherwise must have
-  /// one non-negative entry per page of the graph.
-  std::vector<double> personalization;
-
   /// Chaos-harness self-test ONLY (src/check): when set to a valid group
-  /// index, that group's afferent-update path is dead — it silently drops
-  /// its inbox instead of refreshing X and ignores warm-start priming (so
-  /// churn / restore state transfers cannot heal it). A deliberately broken
+  /// index, that group's afferent-update path is dead — slices delivered to
+  /// it and warm-start priming alike are never applied to its X (so churn /
+  /// restore state transfers cannot heal it). A deliberately broken
   /// engine the scenario checker must flag: its ranks converge to a too-low
   /// fixed point, failing the convergence invariant. If the group departs
   /// in churn, its successor inherits the fault. The default (no group)
@@ -251,7 +242,7 @@ struct EngineCounters {
   std::uint64_t inner_sweeps = 0;   ///< DPR1's hidden cost; = outer_steps for DPR2
   std::uint64_t messages_sent = 0;  ///< Y-slice sends, fresh and retransmitted
   std::uint64_t messages_lost = 0;  ///< dropped by the loss model or an active cut
-  std::uint64_t deliveries = 0;     ///< slices that reached an inbox
+  std::uint64_t deliveries = 0;     ///< slices delivered past the epoch filter
   /// Fresh records only — the paper's W. A retransmit re-ships bytes, not
   /// logical records, so its copies go to retransmit_records instead.
   std::uint64_t records_sent = 0;
@@ -274,7 +265,7 @@ struct EngineCounters {
   std::uint64_t frames_corrupted = 0;        ///< frames the plane flipped bytes in
   std::uint64_t frames_quarantined = 0;      ///< rejected by the codec at delivery
   std::uint64_t corrupt_frames_applied = 0;  ///< checksum collisions; stays 0
-  std::uint64_t slices_rejected = 0;  ///< refresh-time payload guard; stays 0
+  std::uint64_t slices_rejected = 0;  ///< delivery-time payload guard; stays 0
   std::uint64_t status_messages = 0;  ///< termination-detection reports
 
   /// §4.5 wire cost of the fresh sends: a 40-byte envelope per message plus

@@ -12,18 +12,18 @@
 namespace p2prank::engine {
 
 PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
-                     double alpha, std::span<const double> e_local)
+                     double alpha)
     : members_(std::move(members)),
       matrix_(rank::LinkMatrix::from_subset(g, members_, alpha)) {
-  init_state(e_local);
+  init_state();
 }
 
 PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
                      const rank::PagePlacement& placement, std::uint32_t group,
-                     double alpha, std::span<const double> e_local)
+                     double alpha)
     : members_(std::move(members)),
       matrix_(rank::LinkMatrix::from_group(g, members_, placement, group, alpha)) {
-  init_state(e_local);
+  init_state();
   // Cut edges go in source-major order: members ascending, each one's
   // out-links in CSR order. The order finalize_efferents' std::sort leaves
   // among edges into one page depends on this input order, and it is
@@ -38,19 +38,10 @@ PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> member
   finalize_efferents();
 }
 
-void PageGroup::init_state(std::span<const double> e_local) {
+void PageGroup::init_state() {
   assert(std::is_sorted(members_.begin(), members_.end()));
-  if (!e_local.empty() && e_local.size() != members_.size()) {
-    throw std::invalid_argument("PageGroup: e_local size mismatch");
-  }
-  const double beta = rank::beta_of(matrix_.alpha());
-  beta_e_.resize(members_.size());
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    beta_e_[i] = beta * (e_local.empty() ? 1.0 : e_local[i]);
-  }
   ranks_.assign(members_.size(), 0.0);  // R0 = 0 (the proofs' S = 0)
-  x_.assign(members_.size(), 0.0);
-  forcing_ = beta_e_;
+  forcing_.assign(members_.size(), rank::beta_of(matrix_.alpha()));  // X = 0
   scratch_.assign(members_.size(), 0.0);
 }
 
@@ -66,8 +57,7 @@ void PageGroup::set_ranks(std::span<const double> ranks) {
 
 void PageGroup::reset_state() {
   std::fill(ranks_.begin(), ranks_.end(), 0.0);
-  std::fill(x_.begin(), x_.end(), 0.0);
-  forcing_ = beta_e_;
+  std::fill(forcing_.begin(), forcing_.end(), rank::beta_of(matrix_.alpha()));
   last_sweep_delta_ = 0.0;
   wl_state_.reset();
   received_.clear();
@@ -152,14 +142,13 @@ void PageGroup::refresh_x(std::uint32_t source_group, const YSlice& slice) {
   // X(v) = Σ over (source group, page) of the latest received contribution.
   // Maintain the dense sum incrementally: each incoming entry supersedes
   // the stored value for its (source, page) pair.
-  if (!slice.entries.empty() && slice.entries.back().first >= x_.size()) {
+  if (!slice.entries.empty() && slice.entries.back().first >= size()) {
     throw std::out_of_range("PageGroup::refresh_x: slice index past the group");
   }
   auto& stored = received_[source_group];
   for (const auto& [local, value] : slice.entries) {
     double& slot = stored.try_emplace(local, 0.0).first->second;
     const double delta = value - slot;
-    x_[local] += delta;
     forcing_[local] += delta;
     slot = value;
     // A bitwise-unchanged forcing slot (delta exactly 0) cannot change the
@@ -188,6 +177,14 @@ bool PageGroup::install_worklist_carry(
     std::span<const std::uint32_t> changed_rows_local,
     std::span<const std::uint32_t> changed_sources_local) {
   const std::size_t dim = members_.size();
+  // The bitmaps' last word has room past dim: a row there would wake a row
+  // that does not exist, and one past the last word would write past them.
+  const auto past_group = [dim](std::uint32_t row) { return row >= dim; };
+  if (std::any_of(changed_rows_local.begin(), changed_rows_local.end(), past_group) ||
+      std::any_of(changed_sources_local.begin(), changed_sources_local.end(),
+                  past_group)) {
+    throw std::out_of_range("PageGroup::install_worklist_carry: row past the group");
+  }
   const std::size_t words = (dim + 63) / 64;
   if (!carry.valid || carry.contrib.size() != dim || carry.differ.size() != words) {
     set_ranks(ranks);
@@ -211,12 +208,10 @@ bool PageGroup::install_worklist_carry(
   // Sources whose 1/d(u) weight changed: their propagated contribution is
   // stale, so the next sweep's rescan phase must revisit them.
   for (const std::uint32_t row : changed_sources_local) {
-    assert(row < dim);
     wl_state_.differ[row >> 6] |= std::uint64_t{1} << (row & 63);
   }
   // Rows whose in-neighborhood changed recompute against the new matrix.
   for (const std::uint32_t row : changed_rows_local) {
-    assert(row < dim);
     wl_state_.mark_forcing_dirty(row);
   }
   return true;

@@ -39,12 +39,11 @@ struct YSlice {
 
 class PageGroup {
  public:
-  /// `members`: ascending global PageIds owned by this group. `e_local`
-  /// optionally personalizes the rank source: E(members[i]) = e_local[i]
-  /// (empty = uniform E = 1, the paper's default). No efferent edges: add
-  /// them with add_efferent_edge, then call finalize_efferents.
+  /// `members`: ascending global PageIds owned by this group; the rank
+  /// source is the paper's uniform E = 1. No efferent edges: add them with
+  /// add_efferent_edge, then call finalize_efferents.
   PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
-            double alpha, std::span<const double> e_local = {});
+            double alpha);
 
   /// Group `group` of a partition (engine wiring): `members` are the pages
   /// `placement` puts in that group, ascending. Builds the local matrix and
@@ -52,7 +51,7 @@ class PageGroup {
   /// finalizes the blocks.
   PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
             const rank::PagePlacement& placement, std::uint32_t group,
-            double alpha, std::span<const double> e_local = {});
+            double alpha);
 
   [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
   [[nodiscard]] std::span<const graph::PageId> members() const noexcept {
@@ -86,7 +85,7 @@ class PageGroup {
 
   /// Apply a received slice: each entry supersedes the stored value from
   /// that (source group, page) pair. This is the "Refresh X" of Algorithms
-  /// 3/4 (the engine drains the network inbox into this). Keeps
+  /// 3/4 (the engine calls it when a slice is delivered). Keeps
   /// X = Σ_sources latest-per-entry exact for full and delta slices alike.
   /// Entries must be ascending. Throws std::out_of_range, applying nothing,
   /// when the last index is not a page of this group.
@@ -121,8 +120,9 @@ class PageGroup {
   /// in-neighborhood changed — they get forcing-dirty bits so they
   /// recompute. Falls back to set_ranks() (dense re-prime) and returns
   /// false when the carry does not fit this group; returns true when the
-  /// frontier was installed. Call before any X re-priming so refresh_x()
-  /// can record its own dirty rows.
+  /// frontier was installed. Throws std::out_of_range, changing nothing,
+  /// when either list holds a row that is not a row of this group. Call
+  /// before any X re-priming so refresh_x() can record its own dirty rows.
   bool install_worklist_carry(std::span<const double> ranks, WorklistCarry carry,
                               std::span<const std::uint32_t> changed_rows_local,
                               std::span<const std::uint32_t> changed_sources_local);
@@ -180,8 +180,8 @@ class PageGroup {
     std::vector<double> last_sent;  // NaN = never sent
   };
 
-  /// Shared tail of both constructors: βE, zero R and X, sweep buffers.
-  void init_state(std::span<const double> e_local);
+  /// Shared tail of both constructors: zero R and X, sweep buffers.
+  void init_state();
   [[nodiscard]] const EfferentBlock* find_block(std::uint32_t dest_group) const;
   [[nodiscard]] EfferentBlock* find_block(std::uint32_t dest_group);
 
@@ -189,10 +189,8 @@ class PageGroup {
 
   std::vector<graph::PageId> members_;
   rank::LinkMatrix matrix_;
-  std::vector<double> beta_e_;          // βE(v) per local page
   std::vector<double> ranks_;           // R, local
-  std::vector<double> x_;               // X, local (sum of latest slices)
-  std::vector<double> forcing_;         // βE + X, kept in sync with x_
+  std::vector<double> forcing_;         // βE + X, X the sum of latest slices
   std::vector<double> scratch_;         // sweep target
   rank::SweepScratch sweep_scratch_;    // residual partials
   rank::WorklistState wl_state_;        // frontier bitmaps, pinned to ranks_/scratch_

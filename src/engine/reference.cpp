@@ -23,34 +23,6 @@ std::vector<double> open_system_reference(const graph::WebGraph& g, double alpha
   return std::move(result.ranks);
 }
 
-std::vector<double> open_system_reference_personalized(const graph::WebGraph& g,
-                                                       double alpha,
-                                                       std::span<const double> e,
-                                                       util::ThreadPool& pool,
-                                                       double epsilon,
-                                                       std::size_t max_iterations) {
-  if (e.size() != g.num_pages()) {
-    throw std::invalid_argument("open_system_reference_personalized: E size");
-  }
-  const auto matrix = rank::LinkMatrix::from_graph(g, alpha);
-  std::vector<double> forcing(e.size());
-  const double beta = rank::beta_of(alpha);
-  for (std::size_t i = 0; i < e.size(); ++i) {
-    if (e[i] < 0.0) {
-      throw std::invalid_argument("open_system_reference_personalized: E < 0");
-    }
-    forcing[i] = beta * e[i];
-  }
-  rank::SolveOptions opts;
-  opts.epsilon = epsilon;
-  opts.max_iterations = max_iterations;
-  auto result = rank::solve_open_system(matrix, forcing, {}, opts, pool);
-  if (!result.converged) {
-    throw std::runtime_error("open_system_reference_personalized: did not converge");
-  }
-  return std::move(result.ranks);
-}
-
 std::size_t centralized_iterations_to_error(const graph::WebGraph& g, double alpha,
                                             double threshold,
                                             std::span<const double> reference,

@@ -22,13 +22,6 @@ namespace p2prank::engine {
                                                         double epsilon = 1e-12,
                                                         std::size_t max_iterations = 2000);
 
-/// Personalized variant: solve R = A·R + βE with a caller-supplied per-page
-/// E (Section 3's non-uniform E). `e` must have one entry per page.
-[[nodiscard]] std::vector<double> open_system_reference_personalized(
-    const graph::WebGraph& g, double alpha, std::span<const double> e,
-    util::ThreadPool& pool, double epsilon = 1e-12,
-    std::size_t max_iterations = 2000);
-
 /// Number of iterations the centralized open-system power iteration needs,
 /// starting from R = 0, until ||R_i - R*|| / ||R*|| <= threshold. This is
 /// the "CPR" series of Fig. 8 (whose iteration count is independent of the

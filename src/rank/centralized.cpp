@@ -11,26 +11,15 @@ namespace p2prank::rank {
 
 SolveResult centralized_pagerank(const graph::WebGraph& g,
                                  const CentralizedOptions& opts,
-                                 util::ThreadPool& pool,
-                                 std::span<const double> personalization) {
+                                 util::ThreadPool& pool) {
   const std::size_t n = g.num_pages();
   if (n == 0) return {};
   if (!(opts.damping > 0.0 && opts.damping < 1.0)) {
     throw std::invalid_argument("centralized_pagerank: damping must be in (0,1)");
   }
-  if (!personalization.empty() && personalization.size() != n) {
-    throw std::invalid_argument("centralized_pagerank: personalization size mismatch");
-  }
 
-  // E normalized to a probability vector.
-  std::vector<double> e(n, 1.0 / static_cast<double>(n));
-  if (!personalization.empty()) {
-    const double sum = util::accurate_sum(personalization);
-    if (sum <= 0.0) {
-      throw std::invalid_argument("centralized_pagerank: personalization must sum > 0");
-    }
-    for (std::size_t i = 0; i < n; ++i) e[i] = personalization[i] / sum;
-  }
+  // E is the uniform probability vector: 1/n per page.
+  const double e = 1.0 / static_cast<double>(n);
 
   // Precompute c / d(u). Algorithm 1 builds its matrix from the crawled
   // collection only, so d(u) counts links *within* the crawl.
@@ -41,7 +30,7 @@ SolveResult centralized_pagerank(const graph::WebGraph& g,
   }
 
   SolveResult result;
-  result.ranks = e;  // R0 = S: start from the normalized source vector
+  result.ranks.assign(n, e);  // R0 = S: start from the source vector
   std::vector<double> next(n, 0.0);
 
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
@@ -57,7 +46,7 @@ SolveResult centralized_pagerank(const graph::WebGraph& g,
     });
     // D = ||R_i||_1 - ||R_{i+1}||_1, reinjected via E (Algorithm 1's dE).
     const double lost = util::l1_norm(result.ranks) - util::l1_norm(next);
-    for (std::size_t v = 0; v < n; ++v) next[v] += lost * e[v];
+    for (std::size_t v = 0; v < n; ++v) next[v] += lost * e;
 
     const double delta = util::l1_distance(next, result.ranks);
     std::swap(result.ranks, next);

@@ -24,12 +24,10 @@ struct CentralizedOptions {
   std::function<bool(std::span<const double>)> on_iteration;
 };
 
-/// Run Algorithm 1. `personalization` is the E vector (empty = uniform 1/n);
-/// it is normalized to sum 1 internally. The returned ranks sum to 1.
+/// Run Algorithm 1 with the uniform E = 1/n. The returned ranks sum to 1.
 [[nodiscard]] SolveResult centralized_pagerank(const graph::WebGraph& g,
                                                const CentralizedOptions& opts,
-                                               util::ThreadPool& pool,
-                                               std::span<const double> personalization = {});
+                                               util::ThreadPool& pool);
 
 /// Pages sorted by descending rank; ties by ascending PageId. Returns the
 /// first k indices (or all when k >= n).

@@ -1,8 +1,7 @@
 // Tests for the engine extensions beyond the paper's core algorithms:
-// personalization (Section 3's non-uniform E), delta-send thresholds
-// (compression future work), dynamic link graphs via warm_start
-// (Section 4.3's relaxed static-graph assumption), and ranker churn
-// (pause/resume — "suspend itself as its wish, or even shutdown").
+// delta-send thresholds (compression future work), dynamic link graphs via
+// warm_start (Section 4.3's relaxed static-graph assumption), and ranker
+// churn (pause/resume — "suspend itself as its wish, or even shutdown").
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -62,53 +61,6 @@ EngineOptions base_options() {
   o.t1 = o.t2 = 1.0;
   o.seed = 5;
   return o;
-}
-
-// ------------------------------------------------------------ personalization
-
-TEST_F(ExtensionsFixture, PersonalizedDistributedMatchesPersonalizedCentralized) {
-  // Bias E toward site 0's pages.
-  std::vector<double> e(graph_->num_pages(), 0.1);
-  for (const graph::PageId p : graph_->pages_of_site(0)) e[p] = 5.0;
-  const auto ref =
-      open_system_reference_personalized(*graph_, kAlpha, e, pool());
-
-  auto opts = base_options();
-  opts.personalization = e;
-  DistributedRanking sim(*graph_, *assignment_, 8, opts, pool());
-  sim.set_reference(ref);
-  const auto result = sim.run_until_error(1e-5, 2000.0, 2.0);
-  EXPECT_TRUE(result.reached) << result.final_relative_error;
-}
-
-TEST_F(ExtensionsFixture, PersonalizationShiftsMassTowardFavoredPages) {
-  std::vector<double> e(graph_->num_pages(), 0.1);
-  for (const graph::PageId p : graph_->pages_of_site(0)) e[p] = 5.0;
-  const auto biased =
-      open_system_reference_personalized(*graph_, kAlpha, e, pool());
-  double favored = 0.0;
-  double favored_uniform = 0.0;
-  for (const graph::PageId p : graph_->pages_of_site(0)) {
-    favored += biased[p];
-    favored_uniform += (*reference_)[p];
-  }
-  EXPECT_GT(favored, favored_uniform);
-}
-
-TEST_F(ExtensionsFixture, PersonalizationValidation) {
-  auto opts = base_options();
-  opts.personalization.assign(3, 1.0);
-  EXPECT_THROW(DistributedRanking(*graph_, *assignment_, 8, opts, pool()),
-               std::invalid_argument);
-  std::vector<double> negative(graph_->num_pages(), 1.0);
-  negative[0] = -1.0;
-  EXPECT_THROW(
-      (void)open_system_reference_personalized(*graph_, kAlpha, negative, pool()),
-      std::invalid_argument);
-  const std::vector<double> wrong(3, 1.0);
-  EXPECT_THROW(
-      (void)open_system_reference_personalized(*graph_, kAlpha, wrong, pool()),
-      std::invalid_argument);
 }
 
 // ----------------------------------------------------------- delta thresholds
@@ -224,6 +176,19 @@ TEST_F(ExtensionsFixture, WarmStartValidatesSize) {
   DistributedRanking sim(*graph_, *assignment_, 8, base_options(), pool());
   const std::vector<double> wrong(3, 0.0);
   EXPECT_THROW(sim.warm_start(wrong), std::invalid_argument);
+}
+
+TEST_F(ExtensionsFixture, WarmStartSupersedesEarlierDeliveries) {
+  // Slices delivered before a warm start carry X from the cold run. The
+  // priming from the warm ranks must replace them, so the engine stays at
+  // the reference instead of sliding back to the cold run's error.
+  DistributedRanking sim(*graph_, *assignment_, 8, base_options(), pool());
+  sim.set_reference(*reference_);
+  (void)sim.run(3.0, 3.0);
+  ASSERT_GT(sim.relative_error_now(), 1e-3);
+  sim.warm_start(*reference_);
+  (void)sim.run(5.0, 2.0);
+  EXPECT_LT(sim.relative_error_now(), 1e-8);
 }
 
 // ------------------------------------------------------------------- churn

@@ -84,6 +84,46 @@ TEST(PageGroup, RefreshXRejectsIndexPastTheGroup) {
   EXPECT_NEAR(group.ranks()[1], 1.0, 1e-10);
 }
 
+TEST(PageGroup, InstallCarryRejectsRowPastTheGroup) {
+  // The row lists index the frontier bitmaps, whose last word has room past
+  // size(): a changed row equal to size() would wake a row that does not
+  // exist, and a changed source past the last word would write past the
+  // bitmap. Both are refused before anything changes, whether the carry
+  // installs or falls back to set_ranks.
+  const auto g = test::two_cycle();
+  PageGroup group(g, {0, 1}, kAlpha);
+  group.finalize_efferents();
+  group.sweep_once(pool());
+  group.sweep_once(pool());
+  const PageGroup::WorklistCarry carry = group.export_worklist_carry();
+  ASSERT_TRUE(carry.valid);
+  const std::vector<double> ranks(group.ranks().begin(), group.ranks().end());
+
+  PageGroup fresh(g, {0, 1}, kAlpha);
+  fresh.finalize_efferents();
+  const std::vector<std::uint32_t> none;
+  const std::vector<std::uint32_t> row_past{2};      // == size()
+  const std::vector<std::uint32_t> source_past{64};  // past the last bitmap word
+  for (const bool valid : {true, false}) {
+    PageGroup::WorklistCarry offered = carry;
+    offered.valid = valid;
+    EXPECT_THROW((void)fresh.install_worklist_carry(ranks, offered, row_past, none),
+                 std::out_of_range);
+    EXPECT_EQ(fresh.ranks()[0], 0.0);
+    EXPECT_EQ(fresh.ranks()[1], 0.0);
+    EXPECT_THROW((void)fresh.install_worklist_carry(ranks, offered, none, source_past),
+                 std::out_of_range);
+    EXPECT_EQ(fresh.ranks()[0], 0.0);
+    EXPECT_EQ(fresh.ranks()[1], 0.0);
+  }
+  // The refused calls left the group whole: a well-formed carry installs
+  // and the frontier solve reaches the fixed point.
+  ASSERT_TRUE(fresh.install_worklist_carry(ranks, carry, none, none));
+  fresh.solve_to_convergence(1e-14, 2000, pool());
+  EXPECT_NEAR(fresh.ranks()[0], 1.0, 1e-10);
+  EXPECT_NEAR(fresh.ranks()[1], 1.0, 1e-10);
+}
+
 TEST(PageGroup, SlicesFromDifferentSourcesAccumulate) {
   const auto g = test::two_cycle();
   PageGroup group(g, {0, 1}, kAlpha);

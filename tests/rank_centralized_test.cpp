@@ -92,24 +92,6 @@ TEST(Centralized, DanglingMassIsRedistributedNotLost) {
   EXPECT_NEAR(r.ranks[0], 0.5, 1e-12);
 }
 
-TEST(Centralized, PersonalizationBiasesRanks) {
-  const auto g = test::two_cycle();
-  std::vector<double> e{0.9, 0.1};
-  const auto biased = centralized_pagerank(g, tight(), pool(), e);
-  EXPECT_GT(biased.ranks[0], biased.ranks[1]);
-  EXPECT_NEAR(util::accurate_sum(biased.ranks), 1.0, 1e-12);
-}
-
-TEST(Centralized, PersonalizationValidation) {
-  const auto g = test::two_cycle();
-  const std::vector<double> wrong_size{1.0};
-  EXPECT_THROW((void)centralized_pagerank(g, tight(), pool(), wrong_size),
-               std::invalid_argument);
-  const std::vector<double> zero{0.0, 0.0};
-  EXPECT_THROW((void)centralized_pagerank(g, tight(), pool(), zero),
-               std::invalid_argument);
-}
-
 TEST(Centralized, ResidualHistoryRecorded) {
   const auto g = test::star(4);
   auto o = tight();

@@ -69,7 +69,7 @@ cmake --build --preset asan --target scenario_fuzz graph_builder_test \
   obs_metrics_test util_bytes_test transport_frame_test transport_wire_test \
   rank_matrix_test engine_group_test engine_incremental_test engine_wiring_test \
   serve_snapshot_test serve_degraded_test engine_termination_checkpoint_test \
-  transport_reliable_test -j"$(nproc)"
+  transport_reliable_test engine_reliable_test engine_extensions_test -j"$(nproc)"
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
 # WebGraph accessors (the old out_links(0) UB), loader reject paths, binary
@@ -111,6 +111,15 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/serve_degraded_
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_termination_checkpoint_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/transport_reliable_test "$@"
 echo "ASan: serving, checkpoint and reliable-exchange suites clean"
+
+# The engine's delivery path (DESIGN.md §8): an arrival event applies its
+# slice to X in place, from the payload it shares with the retransmit
+# buffer, while acks, retransmits, pause, crash, churn and warm starts
+# drop or replace buffered payloads around it. These two suites drive all
+# of those through delivery, so a read of a freed payload shows here.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_reliable_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_extensions_test "$@"
+echo "ASan: engine delivery-path suites clean"
 
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet
