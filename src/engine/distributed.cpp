@@ -1,8 +1,8 @@
 #include "engine/distributed.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -205,8 +205,11 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment,
     local_index[p] = static_cast<std::uint32_t>(group_members.size());
     group_members.push_back(p);  // ascending because p ascends
   }
-  // Each group reads its matrix and its cut edges off these two maps.
-  const rank::PagePlacement placement{assignment, local_index};
+  // Each group reads its matrix and its cut edges off these two maps, and
+  // the engine keeps them to find any page's rank where its group holds it.
+  page_group_.assign(assignment.begin(), assignment.end());
+  page_local_ = std::move(local_index);
+  const rank::PagePlacement placement{page_group_, page_local_};
 
   groups_.clear();
   groups_.reserve(k);
@@ -217,6 +220,10 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment,
     // exactly the frontier-reset rule for churn and graph-update rebuilds.
     groups_.push_back(std::make_unique<PageGroup>(graph_, std::move(members[grp]),
                                                   placement, grp, opts_.alpha));
+  }
+  outbox_.assign(k, {});
+  for (std::uint32_t grp = 0; grp < k; ++grp) {
+    outbox_[grp].resize(groups_[grp]->efferent_destinations().size());
   }
 
   // Every membership change funnels through here (construction, churn);
@@ -239,14 +246,16 @@ void DistributedRanking::prime_afferents() {
   // (computed from the warm ranks) directly, outside the message accounting
   // (and outside the epoch filter: priming is state transfer, not a channel
   // send).
+  YSlice slice;  // one buffer, refilled for every pair
   for (std::uint32_t src = 0; src < groups_.size(); ++src) {
     for (const std::uint32_t dest : groups_[src]->efferent_destinations()) {
-      apply_slice(src, dest, groups_[src]->compute_y(dest));
+      groups_[src]->compute_y(dest, 0.0, slice);
+      apply_slice(src, dest, slice);
     }
   }
 }
 
-void DistributedRanking::apply_slice(std::uint32_t src, std::uint32_t dst,
+bool DistributedRanking::apply_slice(std::uint32_t src, std::uint32_t dst,
                                      const YSlice& slice) {
   // fault_skip_refresh_group is the chaos harness's deliberately broken
   // ranker: its whole afferent-update path is dead, so its X stays stale
@@ -254,7 +263,7 @@ void DistributedRanking::apply_slice(std::uint32_t src, std::uint32_t dst,
   // come through here, so churn and restore state transfers cannot
   // silently heal it (the --broken self-test depends on the fault
   // surviving every recovery mechanism).
-  if (dst == opts_.fault_skip_refresh_group) return;
+  if (dst == opts_.fault_skip_refresh_group) return false;
   PageGroup& pg = *groups_[dst];
   // Poisoned-slice guard (defense in depth behind the frame codec): a
   // NaN/Inf/negative or misordered payload must never reach refresh_x,
@@ -264,9 +273,10 @@ void DistributedRanking::apply_slice(std::uint32_t src, std::uint32_t dst,
   if (!transport::entries_valid(slice.entries) ||
       (!slice.entries.empty() && slice.entries.back().first >= pg.size())) {
     ++tally_.slices_rejected;
-    return;
+    return false;
   }
   pg.refresh_x(src, slice);
+  return true;
 }
 
 void DistributedRanking::warm_start(std::span<const double> global_ranks) {
@@ -307,17 +317,12 @@ void DistributedRanking::warm_start_incremental(
   const bool carry_usable = carry.groups.size() == groups_.size();
 
   // Bucket the delta's global page ids into per-group local row indices.
-  const auto assignment = current_assignment();
   std::vector<std::vector<std::uint32_t>> rows_local(groups_.size());
   std::vector<std::vector<std::uint32_t>> sources_local(groups_.size());
   const auto bucket = [&](std::span<const graph::PageId> pages,
                           std::vector<std::vector<std::uint32_t>>& out) {
     for (const graph::PageId p : pages) {
-      const std::uint32_t gi = assignment.at(p);
-      const auto members = groups_[gi]->members();
-      const auto it = std::lower_bound(members.begin(), members.end(), p);
-      assert(it != members.end() && *it == p);
-      out[gi].push_back(static_cast<std::uint32_t>(it - members.begin()));
+      out[page_group_.at(p)].push_back(page_local_[p]);
     }
   };
   bucket(changed_rows, rows_local);
@@ -386,14 +391,6 @@ void DistributedRanking::crash_group(std::uint32_t group) {
   // Deliberately no (re)scheduling: a running group's next step is already
   // queued and simply finds empty state; a paused group stays paused until
   // resume_group (crash-while-down semantics).
-}
-
-std::vector<std::uint32_t> DistributedRanking::current_assignment() const {
-  std::vector<std::uint32_t> assignment(graph_.num_pages(), UINT32_MAX);
-  for (std::uint32_t grp = 0; grp < groups_.size(); ++grp) {
-    for (const graph::PageId p : groups_[grp]->members()) assignment[p] = grp;
-  }
-  return assignment;
 }
 
 void DistributedRanking::discard_in_flight() {
@@ -543,16 +540,15 @@ void DistributedRanking::schedule_step(std::uint32_t group) {
 }
 
 void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t dst,
-                                    YSlice slice) {
-  records_per_group_[src] += slice.record_count;
-  if (obs_.slice_records != nullptr) obs_.slice_records->add(slice.record_count);
+                                    std::shared_ptr<YSlice> payload) {
+  records_per_group_[src] += payload->record_count;
+  if (obs_.slice_records != nullptr) obs_.slice_records->add(payload->record_count);
   // Reliable exchange: stamp an epoch and buffer the payload for
   // retransmission (a fresh send supersedes the pair's previous unacked
   // slice — the buffer holds at most one slice per peer). Sends to a
   // suspected peer still go out: they double as probes. The paper's
   // fire-and-forget channel ships epoch 0 and buffers nothing.
   const transport::Epoch epoch = reliable_ ? reliable_->begin_send(src, dst) : 0;
-  auto payload = std::make_shared<YSlice>(std::move(slice));
   if (opts_.reliable) pending_payload_[pair_key(src, dst)] = payload;
   transmit(src, dst, epoch, std::move(payload), /*retransmission=*/false);
   if (opts_.reliable) schedule_retransmit(src, dst, epoch);
@@ -571,12 +567,6 @@ void DistributedRanking::transmit(std::uint32_t src, std::uint32_t dst,
   if (!pass_loss || !pass_cut) {
     ++tally_.messages_lost;
     return;
-  }
-  if (opts_.send_threshold > 0.0 && !opts_.reliable) {
-    // Without retransmission the loss draw above is the only delivery
-    // knowledge; commit eagerly on it. (With retransmission the commit
-    // happens on ack instead.)
-    groups_[src]->commit_sent(dst, *payload);
   }
   const double delay = delivery_delay(src, dst);
   const std::uint64_t records = payload->record_count;
@@ -629,7 +619,13 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   // A stale epoch is counted by the filter itself (duplicates_rejected).
   if (!reliable_ || reliable_->accept(src, dst, epoch)) {
     ++tally_.deliveries;
-    apply_slice(src, dst, received);
+    // Without acks, the slice reaching X is the only delivery knowledge a
+    // thresholded sender gets, so it commits here: a slice lost, cut,
+    // quarantined, refused by the guard or dropped by churn stays pending
+    // and rides the next send. (With the reliable layer it commits on ack.)
+    if (apply_slice(src, dst, received) && !reliable_ && opts_.send_threshold > 0.0) {
+      groups_[src]->commit_sent(dst, received);
+    }
   }
   if (!reliable_) return;
   // Ack even a rejected duplicate — the ack is cumulative (it carries the
@@ -793,13 +789,27 @@ void DistributedRanking::run_step(std::uint32_t group) {
     }
   }
 
-  // Compute and send Y to every group we have cut edges into.
-  for (const std::uint32_t dest : pg.efferent_destinations()) {
-    YSlice slice = pg.compute_y(dest, opts_.send_threshold);
-    if (opts_.send_threshold > 0.0 && slice.entries.empty()) {
+  // Compute Y for every group we have cut edges into, then send each in
+  // destination order. A delivery writes only its receiver (and a commit
+  // only its own destination's block), so computing every slice first
+  // reads the same R and the same last-sent values as interleaving would.
+  const auto dests = pg.efferent_destinations();
+  auto& outbox = outbox_[group];
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    std::shared_ptr<YSlice>& buffer = outbox[i];
+    // Refill a buffer only while the outbox holds its only reference: an
+    // arrival event, the retransmit buffer or a pending ack may still read
+    // the slice it holds.
+    if (buffer == nullptr || buffer.use_count() != 1) {
+      buffer = std::make_shared<YSlice>();
+    }
+    pg.compute_y(dests[i], opts_.send_threshold, *buffer);
+  }
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    if (opts_.send_threshold > 0.0 && outbox[i]->entries.empty()) {
       continue;  // nothing moved enough to be worth a message
     }
-    send_slice(group, dest, std::move(slice));
+    send_slice(group, dests[i], outbox[i]);
   }
 
   // Publish-at-iteration-boundary (DESIGN.md §12): loop-step boundaries are
@@ -857,7 +867,21 @@ double DistributedRanking::relative_error_now() const {
   if (reference_.empty()) {
     throw std::logic_error("DistributedRanking: reference not set");
   }
-  return util::relative_error(global_ranks(), reference_, reference_l1_);
+  // util::l1_distance's sum (page order, long double) with each page's
+  // rank read where its group holds it, then util::relative_error's ratio.
+  std::vector<const double*> ranks(groups_.size());
+  for (std::size_t grp = 0; grp < groups_.size(); ++grp) {
+    ranks[grp] = groups_[grp]->ranks().data();
+  }
+  long double acc = 0.0L;
+  for (std::size_t p = 0; p < reference_.size(); ++p) {
+    acc += std::fabs(ranks[page_group_[p]][page_local_[p]] - reference_[p]);
+  }
+  const auto l1 = static_cast<double>(acc);
+  if (reference_l1_ == 0.0) {
+    return l1 == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  }
+  return l1 / reference_l1_;
 }
 
 std::vector<std::uint64_t> DistributedRanking::outer_steps_per_group() const {

@@ -166,7 +166,9 @@ class DistributedRanking {
   void join_group(std::uint32_t group, std::uint32_t donor);
 
   /// Current page -> group ownership map (exactly one owner per page).
-  [[nodiscard]] std::vector<std::uint32_t> current_assignment() const;
+  [[nodiscard]] std::vector<std::uint32_t> current_assignment() const {
+    return page_group_;
+  }
 
   /// Change the Y-message delivery probability from now on (chaos-harness
   /// loss bursts). In-flight messages are unaffected; the loss RNG stream
@@ -231,6 +233,9 @@ class DistributedRanking {
   /// Assemble the global rank vector from all groups' local vectors.
   [[nodiscard]] std::vector<double> global_ranks() const;
 
+  /// ||R − R*||_1 / ||R*||_1 against the reference, bit for bit what
+  /// util::relative_error(global_ranks(), reference) returns, summed
+  /// without assembling the global vector.
   [[nodiscard]] double relative_error_now() const;
 
   [[nodiscard]] std::uint32_t num_groups() const noexcept {
@@ -308,13 +313,14 @@ class DistributedRanking {
   /// "Refresh X" of Algorithms 3/4, the one place a slice becomes X: src's
   /// slice goes into dst's X unless dst is opts_.fault_skip_refresh_group
   /// or the poisoned-slice guard rejects it (counted in slices_rejected).
-  void apply_slice(std::uint32_t src, std::uint32_t dst, const YSlice& slice);
+  /// Returns whether the slice reached X.
+  bool apply_slice(std::uint32_t src, std::uint32_t dst, const YSlice& slice);
   /// Kill every undelivered slice and retransmit timer and drop the
   /// buffered payloads and pending epochs; accepted epochs survive.
   void discard_in_flight();
 
   // Y-slice channel, fire-and-forget or reliable.
-  void send_slice(std::uint32_t src, std::uint32_t dst, YSlice slice);
+  void send_slice(std::uint32_t src, std::uint32_t dst, std::shared_ptr<YSlice> payload);
   /// One channel attempt (fresh send or retransmission): counted, loss and
   /// cut drawn, and on survival delivered now or after the delivery delay.
   void transmit(std::uint32_t src, std::uint32_t dst, transport::Epoch epoch,
@@ -360,6 +366,14 @@ class DistributedRanking {
   /// delivery events so retransmits do not copy the payload.
   std::unordered_map<std::uint64_t, std::shared_ptr<YSlice>> pending_payload_
       P2P_EXTERNALLY_SYNCHRONIZED;
+  /// Y-slice buffer per (group, index into its efferent_destinations()),
+  /// refilled by each step. A buffer still shared — in flight, buffered
+  /// for retransmission or awaiting its ack — is never refilled: the step
+  /// takes a fresh one in its place.
+  std::vector<std::vector<std::shared_ptr<YSlice>>> outbox_ P2P_EXTERNALLY_SYNCHRONIZED;
+  /// The placement build_groups made: page → group and page → local row.
+  std::vector<std::uint32_t> page_group_;
+  std::vector<std::uint32_t> page_local_;
   /// Wiring generation: bumped by churn; deliveries stamped with an older
   /// generation carry dest-local indices of dead wiring and are dropped.
   std::uint64_t generation_ = 0;

@@ -28,11 +28,10 @@ PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> member
   // out-links in CSR order. The order finalize_efferents' std::sort leaves
   // among edges into one page depends on this input order, and it is
   // compute_y's summation order: changing either changes Y bits.
-  const auto weight = matrix_.source_weights();  // α/d(u), as on inner edges
   for (std::uint32_t i = 0; i < members_.size(); ++i) {
     for (const graph::PageId v : g.out_links(members_[i])) {
       const std::uint32_t dest = placement.group_of[v];
-      if (dest != group) add_efferent_edge(dest, placement.local_of[v], i, weight[i]);
+      if (dest != group) add_efferent_edge(dest, placement.local_of[v], i);
     }
   }
   finalize_efferents();
@@ -60,7 +59,10 @@ void PageGroup::reset_state() {
   std::fill(forcing_.begin(), forcing_.end(), rank::beta_of(matrix_.alpha()));
   last_sweep_delta_ = 0.0;
   wl_state_.reset();
-  received_.clear();
+  for (auto& aff : afferents_) {
+    aff.rows.clear();
+    aff.held.clear();
+  }
   for (auto& block : blocks_) {
     std::fill(block.last_sent.begin(), block.last_sent.end(),
               std::numeric_limits<double>::quiet_NaN());
@@ -68,7 +70,7 @@ void PageGroup::reset_state() {
 }
 
 void PageGroup::add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_local,
-                                  std::uint32_t src_local, double weight) {
+                                  std::uint32_t src_local) {
   assert(!finalized_);
   assert(src_local < members_.size());
   if (dest_group >= block_of_dest_.size()) {
@@ -82,7 +84,6 @@ void PageGroup::add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_l
   EfferentBlock& block = blocks_[slot];
   block.dst_local.push_back(dest_local);
   block.src_local.push_back(src_local);
-  block.weight.push_back(weight);
 }
 
 void PageGroup::finalize_efferents() {
@@ -95,30 +96,27 @@ void PageGroup::finalize_efferents() {
   for (std::uint32_t bi = 0; bi < blocks_.size(); ++bi) {
     EfferentBlock& block = blocks_[bi];
     block_of_dest_[block.dest_group] = bi;
-    // Sort edges by destination page so compute_y can merge runs.
+    // Sort edges by destination page, then pack each page's edges into one
+    // run of source rows.
     order.resize(block.dst_local.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
       return block.dst_local[a] < block.dst_local[b];
     });
-    EfferentBlock sorted;
-    sorted.dest_group = block.dest_group;
-    sorted.dst_local.reserve(order.size());
-    sorted.src_local.reserve(order.size());
-    sorted.weight.reserve(order.size());
-    for (const std::uint32_t i : order) {
-      sorted.dst_local.push_back(block.dst_local[i]);
-      sorted.src_local.push_back(block.src_local[i]);
-      sorted.weight.push_back(block.weight[i]);
-    }
-    for (std::size_t i = 0; i < sorted.dst_local.size(); ++i) {
-      if (sorted.unique_dst.empty() || sorted.unique_dst.back() != sorted.dst_local[i]) {
-        sorted.unique_dst.push_back(sorted.dst_local[i]);
+    std::vector<std::uint32_t> src_sorted(order.size());
+    for (std::uint32_t e = 0; e < order.size(); ++e) {
+      const std::uint32_t dst = block.dst_local[order[e]];
+      if (block.unique_dst.empty() || block.unique_dst.back() != dst) {
+        if (e > 0) block.run_end.push_back(e);
+        block.unique_dst.push_back(dst);
       }
+      src_sorted[e] = block.src_local[order[e]];
     }
-    sorted.last_sent.assign(sorted.unique_dst.size(),
-                            std::numeric_limits<double>::quiet_NaN());
-    block = std::move(sorted);
+    if (!order.empty()) block.run_end.push_back(static_cast<std::uint32_t>(order.size()));
+    block.src_local = std::move(src_sorted);
+    std::vector<std::uint32_t>().swap(block.dst_local);
+    block.last_sent.assign(block.unique_dst.size(),
+                           std::numeric_limits<double>::quiet_NaN());
   }
   efferent_dests_.clear();
   efferent_dests_.reserve(blocks_.size());
@@ -138,22 +136,52 @@ PageGroup::EfferentBlock* PageGroup::find_block(std::uint32_t dest_group) {
       static_cast<const PageGroup*>(this)->find_block(dest_group));
 }
 
+PageGroup::Afferent& PageGroup::afferent(std::uint32_t source_group) {
+  if (source_group >= afferent_of_source_.size()) {
+    afferent_of_source_.resize(std::size_t{source_group} + 1, kNoBlock);
+  }
+  std::uint32_t& slot = afferent_of_source_[source_group];
+  if (slot == kNoBlock) {
+    slot = static_cast<std::uint32_t>(afferents_.size());
+    afferents_.emplace_back();
+  }
+  return afferents_[slot];
+}
+
 void PageGroup::refresh_x(std::uint32_t source_group, const YSlice& slice) {
   // X(v) = Σ over (source group, page) of the latest received contribution.
   // Maintain the dense sum incrementally: each incoming entry supersedes
-  // the stored value for its (source, page) pair.
+  // the value held for its (source, page) pair.
   if (!slice.entries.empty() && slice.entries.back().first >= size()) {
     throw std::out_of_range("PageGroup::refresh_x: slice index past the group");
   }
-  auto& stored = received_[source_group];
+  Afferent& aff = afferent(source_group);
+  auto& rows = aff.rows;
+  // Merge cursor: rows[0, pos) lie below the next ascending entry.
+  std::size_t pos = 0;
   for (const auto& [local, value] : slice.entries) {
-    double& slot = stored.try_emplace(local, 0.0).first->second;
-    const double delta = value - slot;
+    // An entry out of order (only a direct caller sends one) restarts the
+    // search from the front; in order, the cursor's row is usually it.
+    if (pos > 0 && rows[pos - 1] >= local) pos = 0;
+    if (pos < rows.size() && rows[pos] < local) {
+      pos = static_cast<std::size_t>(
+          std::lower_bound(rows.begin() + static_cast<std::ptrdiff_t>(pos), rows.end(),
+                           local) -
+          rows.begin());
+    }
+    if (pos == rows.size() || rows[pos] != local) {  // first value from this pair
+      rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(pos), local);
+      aff.held.insert(aff.held.begin() + static_cast<std::ptrdiff_t>(pos), 0.0);
+    }
+    double& held = aff.held[pos++];
+    const double delta = value - held;
+    // A delta of exactly 0 leaves forcing_ (≥ β > 0) bitwise unchanged and
+    // cannot change the row's next value, so only real changes land and
+    // wake the row.
+    if (delta == 0.0) continue;
     forcing_[local] += delta;
-    slot = value;
-    // A bitwise-unchanged forcing slot (delta exactly 0) cannot change the
-    // row's next value, so only real changes wake the row.
-    if (delta != 0.0) wl_state_.mark_forcing_dirty(local);
+    held = value;
+    wl_state_.mark_forcing_dirty(local);
   }
 }
 
@@ -218,14 +246,8 @@ bool PageGroup::install_worklist_carry(
 }
 
 void PageGroup::mark_all_received_dirty() {
-  // p2plint: allow(no-unordered-iteration): setting forcing-dirty bits is
-  // idempotent and commutative, so visit order cannot affect state.
-  for (const auto& [source, entries] : received_) {
-    (void)source;
-    for (const auto& [local, value] : entries) {
-      (void)value;
-      wl_state_.mark_forcing_dirty(local);
-    }
+  for (const Afferent& aff : afferents_) {
+    for (const std::uint32_t local : aff.rows) wl_state_.mark_forcing_dirty(local);
   }
 }
 
@@ -253,36 +275,40 @@ void PageGroup::sweep_once(util::ThreadPool& pool) {
 }
 
 YSlice PageGroup::compute_y(std::uint32_t dest_group, double threshold) const {
+  YSlice slice;
+  compute_y(dest_group, threshold, slice);
+  return slice;
+}
+
+void PageGroup::compute_y(std::uint32_t dest_group, double threshold,
+                          YSlice& out) const {
   const EfferentBlock* block = find_block(dest_group);
   if (block == nullptr) {
     throw std::invalid_argument("PageGroup::compute_y: no edges to that group");
   }
-  YSlice slice;
-  slice.entries.reserve(block->unique_dst.size());
-  // Edges are sorted by destination page: accumulate runs; run index u
-  // tracks the position in unique_dst / last_sent.
-  std::size_t i = 0;
-  std::size_t u = 0;
-  while (i < block->dst_local.size()) {
-    const std::uint32_t dst = block->dst_local[i];
+  out.entries.clear();
+  out.record_count = 0;
+  out.entries.reserve(block->unique_dst.size());
+  // Every edge leaving source s carries s's weight α/d(s), so each run sums
+  // R(s)·α/d(s) over its sources, in the order finalize_efferents left them.
+  const double* const weight = matrix_.source_weights().data();
+  std::uint32_t begin = 0;
+  for (std::size_t u = 0; u < block->unique_dst.size(); ++u) {
+    const std::uint32_t end = block->run_end[u];
     double acc = 0.0;
-    std::uint64_t edges = 0;
-    for (; i < block->dst_local.size() && block->dst_local[i] == dst; ++i) {
-      acc += ranks_[block->src_local[i]] * block->weight[i];
-      ++edges;
+    for (std::uint32_t e = begin; e < end; ++e) {
+      const std::uint32_t s = block->src_local[e];
+      acc += ranks_[s] * weight[s];
     }
-    assert(block->unique_dst[u] == dst);
     const double last = block->last_sent[u];
-    ++u;
     // Include when never sent, or moved at least `threshold` since the last
     // committed send.
-    if (std::isnan(last) || std::fabs(acc - last) >= threshold ||
-        threshold <= 0.0) {
-      slice.entries.emplace_back(dst, acc);
-      slice.record_count += edges;
+    if (threshold <= 0.0 || std::isnan(last) || std::fabs(acc - last) >= threshold) {
+      out.entries.emplace_back(block->unique_dst[u], acc);
+      out.record_count += end - begin;
     }
+    begin = end;
   }
-  return slice;
 }
 
 void PageGroup::commit_sent(std::uint32_t dest_group, const YSlice& slice) {
@@ -290,12 +316,14 @@ void PageGroup::commit_sent(std::uint32_t dest_group, const YSlice& slice) {
   if (block == nullptr) {
     throw std::invalid_argument("PageGroup::commit_sent: no edges to that group");
   }
-  // Both unique_dst and slice entries are ascending: merge.
+  // Both unique_dst and slice entries are ascending: merge. The slice is
+  // the one the receiver applied, so an entry that is no destination page
+  // of the block (a frame corrupted past its checksum) commits nothing.
   std::size_t u = 0;
   for (const auto& [dst, value] : slice.entries) {
     while (u < block->unique_dst.size() && block->unique_dst[u] < dst) ++u;
-    assert(u < block->unique_dst.size() && block->unique_dst[u] == dst);
-    block->last_sent[u] = value;
+    if (u == block->unique_dst.size()) break;
+    if (block->unique_dst[u] == dst) block->last_sent[u] = value;
   }
 }
 

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/web_graph.hpp"
@@ -71,11 +70,13 @@ class PageGroup {
 
   /// Register a cut edge (global u in this group) -> (global v in `dest`);
   /// local index of v within dest is `dest_local`. Called during wiring,
-  /// before finalize_efferents. The order of calls is the order in which
-  /// the edges' shares are summed among those of one destination page.
+  /// before finalize_efferents. The edge carries u's source weight α/d(u),
+  /// read off the matrix. The order of calls is the order in which the
+  /// edges' shares are summed among those of one destination page.
   void add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_local,
-                         std::uint32_t src_local, double weight);
-  /// Sort/pack efferent blocks after all edges are added.
+                         std::uint32_t src_local);
+  /// Sort every block's edges by destination page and pack them into runs,
+  /// after all edges are added.
   void finalize_efferents();
 
   /// Destination groups this group ships Y slices to.
@@ -87,7 +88,8 @@ class PageGroup {
   /// that (source group, page) pair. This is the "Refresh X" of Algorithms
   /// 3/4 (the engine calls it when a slice is delivered). Keeps
   /// X = Σ_sources latest-per-entry exact for full and delta slices alike.
-  /// Entries must be ascending. Throws std::out_of_range, applying nothing,
+  /// Ascending entries merge in one pass; out-of-order ones still land, at
+  /// the cost of a search each. Throws std::out_of_range, applying nothing,
   /// when the last index is not a page of this group.
   void refresh_x(std::uint32_t source_group, const YSlice& slice);
 
@@ -128,7 +130,7 @@ class PageGroup {
                               std::span<const std::uint32_t> changed_sources_local);
 
   /// Force every row with any received X entry to recompute next sweep.
-  /// After an incremental swap the fresh group's received_ map is re-primed
+  /// After an incremental swap the fresh group's afferents are re-primed
   /// from full Y slices; entries that land at bitwise 0.0 produce no
   /// refresh_x() delta yet may still supersede a nonzero pre-swap X, so the
   /// conservative mark keeps the frontier sound (recomputing a consistent
@@ -156,10 +158,15 @@ class PageGroup {
   /// never-sent entries are always included.
   [[nodiscard]] YSlice compute_y(std::uint32_t dest_group,
                                  double threshold = 0.0) const;
+  /// The same, written into `out` (cleared first), so a caller that keeps
+  /// one buffer per destination sends without allocating.
+  void compute_y(std::uint32_t dest_group, double threshold, YSlice& out) const;
 
   /// Record that `slice` reached dest_group, so future thresholded sends
-  /// diff against it. Call only on successful delivery — after a lost
-  /// message the changes stay pending and ride the next slice.
+  /// diff against it. Call only once the slice is applied there — after a
+  /// lost or refused message the changes stay pending and ride the next
+  /// slice. Entries that are not destination pages of the block are
+  /// ignored.
   void commit_sent(std::uint32_t dest_group, const YSlice& slice);
 
   /// Count one completed loop step.
@@ -170,20 +177,31 @@ class PageGroup {
  private:
   struct EfferentBlock {
     std::uint32_t dest_group = 0;
-    // Parallel arrays, sorted by dst_local: one entry per cut edge.
+    // Destination page per cut edge, aligned with src_local while wiring
+    // adds edges; finalize_efferents folds it into the runs and frees it.
     std::vector<std::uint32_t> dst_local;
+    // Source row per cut edge, one run per destination page: run u is
+    // [run_end[u − 1], run_end[u]) (from 0 for u = 0) and feeds unique_dst[u].
     std::vector<std::uint32_t> src_local;
-    std::vector<double> weight;  // alpha / d(src)
-    // Last committed value per *distinct* destination page, aligned with
-    // the runs of dst_local (filled by finalize_efferents / commit_sent).
+    std::vector<std::uint32_t> run_end;
+    // Per distinct destination page, ascending: the page and its last
+    // committed value (NaN = never sent).
     std::vector<std::uint32_t> unique_dst;
-    std::vector<double> last_sent;  // NaN = never sent
+    std::vector<double> last_sent;
+  };
+
+  /// What one source group has sent: every row it has sent a value for,
+  /// ascending, and the latest value held for each.
+  struct Afferent {
+    std::vector<std::uint32_t> rows;
+    std::vector<double> held;
   };
 
   /// Shared tail of both constructors: zero R and X, sweep buffers.
   void init_state();
   [[nodiscard]] const EfferentBlock* find_block(std::uint32_t dest_group) const;
   [[nodiscard]] EfferentBlock* find_block(std::uint32_t dest_group);
+  [[nodiscard]] Afferent& afferent(std::uint32_t source_group);
 
   static constexpr std::uint32_t kNoBlock = UINT32_MAX;
 
@@ -199,9 +217,10 @@ class PageGroup {
   // blocks_ index per destination group (kNoBlock: no cut edges into it).
   std::vector<std::uint32_t> block_of_dest_;
   std::vector<std::uint32_t> efferent_dests_;
-  // Latest received value per (source group, local page) — patch semantics.
-  std::unordered_map<std::uint32_t, std::unordered_map<std::uint32_t, double>>
-      received_;
+  // Latest received values, one Afferent per source heard from — patch
+  // semantics — and its afferents_ index per source group (kNoBlock: none).
+  std::vector<Afferent> afferents_;
+  std::vector<std::uint32_t> afferent_of_source_;
   std::uint64_t outer_steps_ = 0;
   bool finalized_ = false;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "engine/reference.hpp"
@@ -224,16 +225,31 @@ TEST_F(DistributedFixture, DeliveryLatencyDelaysButDoesNotBreakConvergence) {
 }
 
 TEST_F(DistributedFixture, RelativeErrorNowMatchesAFreshSum) {
-  // set_reference sums ||reference||_1 once; every later check must still
-  // equal, bit for bit, the error summed from scratch.
+  // set_reference sums ||reference||_1 once, and each check reads every
+  // page's rank where its group holds it; every check must still equal,
+  // bit for bit, the error summed from scratch over the gathered ranks.
+  // Churn rebuilds the page placement, so the checks continue across a
+  // leave and a join.
   const auto a = assignment(8);
   DistributedRanking sim(*graph_, a, 8, options(Algorithm::kDPR2), pool());
   sim.set_reference(*reference_);
+  const auto expect_fresh_sum = [&](const std::string& when) {
+    EXPECT_EQ(sim.relative_error_now(),
+              util::relative_error(sim.global_ranks(), *reference_))
+        << when;
+  };
   for (const double t : {3.0, 7.0, 15.0}) {
     (void)sim.run(t, 1.0);
-    EXPECT_EQ(sim.relative_error_now(),
-              util::relative_error(sim.global_ranks(), *reference_));
+    expect_fresh_sum("at t = " + std::to_string(t));
   }
+  sim.leave_group(2, 5);
+  expect_fresh_sum("after group 2 left");
+  (void)sim.run(18.0, 1.0);
+  expect_fresh_sum("at t = 18 after the leave");
+  sim.join_group(2, 6);
+  expect_fresh_sum("after group 2 joined");
+  (void)sim.run(21.0, 1.0);
+  expect_fresh_sum("at t = 21 after the join");
 }
 
 TEST_F(DistributedFixture, RelativeErrorAgainstAnAllZeroReference) {

@@ -112,6 +112,23 @@ TEST_F(ExtensionsFixture, ThresholdWithLossStillConverges) {
   EXPECT_TRUE(result.reached) << result.final_relative_error;
 }
 
+TEST_F(ExtensionsFixture, DeltaSendsRecoverFromQuarantinedFrames) {
+  // A fire-and-forget delta send commits where its slice reaches X. A frame
+  // the codec quarantines passed the loss draw but was never applied, so
+  // its entries stay pending and ride later sends; committed on the loss
+  // draw, they would never be re-sent and X would stay stale for good.
+  auto opts = base_options();
+  opts.send_threshold = 1e-6;
+  DistributedRanking sim(*graph_, *assignment_, 8, opts, pool());
+  sim.set_reference(*reference_);
+  sim.set_corruption(0.5);
+  (void)sim.run(40.0, 40.0);
+  ASSERT_GT(sim.counters().frames_quarantined, 0u);
+  sim.set_corruption(0.0);
+  (void)sim.run(400.0, 360.0);
+  EXPECT_LT(sim.relative_error_now(), 2e-6);
+}
+
 // -------------------------------------------------------- dynamic link graphs
 
 TEST_F(ExtensionsFixture, WarmStartAfterGraphChangeConvergesToNewReference) {

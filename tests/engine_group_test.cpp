@@ -144,7 +144,7 @@ TEST(PageGroup, ComputeYUsesAlphaOverGlobalDegree) {
   // with weight alpha/d(1) = alpha.
   const auto g = test::chain(4);
   PageGroup a(g, {0, 1}, kAlpha);
-  a.add_efferent_edge(/*dest_group=*/1, /*dest_local=*/0, /*src_local=*/1, kAlpha);
+  a.add_efferent_edge(/*dest_group=*/1, /*dest_local=*/0, /*src_local=*/1);
   a.finalize_efferents();
   a.solve_to_convergence(1e-14, 2000, pool());
   // R(1) = beta + alpha*beta.
@@ -159,8 +159,8 @@ TEST(PageGroup, ComputeYAggregatesEdgesToSameTarget) {
   // Two pages in group A both link to the same page in group B.
   const auto g = test::star(2);  // leaves 1,2 -> hub 0
   PageGroup a(g, {1, 2}, kAlpha);
-  a.add_efferent_edge(0, 0, 0, kAlpha);  // leaf1 -> hub
-  a.add_efferent_edge(0, 0, 1, kAlpha);  // leaf2 -> hub
+  a.add_efferent_edge(0, 0, 0);  // leaf1 -> hub
+  a.add_efferent_edge(0, 0, 1);  // leaf2 -> hub
   a.finalize_efferents();
   a.solve_to_convergence(1e-14, 2000, pool());
   const auto y = a.compute_y(0);
@@ -179,9 +179,9 @@ TEST(PageGroup, ComputeYForUnknownGroupThrows) {
 TEST(PageGroup, EfferentDestinationsListsEveryTargetGroupOnce) {
   const auto g = test::chain(6);
   PageGroup group(g, {0, 1, 2}, kAlpha);
-  group.add_efferent_edge(1, 0, 2, kAlpha);
-  group.add_efferent_edge(2, 0, 2, kAlpha);
-  group.add_efferent_edge(1, 1, 0, kAlpha);
+  group.add_efferent_edge(1, 0, 2);
+  group.add_efferent_edge(2, 0, 2);
+  group.add_efferent_edge(1, 1, 0);
   group.finalize_efferents();
   const auto dests = group.efferent_destinations();
   ASSERT_EQ(dests.size(), 2u);
@@ -363,6 +363,20 @@ void check_frontier_matches_dense_twin(std::size_t threads) {
   refresh(group, twin, 1, zeroed);
   sweeps(group, twin, 6, "entry landing at 0.0");
   solve(group, twin, 0.0, "fixed point after refresh");
+
+  // A delta slice from a source already held at rows {3, 10, 57, 2000}:
+  // unseen rows land before, between and after them, beside a changed one,
+  // and each must slot in where its row sorts.
+  YSlice around;
+  around.entries = {{1u, 0.3}, {20u, 0.05}, {57u, 0.03}, {1000u, 0.6}, {2500u, 2.25}};
+  refresh(group, twin, 1, around);
+  sweeps(group, twin, 4, "delta slice around held rows");
+  // A bitwise repeat of an earlier full slice: every delta is exactly 0.
+  refresh(group, twin, 2, from_two);
+  sweeps(group, twin, 2, "repeated full slice");
+  refresh(group, twin, 1, from_one);
+  sweeps(group, twin, 4, "first slice again, over the merged rows");
+  solve(group, twin, 0.0, "fixed point after delta slices");
 
   std::vector<double> scaled(twin.ranks().begin(), twin.ranks().end());
   for (double& r : scaled) r *= 0.9;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,9 +86,9 @@ void check_wiring(const partition::Partitioner& partitioner, std::uint32_t k) {
     std::vector<std::uint32_t> dests;
     for (const auto& [dest, block] : blocks) dests.push_back(dest);
     ASSERT_EQ(as_vector(pg.efferent_destinations()), dests);
-    for (const auto& [dest, block] : blocks) {
-      const YSlice y = pg.compute_y(dest);
-      EXPECT_EQ(y.record_count, block.dst_local.size());
+    const auto expect_oracle = [&](const YSlice& y, std::uint32_t dest) {
+      const auto& block = blocks.at(dest);
+      ASSERT_EQ(y.record_count, block.dst_local.size()) << "dest " << dest;
       const auto want = test::oracle_y(block, pg.ranks());
       ASSERT_EQ(y.entries.size(), want.size()) << "dest " << dest;
       for (std::size_t e = 0; e < want.size(); ++e) {
@@ -96,6 +97,23 @@ void check_wiring(const partition::Partitioner& partitioner, std::uint32_t k) {
         ASSERT_EQ(y.entries[e].second, want[e].second)
             << "dest " << dest << " page " << want[e].first;
       }
+    };
+    for (const std::uint32_t dest : dests) expect_oracle(pg.compute_y(dest), dest);
+    // The buffer overload refills one slice for every destination in turn,
+    // longest first, so each fill starts from another destination's
+    // longer slice and must clear it.
+    std::map<std::uint32_t, std::size_t> length;
+    for (const auto& [dest, block] : blocks) {
+      length[dest] = test::oracle_y(block, pg.ranks()).size();
+    }
+    std::stable_sort(dests.begin(), dests.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return length[a] > length[b];
+    });
+    YSlice reused;
+    for (const std::uint32_t dest : dests) {
+      pg.compute_y(dest, 0.0, reused);
+      expect_oracle(reused, dest);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

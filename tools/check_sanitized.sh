@@ -69,7 +69,8 @@ cmake --build --preset asan --target scenario_fuzz graph_builder_test \
   obs_metrics_test util_bytes_test transport_frame_test transport_wire_test \
   rank_matrix_test engine_group_test engine_incremental_test engine_wiring_test \
   serve_snapshot_test serve_degraded_test engine_termination_checkpoint_test \
-  transport_reliable_test engine_reliable_test engine_extensions_test -j"$(nproc)"
+  transport_reliable_test engine_reliable_test engine_extensions_test \
+  engine_distributed_test engine_fullstack_test -j"$(nproc)"
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
 # WebGraph accessors (the old out_links(0) UB), loader reject paths, binary
@@ -119,6 +120,13 @@ echo "ASan: serving, checkpoint and reliable-exchange suites clean"
 # of those through delivery, so a read of a freed payload shows here.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_reliable_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_extensions_test "$@"
+# A sender refills its per-destination Y-slice buffer at each step only
+# while nothing else holds it. With a delivery delay (engine_distributed_
+# test) or per-hop overlay latency (engine_fullstack_test) slices stay in
+# flight across the sender's next step, so these suites drive the path
+# where a step must take a fresh buffer instead of rewriting a queued one.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_distributed_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_fullstack_test "$@"
 echo "ASan: engine delivery-path suites clean"
 
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
