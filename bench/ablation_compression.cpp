@@ -29,9 +29,11 @@ constexpr double kAlpha = 0.85;
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--pages=20000] [--k=32] [--seed=42]");
+  util::Flags flags(argc, argv,
+                    "usage: ablation_compression [--pages=20000] [--k=32] [--seed=42]\n");
+  const auto k = flags.get<std::uint32_t>("k", 32);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
   const auto g = bench::experiment_graph(flags, 20000);
-  const auto k = static_cast<std::uint32_t>(flags.get_u64("k", 32));
   auto& pool = util::ThreadPool::shared();
 
   std::cout << "compression ablation (future work of Sections 4.5/7)\n"
@@ -103,7 +105,7 @@ int main(int argc, char** argv) {
     opts.t1 = 0.0;
     opts.t2 = 6.0;
     opts.send_threshold = threshold;
-    opts.seed = flags.get_u64("seed", 42);
+    opts.seed = seed;
     engine::DistributedRanking sim(g, assignment, k, opts, pool);
     sim.set_reference(reference);
     (void)sim.run(60.0, 60.0);

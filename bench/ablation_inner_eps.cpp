@@ -27,9 +27,11 @@ constexpr double kThreshold = 1e-4;
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--pages=20000] [--k=32] [--seed=42]");
+  util::Flags flags(argc, argv,
+                    "usage: ablation_inner_eps [--pages=20000] [--k=32] [--seed=42]\n");
+  const auto k = flags.get<std::uint32_t>("k", 32);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
   const auto g = bench::experiment_graph(flags, 20000);
-  const auto k = static_cast<std::uint32_t>(flags.get_u64("k", 32));
   auto& pool = util::ThreadPool::shared();
 
   std::cout << "ablation: DPR1 inner-solve tolerance (outer rounds vs sweeps)\n"
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
     opts.alpha = kAlpha;
     opts.inner_epsilon = s.inner_eps;
     opts.t1 = opts.t2 = 15.0;
-    opts.seed = flags.get_u64("seed", 42);
+    opts.seed = seed;
     engine::DistributedRanking sim(g, assignment, k, opts, pool);
     sim.set_reference(reference);
     const auto result = sim.run_until_error(kThreshold, 30000.0, 15.0);

@@ -12,12 +12,12 @@
 // centralized open-system iterations, and DPR1 rounds side by side.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "engine/distributed.hpp"
 #include "engine/reference.hpp"
 #include "graph/synthetic_web.hpp"
 #include "partition/partitioner.hpp"
 #include "rank/link_matrix.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,8 +27,10 @@ constexpr double kAlpha = 0.85;
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--pages=15000] [--seed=42]");
-  const auto pages = static_cast<std::uint32_t>(flags.get_u64("pages", 15000));
+  util::Flags flags(argc, argv, "usage: ablation_leak [--pages=15000] [--seed=42]\n");
+  const auto pages = flags.get<std::uint32_t>("pages", 15000);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
+  flags.finish();
   auto& pool = util::ThreadPool::shared();
 
   std::cout << "leak ablation: internal-link fraction vs convergence\n"
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
   double first_iters = 0.0;
   double last_iters = 0.0;
   for (const double crawl_fraction : {0.25, 0.47, 0.75, 1.0}) {
-    auto cfg = graph::google2002_config(pages, flags.get_u64("seed", 42));
+    auto cfg = graph::google2002_config(pages, seed);
     cfg.crawl_fraction = crawl_fraction;
     const auto g = graph::generate_synthetic_web(cfg);
     const auto m = rank::LinkMatrix::from_graph(g, kAlpha);
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
     engine::EngineOptions opts;
     opts.alpha = kAlpha;
     opts.t1 = opts.t2 = 15.0;
-    opts.seed = flags.get_u64("seed", 42);
+    opts.seed = seed;
     engine::DistributedRanking sim(g, assignment, 16, opts, pool);
     sim.set_reference(reference);
     const auto result = sim.run_until_error(1e-4, 30000.0, 15.0);

@@ -8,23 +8,25 @@
 #include <iostream>
 #include <memory>
 
-#include "bench_common.hpp"
 #include "cost/capacity_model.hpp"
 #include "engine/distributed.hpp"
 #include "engine/reference.hpp"
+#include "graph/synthetic_web.hpp"
 #include "overlay/can.hpp"
 #include "overlay/chord.hpp"
 #include "overlay/pastry.hpp"
 #include "partition/partitioner.hpp"
 #include "transport/exchange.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--n=1024] [--samples=2000]");
-  const auto n = static_cast<std::uint32_t>(flags.get_u64("n", 1024));
-  const auto samples = flags.get_u64("samples", 2000);
+  util::Flags flags(argc, argv, "usage: ablation_overlay [--n=1024] [--samples=2000]\n");
+  const auto n = flags.get<std::uint32_t>("n", 1024);
+  const auto samples = flags.get<std::uint64_t>("samples", 2000);
+  flags.finish();
 
   std::cout << "ablation: overlay choice (hops h vs neighbors g), N=" << n << "\n\n";
 

@@ -1,73 +1,24 @@
-// Shared helpers for the figure/table reproduction binaries: tiny flag
-// parsing (--key=value) and the standard experiment graph.
+// The standard experiment graph of the figure/table reproduction binaries.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <iostream>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 
 #include "graph/synthetic_web.hpp"
+#include "util/flags.hpp"
 
 namespace p2prank::bench {
 
-/// "--key=value" flags; anything else aborts with a usage message.
-class Flags {
- public:
-  Flags(int argc, char** argv, std::string_view usage) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg(argv[i]);
-      if (!arg.starts_with("--")) {
-        std::cerr << "unexpected argument '" << arg << "'\nusage: " << argv[0]
-                  << ' ' << usage << '\n';
-        std::exit(2);
-      }
-      const auto eq = arg.find('=');
-      if (eq == std::string_view::npos) {
-        values_.emplace(std::string(arg.substr(2)), "true");
-      } else {
-        values_.emplace(std::string(arg.substr(2, eq - 2)),
-                        std::string(arg.substr(eq + 1)));
-      }
-    }
-  }
-
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
-  }
-
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       std::string fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second != "false" && it->second != "0";
-  }
-
- private:
-  std::unordered_map<std::string, std::string> values_;
-};
-
 /// The standard experiment crawl: google2002 statistics at a bench-friendly
-/// scale (the paper's dataset is 1M pages; pass --pages=1000000 to match).
-[[nodiscard]] inline graph::WebGraph experiment_graph(const Flags& flags,
-                                                      std::uint32_t default_pages,
-                                                      std::uint64_t seed = 42) {
-  const auto pages = static_cast<std::uint32_t>(flags.get_u64("pages", default_pages));
-  return graph::generate_synthetic_web(
-      graph::google2002_config(pages, flags.get_u64("seed", seed)));
+/// scale (the paper's dataset is 1M pages; pass --pages=1000000 to match),
+/// generated from --pages and --seed (default 42). It ends the flag reading:
+/// read every other flag first, since the command line is checked
+/// (Flags::finish) before the crawl is generated.
+[[nodiscard]] inline graph::WebGraph experiment_graph(util::Flags& flags,
+                                                      std::uint32_t default_pages) {
+  const auto pages = flags.get<std::uint32_t>("pages", default_pages);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
+  flags.finish();
+  return graph::generate_synthetic_web(graph::google2002_config(pages, seed));
 }
 
 }  // namespace p2prank::bench

@@ -11,14 +11,9 @@
 
 namespace p2prank::bench {
 
-/// Write `table` to `path` as CSV when path is non-empty ("true" — the
-/// value a bare --csv flag parses to — is rejected to catch the typo).
+/// Write `table` to `path` as CSV when path is non-empty.
 inline void maybe_write_csv(const util::Table& table, const std::string& path) {
   if (path.empty()) return;
-  if (path == "true") {
-    std::cerr << "--csv needs a path: --csv=out.csv\n";
-    return;
-  }
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot open " << path << " for CSV output\n";

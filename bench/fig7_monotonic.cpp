@@ -31,11 +31,14 @@ struct Config {
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv,
-                           "[--pages=50000] [--k=100] [--t-end=90] [--seed=42] [--csv=out.csv]");
+  util::Flags flags(argc, argv,
+                    "usage: fig7_monotonic [--pages=50000] [--k=100] [--t-end=90] "
+                    "[--seed=42] [--csv=out.csv]\n");
+  const auto k = flags.get<std::uint32_t>("k", 100);
+  const double t_end = flags.get<double>("t-end", 90.0);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
+  const auto csv = flags.get<std::string>("csv", "");
   const auto g = bench::experiment_graph(flags, 50000);
-  const auto k = static_cast<std::uint32_t>(flags.get_u64("k", 100));
-  const double t_end = flags.get_double("t-end", 90.0);
 
   auto& pool = util::ThreadPool::shared();
   std::cout << "fig7: DPR1 average rank over time (monotonicity), K=" << k << "\n\n";
@@ -61,7 +64,7 @@ int main(int argc, char** argv) {
     opts.delivery_probability = cfg.p;
     opts.t1 = cfg.t1;
     opts.t2 = cfg.t2;
-    opts.seed = flags.get_u64("seed", 42);
+    opts.seed = seed;
     engine::DistributedRanking sim(g, assignment, k, opts, pool);
     sim.set_reference(reference);
     auto samples = sim.run(t_end, 1.0);
@@ -81,7 +84,7 @@ int main(int argc, char** argv) {
         .cell(series[2][i].average_rank, 4);
   }
   table.print(std::cout, "Fig. 7 — average rank over time, K=" + std::to_string(k));
-  bench::maybe_write_csv(table, flags.get_string("csv", ""));
+  bench::maybe_write_csv(table, csv);
 
   std::cout << "\ncentralized average rank (plateau target): " << ref_avg << '\n'
             << "paper shape check:\n"

@@ -25,8 +25,12 @@ constexpr double kThreshold = 1e-4;  // the paper's 0.01%
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv,
-                           "[--pages=30000] [--max-k=10000] [--seed=42] [--csv=out.csv]");
+  util::Flags flags(argc, argv,
+                    "usage: fig8_iterations [--pages=30000] [--max-k=10000] [--seed=42] "
+                    "[--csv=out.csv]\n");
+  const auto max_k = flags.get<std::uint64_t>("max-k", 10000);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
+  const auto csv = flags.get<std::string>("csv", "");
   const auto g = bench::experiment_graph(flags, 30000);
   auto& pool = util::ThreadPool::shared();
 
@@ -43,7 +47,7 @@ int main(int argc, char** argv) {
       engine::algorithm1_iterations_to_error(g, kAlpha, kThreshold, pool);
 
   std::vector<std::uint32_t> ks{2, 10, 100, 1000};
-  if (flags.get_u64("max-k", 10000) >= 10000 && g.num_pages() >= 20000) {
+  if (max_k >= 10000 && g.num_pages() >= 20000) {
     ks.push_back(10000);
   }
 
@@ -61,7 +65,7 @@ int main(int argc, char** argv) {
       opts.alpha = kAlpha;
       opts.delivery_probability = 1.0;
       opts.t1 = opts.t2 = 15.0;  // the paper's Fig. 8 wait setting
-      opts.seed = flags.get_u64("seed", 42);
+      opts.seed = seed;
       engine::DistributedRanking sim(g, assignment, k, opts, pool);
       sim.set_reference(reference);
       const auto result = sim.run_until_error(kThreshold, 30000.0, 15.0);
@@ -76,7 +80,7 @@ int main(int argc, char** argv) {
         .cell(std::uint64_t{cpr_iterations});
   }
   table.print(std::cout, "Fig. 8 — iterations to 0.01% relative error");
-  bench::maybe_write_csv(table, flags.get_string("csv", ""));
+  bench::maybe_write_csv(table, csv);
 
   const bool dpr1_fewest =
       dpr1_iters.back() <= dpr2_iters.back() &&

@@ -11,17 +11,19 @@
 // wins bytes only for small N (the lookup term h·r·N² eventually dominates).
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "cost/capacity_model.hpp"
 #include "overlay/pastry.hpp"
 #include "transport/exchange.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--max-n=512] [--records-per-pair=2]");
-  const auto max_n = static_cast<std::uint32_t>(flags.get_u64("max-n", 512));
-  const auto rpp = flags.get_u64("records-per-pair", 2);
+  util::Flags flags(argc, argv,
+                    "usage: fig_transmission [--max-n=512] [--records-per-pair=2]\n");
+  const auto max_n = flags.get<std::uint32_t>("max-n", 512);
+  const auto rpp = flags.get<std::uint64_t>("records-per-pair", 2);
+  flags.finish();
 
   std::cout << "transmission: direct vs indirect (Section 4.4)\n\n";
 

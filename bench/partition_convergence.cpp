@@ -26,9 +26,11 @@ constexpr double kAlpha = 0.85;
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--pages=30000] [--k=32] [--seed=42]");
+  util::Flags flags(argc, argv,
+                    "usage: partition_convergence [--pages=30000] [--k=32] [--seed=42]\n");
+  const auto k = flags.get<std::uint32_t>("k", 32);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
   const auto g = bench::experiment_graph(flags, 30000);
-  const auto k = static_cast<std::uint32_t>(flags.get_u64("k", 32));
   auto& pool = util::ThreadPool::shared();
 
   std::cout << "partition -> convergence traffic (Sections 4.1 + 4.2 + 4.5)\n"
@@ -38,7 +40,7 @@ int main(int argc, char** argv) {
   const auto reference = engine::open_system_reference(g, kAlpha, pool);
 
   std::vector<std::unique_ptr<partition::Partitioner>> strategies;
-  strategies.push_back(partition::make_random_partitioner(flags.get_u64("seed", 42)));
+  strategies.push_back(partition::make_random_partitioner(seed));
   strategies.push_back(partition::make_hash_url_partitioner());
   strategies.push_back(partition::make_hash_site_partitioner());
   strategies.push_back(partition::make_balanced_site_partitioner());
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
     opts.alpha = kAlpha;
     opts.t1 = 0.0;
     opts.t2 = 6.0;
-    opts.seed = flags.get_u64("seed", 42);
+    opts.seed = seed;
     engine::DistributedRanking sim(g, assignment, k, opts, pool);
     sim.set_reference(reference);
     const auto result = sim.run_until_error(1e-4, 5000.0, 2.0);

@@ -22,7 +22,8 @@
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--pages=50000] [--seed=42]");
+  util::Flags flags(argc, argv, "usage: partition_cut [--pages=50000] [--seed=42]\n");
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
   const auto g = bench::experiment_graph(flags, 50000);
 
   const auto gstats = graph::compute_stats(g);
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
             << util::format_double(gstats.intra_site_fraction(), 3) << "\n\n";
 
   std::vector<std::unique_ptr<partition::Partitioner>> strategies;
-  strategies.push_back(partition::make_random_partitioner(flags.get_u64("seed", 42)));
+  strategies.push_back(partition::make_random_partitioner(seed));
   strategies.push_back(partition::make_hash_url_partitioner());
   strategies.push_back(partition::make_hash_site_partitioner());
   strategies.push_back(partition::make_balanced_site_partitioner());

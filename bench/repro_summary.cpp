@@ -32,7 +32,8 @@ struct Claim {
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv, "[--pages=8000] [--seed=42]");
+  util::Flags flags(argc, argv, "usage: repro_summary [--pages=8000] [--seed=42]\n");
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
   const auto g = bench::experiment_graph(flags, 8000);
   auto& pool = util::ThreadPool::shared();
 
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     opts.delivery_probability = p;
     opts.t1 = t1;
     opts.t2 = t2;
-    opts.seed = flags.get_u64("seed", 42);
+    opts.seed = seed;
     engine::DistributedRanking sim(g, assignment, 16, opts, pool);
     sim.set_reference(reference);
     return sim.run_until_error(1e-4, 5000.0, 5.0);

@@ -7,20 +7,21 @@
 // table is purely analytic, so it must match exactly.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "cost/capacity_model.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const bench::Flags flags(argc, argv,
-                           "[--pages=3000000000] [--record-bytes=100] "
-                           "[--bisection-mbps=100]");
-
+  util::Flags flags(argc, argv,
+                    "usage: table1_capacity [--pages=3000000000] [--record-bytes=100] "
+                    "[--bisection-mbps=100]\n");
   cost::CostParameters params;
-  params.total_pages = static_cast<double>(flags.get_u64("pages", 3'000'000'000ULL));
-  params.record_bytes = flags.get_double("record-bytes", 100.0);
-  params.bisection_bandwidth = flags.get_double("bisection-mbps", 100.0) * 1e6;
+  params.total_pages =
+      static_cast<double>(flags.get<std::uint64_t>("pages", 3'000'000'000ULL));
+  params.record_bytes = flags.get<double>("record-bytes", 100.0);
+  params.bisection_bandwidth = flags.get<double>("bisection-mbps", 100.0) * 1e6;
+  flags.finish();
 
   std::cout << "table1: capacity model (Section 4.5)\n"
             << "W=" << params.total_pages << " pages, l=" << params.record_bytes

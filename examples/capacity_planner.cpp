@@ -11,34 +11,25 @@
 //                          [--record-bytes=100] [--pastry-bits=4]
 #include <cmath>
 #include <iostream>
-#include <string>
 
 #include "cost/capacity_model.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-double flag(int argc, char** argv, const std::string& key, double fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.starts_with(prefix)) return std::stod(arg.substr(prefix.size()));
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace p2prank;
-
+  util::Flags flags(argc, argv,
+                    "usage: capacity_planner [--pages=3000000000] [--rankers=1000]\n"
+                    "                        [--bisection-mbps=100] [--node-kbps=256]\n"
+                    "                        [--record-bytes=100] [--pastry-bits=4]\n");
   cost::CostParameters p;
-  p.total_pages = flag(argc, argv, "pages", 3e9);
-  p.record_bytes = flag(argc, argv, "record-bytes", 100.0);
-  p.bisection_bandwidth = flag(argc, argv, "bisection-mbps", 100.0) * 1e6;
-  const double n = flag(argc, argv, "rankers", 1000.0);
-  const double node_bw = flag(argc, argv, "node-kbps", 256.0) * 1e3;
-  const int bits = static_cast<int>(flag(argc, argv, "pastry-bits", 4.0));
+  p.total_pages = flags.get<double>("pages", 3e9);
+  p.record_bytes = flags.get<double>("record-bytes", 100.0);
+  p.bisection_bandwidth = flags.get<double>("bisection-mbps", 100.0) * 1e6;
+  const double n = flags.get<double>("rankers", 1000.0);
+  const double node_bw = flags.get<double>("node-kbps", 256.0) * 1e3;
+  const int bits = flags.get<int>("pastry-bits", 4);
+  flags.finish();
 
   const double h = std::max(1.0, cost::pastry_expected_hops(n, bits));
   std::cout << "capacity plan: W=" << p.total_pages << " pages over " << n

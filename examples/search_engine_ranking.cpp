@@ -25,37 +25,19 @@
 #include "partition/partition_stats.hpp"
 #include "partition/partitioner.hpp"
 #include "rank/centralized.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-namespace {
-
-std::uint64_t flag_u64(int argc, char** argv, const std::string& key,
-                       std::uint64_t fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.starts_with(prefix)) return std::stoull(arg.substr(prefix.size()));
-  }
-  return fallback;
-}
-
-double flag_double(int argc, char** argv, const std::string& key, double fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.starts_with(prefix)) return std::stod(arg.substr(prefix.size()));
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace p2prank;
-  const auto pages = static_cast<std::uint32_t>(flag_u64(argc, argv, "pages", 20000));
-  const auto k = static_cast<std::uint32_t>(flag_u64(argc, argv, "rankers", 24));
-  const double loss = flag_double(argc, argv, "loss", 0.3);
+  util::Flags flags(argc, argv,
+                    "usage: search_engine_ranking [--pages=20000] [--rankers=24] "
+                    "[--loss=0.3]\n");
+  const auto pages = flags.get<std::uint32_t>("pages", 20000);
+  const auto k = flags.get<std::uint32_t>("rankers", 24);
+  const double loss = flags.get<double>("loss", 0.3);
+  flags.finish();
   auto& pool = util::ThreadPool::shared();
 
   // --- 1. crawl ---------------------------------------------------------------

@@ -368,6 +368,11 @@ void DistributedRanking::crash_group(std::uint32_t group) {
   PageGroup& pg = *groups_.at(group);
   if (pg.size() == 0) return;  // nothing to lose, nothing scheduled
   pg.reset_state();
+  // The wiped X voids every peer's delta baseline toward this group: kept,
+  // an entry that then moves less than send_threshold is never re-sent.
+  for (std::uint32_t peer = 0; peer < groups_.size(); ++peer) {
+    if (peer != group) groups_[peer]->forget_sent(group);
+  }
   if (reliable_) {
     // The crashed ranker's transmit buffers die with its memory; the
     // per-pair epochs are transport-session state and survive (peers keep

@@ -113,11 +113,13 @@ class DistributedRanking {
 
   /// Crash a ranker: all its in-memory state (R, X, delta baselines) is
   /// lost; it keeps running from scratch. Peers hold its last Y values
-  /// until it sends again, and re-deliver theirs on their next loop steps,
-  /// so the group re-converges. Note that global monotonicity (Thm 4.1)
-  /// does NOT survive a crash: the rebooted ranker's next Y is computed
-  /// from its reset ranks and *replaces* the higher pre-crash entries in
-  /// peers' X, so peers' ranks can legitimately dip before re-converging.
+  /// until it sends again, and re-deliver theirs on their next loop steps
+  /// (forgetting their delta baselines toward it, so a thresholded send
+  /// carries every entry again), so the group re-converges. Note that
+  /// global monotonicity (Thm 4.1) does NOT survive a crash: the rebooted
+  /// ranker's next Y is computed from its reset ranks and *replaces* the
+  /// higher pre-crash entries in peers' X, so peers' ranks can
+  /// legitimately dip before re-converging.
   /// Combine with pause/resume for a crash + downtime, or
   /// warm_start-from-checkpoint for recovery.
   /// Defined edge cases: crashing a *paused* group wipes its state but

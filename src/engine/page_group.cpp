@@ -327,4 +327,11 @@ void PageGroup::commit_sent(std::uint32_t dest_group, const YSlice& slice) {
   }
 }
 
+void PageGroup::forget_sent(std::uint32_t dest_group) {
+  if (EfferentBlock* block = find_block(dest_group)) {
+    std::fill(block->last_sent.begin(), block->last_sent.end(),
+              std::numeric_limits<double>::quiet_NaN());
+  }
+}
+
 }  // namespace p2prank::engine

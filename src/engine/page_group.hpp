@@ -169,6 +169,11 @@ class PageGroup {
   /// ignored.
   void commit_sent(std::uint32_t dest_group, const YSlice& slice);
 
+  /// Forget every committed send to dest_group, whose X a crash wiped: the
+  /// next thresholded slice to it carries every entry again. No-op when
+  /// this group has no edges to it.
+  void forget_sent(std::uint32_t dest_group);
+
   /// Count one completed loop step.
   void count_outer_step() noexcept { ++outer_steps_; }
 

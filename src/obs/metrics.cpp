@@ -1,11 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include "obs/metric_names.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
-#include <iomanip>
-#include <limits>
-#include <locale>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -33,25 +31,6 @@ T& get_or_create(std::map<std::string, T, std::less<>>& m, std::string_view name
   return key;
 }
 
-/// Shortest round-trip decimal for a double: equal doubles -> equal bytes.
-void write_double(std::ostream& out, double v) {
-  std::ostringstream s;
-  s.imbue(std::locale::classic());
-  s << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  out << s.str();
-}
-
-/// Metric names are controlled constants, but escape the JSON specials
-/// anyway so a bad name can never produce malformed output.
-void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
 void write_log2(std::ostream& out, const util::Log2Histogram& h) {
   out << "{\"kind\": \"log2\", \"total\": " << h.total() << ", \"buckets\": [";
   bool first = true;
@@ -67,12 +46,10 @@ void write_log2(std::ostream& out, const util::Log2Histogram& h) {
 
 void write_linear(std::ostream& out, double lo, double hi, std::size_t bins,
                   const util::LinearHistogram& h) {
-  out << "{\"kind\": \"linear\", \"lo\": ";
-  write_double(out, lo);
-  out << ", \"hi\": ";
-  write_double(out, hi);
-  out << ", \"bins\": " << bins << ", \"total\": " << h.total()
-      << ", \"nan\": " << h.nan_count() << ", \"counts\": [";
+  out << "{\"kind\": \"linear\", \"lo\": " << util::json_double(lo)
+      << ", \"hi\": " << util::json_double(hi) << ", \"bins\": " << bins
+      << ", \"total\": " << h.total() << ", \"nan\": " << h.nan_count()
+      << ", \"counts\": [";
   bool first = true;
   for (std::size_t b = 0; b < h.bins(); ++b) {
     if (h.count(b) == 0) continue;
@@ -143,8 +120,7 @@ void MetricsRegistry::write_json(std::ostream& out, bool include_unstable) const
   for (const auto& [name, value] : counters_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(out, name);
-    out << ": " << value;
+    out << util::json_string(name) << ": " << value;
   }
   out << (first ? "},\n" : "\n  },\n");
   out << "  \"gauges\": {";
@@ -152,9 +128,7 @@ void MetricsRegistry::write_json(std::ostream& out, bool include_unstable) const
   for (const auto& [name, value] : gauges_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(out, name);
-    out << ": ";
-    write_double(out, value);
+    out << util::json_string(name) << ": " << util::json_double(value);
   }
   out << (first ? "},\n" : "\n  },\n");
   out << "  \"histograms\": {";
@@ -162,15 +136,13 @@ void MetricsRegistry::write_json(std::ostream& out, bool include_unstable) const
   for (const auto& [name, h] : log2_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(out, name);
-    out << ": ";
+    out << util::json_string(name) << ": ";
     write_log2(out, h);
   }
   for (const auto& [name, spec] : linear_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(out, name);
-    out << ": ";
+    out << util::json_string(name) << ": ";
     write_linear(out, spec.lo, spec.hi, spec.bins, spec.hist);
   }
   out << (first ? "}" : "\n  }");
@@ -180,8 +152,7 @@ void MetricsRegistry::write_json(std::ostream& out, bool include_unstable) const
     for (const auto& [name, value] : unstable_counters_) {
       out << (first ? "\n    " : ",\n    ");
       first = false;
-      write_json_string(out, name);
-      out << ": " << value;
+      out << util::json_string(name) << ": " << value;
     }
     out << (first ? "}" : "\n  }");
   }

@@ -1,39 +1,15 @@
 #include "obs/trace.hpp"
 
-#include <iomanip>
-#include <limits>
-#include <locale>
 #include <ostream>
-#include <sstream>
+#include <string>
+
+#include "util/json.hpp"
 
 namespace p2prank::obs {
 
 // Pin the wire-format version in the file that implements the writer: an
 // edit to the event JSON below must come with a schema bump here.
 static_assert(kTraceSchema == "p2prank-trace-v1");
-
-namespace {
-
-/// Virtual seconds -> Chrome trace microseconds, printed shortest-round-trip
-/// in the classic locale (deterministic bytes for equal doubles).
-void write_us(std::ostream& out, double seconds) {
-  std::ostringstream s;
-  s.imbue(std::locale::classic());
-  s << std::setprecision(std::numeric_limits<double>::max_digits10)
-    << seconds * 1e6;
-  out << s.str();
-}
-
-void write_json_string(std::ostream& out, std::string_view str) {
-  out << '"';
-  for (const char c : str) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
 
 Tracer::Tracer(std::size_t max_events) : max_events_(max_events) {}
 
@@ -53,31 +29,22 @@ void Tracer::complete(std::string_view name, double t_begin, double duration,
 }
 
 void Tracer::write_chrome_json(std::ostream& out) const {
+  // Virtual seconds become Chrome trace microseconds.
   out << "{\"traceEvents\": [";
   bool first = true;
   for (const Event& e : events_) {
-    out << (first ? "\n" : ",\n") << "  {\"name\": ";
+    out << (first ? "\n" : ",\n") << "  {\"name\": " << util::json_string(e.name)
+        << ", \"ph\": \"" << (e.dur < 0.0 ? 'i' : 'X') << "\", \"ts\": "
+        << util::json_double(e.t * 1e6);
     first = false;
-    write_json_string(out, e.name);
-    out << ", \"ph\": \"" << (e.dur < 0.0 ? 'i' : 'X') << "\", \"ts\": ";
-    write_us(out, e.t);
     if (e.dur >= 0.0) {
-      out << ", \"dur\": ";
-      write_us(out, e.dur);
+      out << ", \"dur\": " << util::json_double(e.dur * 1e6);
     } else {
       out << ", \"s\": \"t\"";  // instant scope: thread
     }
-    out << ", \"pid\": 1, \"tid\": " << e.tid << ", \"args\": {\"value\": ";
-    {
-      std::ostringstream s;
-      s.imbue(std::locale::classic());
-      s << std::setprecision(std::numeric_limits<double>::max_digits10) << e.value;
-      out << s.str();
-    }
-    if (!e.detail.empty()) {
-      out << ", \"detail\": ";
-      write_json_string(out, e.detail);
-    }
+    out << ", \"pid\": 1, \"tid\": " << e.tid
+        << ", \"args\": {\"value\": " << util::json_double(e.value);
+    if (!e.detail.empty()) out << ", \"detail\": " << util::json_string(e.detail);
     out << "}}";
   }
   out << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"schema\": \""

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 
 namespace p2prank::partition {
@@ -59,16 +58,6 @@ PartitionStats compute_partition_stats(const graph::WebGraph& g,
   }
   if (s.nonempty_groups == 0) s.smallest_nonempty_group = 0;
   return s;
-}
-
-void print_partition_stats(const PartitionStats& s, std::ostream& out) {
-  out << "k:                 " << s.k << '\n'
-      << "pages:             " << s.pages << '\n'
-      << "cut links:         " << s.cut_links << " (" << s.cut_fraction() * 100.0
-      << "% of internal)\n"
-      << "non-empty groups:  " << s.nonempty_groups << '\n'
-      << "largest group:     " << s.largest_group << '\n'
-      << "imbalance:         " << s.imbalance() << '\n';
 }
 
 }  // namespace p2prank::partition

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "graph/web_graph.hpp"
@@ -33,7 +32,5 @@ struct PartitionStats {
 
 [[nodiscard]] PartitionStats compute_partition_stats(
     const graph::WebGraph& g, const std::vector<GroupId>& groups, std::uint32_t k);
-
-void print_partition_stats(const PartitionStats& s, std::ostream& out);
 
 }  // namespace p2prank::partition

@@ -3,42 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace p2prank::util {
-
-void OnlineStats::add(double x) noexcept {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double OnlineStats::variance() const noexcept {
-  return count_ ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double quantile(std::span<const double> samples, double q) {
   if (samples.empty()) return 0.0;

@@ -1,40 +1,13 @@
-// Small statistics helpers used by experiment harnesses and tests:
-// streaming mean/variance (Welford), min/max tracking, and exact quantiles
-// over retained samples.
+// Small statistics helpers used by experiment harnesses and tests: exact
+// quantiles over retained samples, L1 norms and the relative error.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
 namespace p2prank::util {
-
-/// Streaming mean / variance / extrema (Welford's algorithm). O(1) memory.
-class OnlineStats {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept;  ///< population variance
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const OnlineStats& other) noexcept;
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Exact quantile of a sample set; q in [0,1]. Copies + sorts (fine for the
 /// per-experiment sample counts we use). Empty input returns 0.

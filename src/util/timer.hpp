@@ -16,8 +16,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  [[nodiscard]] double elapsed_ms() const noexcept { return elapsed_seconds() * 1e3; }
-
  private:
   // p2plint: allow(no-wallclock-rng): harness instrumentation is the one
   // sanctioned wall-clock reader; simulation logic uses virtual time only.

@@ -129,6 +129,23 @@ TEST_F(ExtensionsFixture, DeltaSendsRecoverFromQuarantinedFrames) {
   EXPECT_LT(sim.relative_error_now(), 2e-6);
 }
 
+TEST_F(ExtensionsFixture, DeltaSendsRecoverFromReceiverCrash) {
+  // A crash wipes the receiver's X. Senders that kept their committed values
+  // toward it would never re-send an entry that then moves less than the
+  // threshold, leaving that entry of X at 0 for good.
+  for (const bool reliable : {false, true}) {
+    auto opts = base_options();
+    opts.send_threshold = 1e-6;
+    opts.reliable = reliable;
+    DistributedRanking sim(*graph_, *assignment_, 8, opts, pool());
+    sim.set_reference(*reference_);
+    (void)sim.run(40.0, 40.0);
+    sim.crash_group(3);
+    (void)sim.run(400.0, 360.0);
+    EXPECT_LT(sim.relative_error_now(), 2e-6) << "reliable=" << reliable;
+  }
+}
+
 // -------------------------------------------------------- dynamic link graphs
 
 TEST_F(ExtensionsFixture, WarmStartAfterGraphChangeConvergesToNewReference) {

@@ -51,6 +51,13 @@ TEST(Cli, BadFlagSyntaxFails) {
   EXPECT_NE(r.err.find("unexpected argument"), std::string::npos);
 }
 
+TEST(Cli, UnknownFlagFails) {
+  const auto r = cli({"plan", "--rankerz=5"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown flag --rankerz"), std::string::npos);
+  EXPECT_EQ(r.out, "");
+}
+
 TEST(Cli, MissingRequiredFlagFails) {
   EXPECT_EQ(cli({"stats"}).code, 2);
   EXPECT_EQ(cli({"rank"}).code, 2);

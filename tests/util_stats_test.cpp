@@ -5,67 +5,8 @@
 #include <cmath>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace p2prank::util {
 namespace {
-
-TEST(OnlineStats, EmptyDefaults) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, SingleValue) {
-  OnlineStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(OnlineStats, KnownMoments) {
-  OnlineStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic population-variance example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats whole;
-  OnlineStats left;
-  OnlineStats right;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-5.0, 5.0);
-    whole.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(3.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
 
 TEST(Quantile, EmptyIsZero) { EXPECT_EQ(quantile({}, 0.5), 0.0); }
 

@@ -81,6 +81,8 @@
 #include "graph/graph_updates.hpp"
 #include "rank/link_matrix.hpp"
 #include "recover/supervisor.hpp"
+#include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -115,7 +117,7 @@ struct Options {
   std::uint32_t episodes = 4;
   // --scale mode.
   bool scale = false;
-  std::vector<std::uint64_t> scale_rows;  // default {1M, 10M}
+  std::vector<std::uint64_t> scale_rows{1'000'000, 10'000'000};
   int scale_sweeps = 8;
   std::size_t delta_edges = 1000;
 };
@@ -142,15 +144,6 @@ double time_variant(const Options& opts, const Body& body) {
     best_ns = std::min(best_ns, ns);
   }
   return best_ns;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 /// Fixed-notation JSON number. Default ostream formatting flips between
@@ -184,7 +177,7 @@ class Record {
     } else if constexpr (std::is_floating_point_v<T>) {
       fields_.emplace_back(key, json_number(value));
     } else {
-      fields_.emplace_back(key, "\"" + json_escape(value) + "\"");
+      fields_.emplace_back(key, util::json_string(value));
     }
     return *this;
   }
@@ -945,12 +938,9 @@ struct ScaleRow {
 
 int run_scale_bench(const Options& opts, const Report& report) {
   auto& pool = util::ThreadPool::shared();
-  const std::vector<std::uint64_t> targets =
-      opts.scale_rows.empty() ? std::vector<std::uint64_t>{1'000'000, 10'000'000}
-                              : opts.scale_rows;
   std::vector<Record> rows;
   bool ok = true;
-  for (const std::uint64_t target : targets) {
+  for (const std::uint64_t target : opts.scale_rows) {
     ScaleRow row;
     row.pages_target = target;
     const auto cfg = graph::google2002_config(
@@ -1075,8 +1065,7 @@ int run_scale_bench(const Options& opts, const Report& report) {
 
 /// --scale --determinism-check: the small bitwise gates of DESIGN.md §14,
 /// wired into tier-bench-smoke. Everything here must be exact, not close.
-int run_scale_determinism_check(Options opts) {
-  if (opts.pages == 50000) opts.pages = 2000;  // smoke-sized by default
+int run_scale_determinism_check(const Options& opts) {
   bool ok = true;
   const auto expect = [&](bool cond, const std::string& what) {
     if (!cond) {
@@ -1174,99 +1163,62 @@ int run_scale_determinism_check(Options opts) {
   return ok ? 0 : 1;
 }
 
-void print_usage(std::ostream& os) {
-  os << "usage: bench_report --reliability [--pages N] [--k K] [--seed S] "
-        "[--error-threshold E] [--max-time T] [--label L] [--out FILE]\n"
-        "       bench_report --obs [--pages N] [--k K] [--seed S] [--reps R] "
-        "[--min-rep-seconds T] [--label L] [--out FILE]\n"
-        "       bench_report --serve [--pages N] [--k K] [--seed S] "
-        "[--clients C] [--duration T] [--label L] [--out FILE]\n"
-        "       bench_report --serve --determinism-check\n"
-        "       bench_report --recovery [--pages N] [--k K] [--seed S] "
-        "[--episodes E] [--label L] [--out FILE]\n"
-        "       bench_report --scale [--scale-rows N,M] [--sweeps S] "
-        "[--delta-edges D] [--seed S] [--label L] [--out FILE]\n"
-        "       bench_report --scale --determinism-check [--pages N]\n"
-        "Kernel throughput: bench/micro_kernels --benchmark_filter=...\n";
-}
+constexpr std::string_view kUsage =
+    "usage: bench_report --reliability [--pages N] [--k K] [--seed S] "
+    "[--error-threshold E] [--max-time T] [--label L] [--out FILE]\n"
+    "       bench_report --obs [--pages N] [--k K] [--seed S] [--reps R] "
+    "[--min-rep-seconds T] [--label L] [--out FILE]\n"
+    "       bench_report --serve [--pages N] [--k K] [--seed S] "
+    "[--clients C] [--duration T] [--label L] [--out FILE]\n"
+    "       bench_report --serve --determinism-check\n"
+    "       bench_report --recovery [--pages N] [--k K] [--seed S] "
+    "[--episodes E] [--label L] [--out FILE]\n"
+    "       bench_report --scale [--scale-rows N,M] [--sweeps S] "
+    "[--delta-edges D] [--seed S] [--label L] [--out FILE]\n"
+    "       bench_report --scale --determinism-check [--pages N]\n"
+    "Kernel throughput: bench/micro_kernels --benchmark_filter=...\n";
 
 Options parse_args(int argc, char** argv) {
+  util::Flags flags(argc, argv, kUsage);
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string("bench_report: ") + flag +
-                                 " needs a value");
-      }
-      return argv[++i];
-    };
-    if (arg == "--pages") {
-      opts.pages = static_cast<std::uint32_t>(std::stoul(need_value("--pages")));
-    } else if (arg == "--seed") {
-      opts.seed = std::stoull(need_value("--seed"));
-    } else if (arg == "--alpha") {
-      opts.alpha = std::stod(need_value("--alpha"));
-    } else if (arg == "--reps") {
-      opts.repetitions = std::stoi(need_value("--reps"));
-    } else if (arg == "--min-rep-seconds") {
-      opts.min_rep_seconds = std::stod(need_value("--min-rep-seconds"));
-    } else if (arg == "--label") {
-      opts.label = need_value("--label");
-    } else if (arg == "--out") {
-      opts.out = need_value("--out");
-    } else if (arg == "--reliability") {
-      opts.reliability = true;
-    } else if (arg == "--obs") {
-      opts.obs = true;
-    } else if (arg == "--serve") {
-      opts.serve = true;
-    } else if (arg == "--recovery") {
-      opts.recovery = true;
-    } else if (arg == "--scale") {
-      opts.scale = true;
-    } else if (arg == "--scale-rows") {
-      opts.scale_rows.clear();
-      std::stringstream ss(need_value("--scale-rows"));
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        if (!tok.empty()) opts.scale_rows.push_back(std::stoull(tok));
-      }
-      if (opts.scale_rows.empty()) {
-        throw std::runtime_error("bench_report: --scale-rows needs N[,M...]");
-      }
-    } else if (arg == "--sweeps") {
-      opts.scale_sweeps = std::stoi(need_value("--sweeps"));
-    } else if (arg == "--delta-edges") {
-      opts.delta_edges = std::stoul(need_value("--delta-edges"));
-    } else if (arg == "--episodes") {
-      opts.episodes =
-          static_cast<std::uint32_t>(std::stoul(need_value("--episodes")));
-    } else if (arg == "--determinism-check") {
-      opts.determinism_check = true;
-    } else if (arg == "--clients") {
-      opts.clients =
-          static_cast<std::uint32_t>(std::stoul(need_value("--clients")));
-    } else if (arg == "--duration") {
-      opts.serve_duration = std::stod(need_value("--duration"));
-    } else if (arg == "--k") {
-      opts.k = static_cast<std::uint32_t>(std::stoul(need_value("--k")));
-    } else if (arg == "--error-threshold") {
-      opts.error_threshold = std::stod(need_value("--error-threshold"));
-    } else if (arg == "--max-time") {
-      opts.max_time = std::stod(need_value("--max-time"));
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      std::exit(0);
-    } else {
-      throw std::runtime_error("bench_report: unknown flag " + arg);
-    }
-  }
+  opts.reliability = flags.flag("reliability");
+  opts.obs = flags.flag("obs");
+  opts.serve = flags.flag("serve");
+  opts.recovery = flags.flag("recovery");
+  opts.scale = flags.flag("scale");
+  opts.determinism_check = flags.flag("determinism-check");
+  // Modes that run a full engine many times keep the crawl small: the
+  // reliability sweeps, the recovery episodes and the scale gates. --serve
+  // keeps the full 50k-page default: the publish-overhead phase must be
+  // measured at the scale where sweeps carry their real memory traffic
+  // (run_serve_bench clamps its closed-loop phase separately).
+  const std::uint32_t default_pages = opts.reliability                       ? 2000
+                                      : opts.recovery                        ? 1000
+                                      : opts.scale && opts.determinism_check ? 2000
+                                                                             : opts.pages;
+  opts.pages = flags.get<std::uint32_t>("pages", default_pages);
+  opts.seed = flags.get<std::uint64_t>("seed", opts.seed);
+  opts.alpha = flags.get<double>("alpha", opts.alpha);
+  opts.repetitions = flags.get<int>("reps", opts.repetitions);
+  opts.min_rep_seconds = flags.get<double>("min-rep-seconds", opts.min_rep_seconds);
+  opts.label = flags.get<std::string>("label", opts.label);
+  opts.out = flags.get<std::string>("out", opts.out);
+  opts.k = flags.get<std::uint32_t>("k", opts.k);
+  opts.error_threshold = flags.get<double>("error-threshold", opts.error_threshold);
+  opts.max_time = flags.get<double>("max-time", opts.max_time);
+  opts.clients = flags.get<std::uint32_t>("clients", opts.clients);
+  opts.serve_duration = flags.get<double>("duration", opts.serve_duration);
+  opts.episodes = flags.get<std::uint32_t>("episodes", opts.episodes);
+  opts.scale_rows = flags.get_list("scale-rows", opts.scale_rows);
+  opts.scale_sweeps = flags.get<int>("sweeps", opts.scale_sweeps);
+  opts.delta_edges = flags.get<std::uint64_t>("delta-edges", opts.delta_edges);
+  flags.finish();
+
   const int modes = static_cast<int>(opts.reliability) + static_cast<int>(opts.obs) +
                     static_cast<int>(opts.serve) + static_cast<int>(opts.recovery) +
                     static_cast<int>(opts.scale);
   if (modes == 0) {
-    print_usage(std::cerr);
+    std::cerr << kUsage;
     std::exit(1);
   }
   if (modes > 1) {
@@ -1285,19 +1237,10 @@ Options parse_args(int argc, char** argv) {
                : opts.recovery ? "BENCH_recovery.json"
                                : "BENCH_scale.json";
   }
-  if (opts.reliability && opts.pages == 50000) {
-    opts.pages = 2000;  // convergence sweeps run a full engine: keep it small
-  }
-  if (opts.recovery && opts.pages == 50000) {
-    opts.pages = 1000;  // many full-engine episodes: keep each one quick
-  }
   if (opts.recovery && opts.k < 3) {
     throw std::runtime_error(
         "bench_report: --recovery needs k >= 3 (an eviction quorum)");
   }
-  // --serve keeps the full 50k-page default: the publish-overhead phase
-  // must be measured at the scale where sweeps carry their real memory
-  // traffic (run_serve_bench clamps its closed-loop phase separately).
   return opts;
 }
 

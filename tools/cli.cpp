@@ -1,9 +1,8 @@
 #include "tools/cli.hpp"
 
-#include <fstream>
-#include <map>
+#include <algorithm>
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cost/capacity_model.hpp"
@@ -17,6 +16,7 @@
 #include "partition/partition_stats.hpp"
 #include "partition/partitioner.hpp"
 #include "rank/centralized.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -42,56 +42,16 @@ constexpr std::string_view kUsage =
     "  plan [--pages=3e9-ish] [--rankers=1000] [--bisection-mbps=100]\n"
     "      Section 4.5 capacity planning\n";
 
-/// Parsed --key=value flags (anything else is an error).
-class Args {
- public:
-  static bool parse(std::span<const std::string> args, Args& out, std::string& error) {
-    for (const auto& arg : args) {
-      if (!arg.starts_with("--")) {
-        error = "unexpected argument '" + arg + "'";
-        return false;
-      }
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        out.values_[arg.substr(2)] = "true";
-      } else {
-        out.values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::string get(const std::string& key, std::string fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? std::move(fallback) : it->second;
-  }
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return values_.contains(key);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
-  const auto path = args.get("out", "");
+int cmd_generate(util::Flags& flags, std::ostream& out, std::ostream& err) {
+  const auto path = flags.get<std::string>("out", "");
+  auto cfg = graph::google2002_config(flags.get<std::uint32_t>("pages", 50000),
+                                      flags.get<std::uint64_t>("seed", 42));
+  cfg.num_sites = flags.get<std::uint32_t>("sites", cfg.num_sites);
+  flags.finish();
   if (path.empty()) {
     err << "generate: --out=FILE is required\n";
     return 2;
   }
-  auto cfg = graph::google2002_config(
-      static_cast<std::uint32_t>(args.get_u64("pages", 50000)),
-      args.get_u64("seed", 42));
-  cfg.num_sites = static_cast<std::uint32_t>(args.get_u64("sites", cfg.num_sites));
   const auto g = graph::generate_synthetic_web(cfg);
   graph::save_graph_file(g, path);
   out << "wrote " << g.num_pages() << " pages, " << g.num_links()
@@ -100,15 +60,17 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_stats(const Args& args, std::ostream& out, std::ostream& err) {
-  const auto path = args.get("crawl", "");
+int cmd_stats(util::Flags& flags, std::ostream& out, std::ostream& err) {
+  const auto path = flags.get<std::string>("crawl", "");
+  const bool report_sinks = flags.flag("sinks");
+  flags.finish();
   if (path.empty()) {
     err << "stats: --crawl=FILE is required\n";
     return 2;
   }
   const auto g = graph::load_graph_file(path);
   graph::print_stats(graph::compute_stats(g), out);
-  if (args.has("sinks")) {
+  if (report_sinks) {
     const auto sinks = graph::find_rank_sinks(g);
     out << "rank sinks:         " << sinks.size() << '\n';
     for (std::size_t i = 0; i < std::min<std::size_t>(sinks.size(), 5); ++i) {
@@ -119,18 +81,20 @@ int cmd_stats(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_rank(const Args& args, std::ostream& out, std::ostream& err) {
-  const auto path = args.get("crawl", "");
+int cmd_rank(util::Flags& flags, std::ostream& out, std::ostream& err) {
+  const auto path = flags.get<std::string>("crawl", "");
+  const double alpha = flags.get<double>("alpha", 0.85);
+  const auto top_k = flags.get<std::uint64_t>("top", 20);
+  const auto ckpt = flags.get<std::string>("checkpoint", "");
+  flags.finish();
   if (path.empty()) {
     err << "rank: --crawl=FILE is required\n";
     return 2;
   }
   const auto g = graph::load_graph_file(path);
-  const double alpha = args.get_double("alpha", 0.85);
   auto& pool = util::ThreadPool::shared();
   const auto ranks = engine::open_system_reference(g, alpha, pool);
 
-  const auto top_k = args.get_u64("top", 20);
   if (top_k > 0) {
     util::Table table({"#", "page", "rank"});
     const auto top = rank::top_pages(ranks, top_k);
@@ -143,7 +107,6 @@ int cmd_rank(const Args& args, std::ostream& out, std::ostream& err) {
     table.print(out, "Top pages (open-system PageRank, alpha=" +
                          util::format_double(alpha, 2) + ")");
   }
-  const auto ckpt = args.get("checkpoint", "");
   if (!ckpt.empty()) {
     engine::save_ranks_file(g, ranks, ckpt);
     out << "checkpoint written to " << ckpt << '\n';
@@ -151,15 +114,25 @@ int cmd_rank(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
-  const auto path = args.get("crawl", "");
+int cmd_simulate(util::Flags& flags, std::ostream& out, std::ostream& err) {
+  const auto path = flags.get<std::string>("crawl", "");
+  const auto k = flags.get<std::uint32_t>("k", 16);
+  const auto strategy = flags.get<std::string>("partition", "site");
+  const auto algorithm = flags.get<std::string>("algorithm", "dpr1");
+  engine::EngineOptions opts;
+  opts.alpha = flags.get<double>("alpha", 0.85);
+  opts.delivery_probability = flags.get<double>("p", 1.0);
+  opts.t1 = flags.get<double>("t1", 0.0);
+  opts.t2 = flags.get<double>("t2", 6.0);
+  opts.seed = flags.get<std::uint64_t>("seed", 42);
+  const auto warm = flags.get<std::string>("warm", "");
+  const double t_end = flags.get<double>("t-end", 60.0);
+  flags.finish();
   if (path.empty()) {
     err << "simulate: --crawl=FILE is required\n";
     return 2;
   }
   const auto g = graph::load_graph_file(path);
-  const auto k = static_cast<std::uint32_t>(args.get_u64("k", 16));
-  const auto strategy = args.get("partition", "site");
 
   std::vector<std::uint32_t> assignment;
   if (strategy == "site") {
@@ -167,15 +140,12 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   } else if (strategy == "url") {
     assignment = partition::make_hash_url_partitioner()->partition(g, k);
   } else if (strategy == "random") {
-    assignment =
-        partition::make_random_partitioner(args.get_u64("seed", 42))->partition(g, k);
+    assignment = partition::make_random_partitioner(opts.seed)->partition(g, k);
   } else {
     err << "simulate: unknown --partition '" << strategy << "'\n";
     return 2;
   }
 
-  engine::EngineOptions opts;
-  const auto algorithm = args.get("algorithm", "dpr1");
   if (algorithm == "dpr1") {
     opts.algorithm = engine::Algorithm::kDPR1;
   } else if (algorithm == "dpr2") {
@@ -184,24 +154,18 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "simulate: unknown --algorithm '" << algorithm << "'\n";
     return 2;
   }
-  opts.alpha = args.get_double("alpha", 0.85);
-  opts.delivery_probability = args.get_double("p", 1.0);
-  opts.t1 = args.get_double("t1", 0.0);
-  opts.t2 = args.get_double("t2", 6.0);
-  opts.seed = args.get_u64("seed", 42);
 
   auto& pool = util::ThreadPool::shared();
   const auto reference = engine::open_system_reference(g, opts.alpha, pool);
   engine::DistributedRanking sim(g, assignment, k, opts, pool);
   sim.set_reference(reference);
-  if (const auto warm = args.get("warm", ""); !warm.empty()) {
+  if (!warm.empty()) {
     const auto loaded = engine::load_ranks_file(g, warm);
     sim.warm_start(loaded.ranks);
     out << "warm start: " << loaded.matched << " pages matched, "
         << loaded.skipped << " skipped\n";
   }
 
-  const double t_end = args.get_double("t-end", 60.0);
   const auto samples = sim.run(t_end, std::max(1.0, t_end / 15.0));
   util::Table table({"time", "rel err %", "avg rank", "outer steps"});
   for (const auto& s : samples) {
@@ -220,12 +184,13 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_plan(const Args& args, std::ostream& out, std::ostream&) {
+int cmd_plan(util::Flags& flags, std::ostream& out, std::ostream&) {
   cost::CostParameters p;
-  p.total_pages = args.get_double("pages", 3e9);
-  p.record_bytes = args.get_double("record-bytes", 100.0);
-  p.bisection_bandwidth = args.get_double("bisection-mbps", 100.0) * 1e6;
-  const double n = args.get_double("rankers", 1000.0);
+  p.total_pages = flags.get<double>("pages", 3e9);
+  p.record_bytes = flags.get<double>("record-bytes", 100.0);
+  p.bisection_bandwidth = flags.get<double>("bisection-mbps", 100.0) * 1e6;
+  const double n = flags.get<double>("rankers", 1000.0);
+  flags.finish();
   const double h = std::max(1.0, cost::pastry_expected_hops(n));
 
   const auto dt = cost::direct_cost(n, h, p);
@@ -258,18 +223,20 @@ int run_cli(std::span<const std::string> args, std::ostream& out, std::ostream& 
     return args.empty() ? 2 : 0;
   }
   const std::string& command = args[0];
-  Args parsed;
-  std::string error;
-  if (!Args::parse(args.subspan(1), parsed, error)) {
-    err << command << ": " << error << '\n' << kUsage;
-    return 2;
+  util::Flags flags(args.subspan(1));
+  if (flags.help()) {
+    out << kUsage;
+    return 0;
   }
   try {
-    if (command == "generate") return cmd_generate(parsed, out, err);
-    if (command == "stats") return cmd_stats(parsed, out, err);
-    if (command == "rank") return cmd_rank(parsed, out, err);
-    if (command == "simulate") return cmd_simulate(parsed, out, err);
-    if (command == "plan") return cmd_plan(parsed, out, err);
+    if (command == "generate") return cmd_generate(flags, out, err);
+    if (command == "stats") return cmd_stats(flags, out, err);
+    if (command == "rank") return cmd_rank(flags, out, err);
+    if (command == "simulate") return cmd_simulate(flags, out, err);
+    if (command == "plan") return cmd_plan(flags, out, err);
+  } catch (const util::FlagError& e) {
+    err << command << ": " << e.what() << '\n' << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     err << command << ": " << e.what() << '\n';
     return 1;

@@ -18,118 +18,63 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "experiment.hpp"
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace p2prank;
 
-struct Options {
-  std::uint32_t pages = 2000;
-  std::uint64_t seed = 42;
-  std::uint32_t k = 16;
-  double alpha = 0.85;
-  double duration = 60.0;       // virtual time to co-simulate
-  double interval = 1.0;        // snapshot publish cadence
-  std::size_t top_k_capacity = 16;
-  serve::LoadGenOptions load;
-  std::string metrics_out;
-  std::string trace_out;
-  bool quiet = false;
-};
-
-int usage(std::ostream& err) {
-  err << "usage: rankserve [--pages N] [--seed S] [--k K] [--alpha A]\n"
-         "                 [--duration T] [--interval T] [--capacity K]\n"
-         "                 [--clients C] [--servers S] [--think T]\n"
-         "                 [--topk K] [--topk-fraction F] [--zipf S]\n"
-         "                 [--load-seed S] [--metrics-out FILE]\n"
-         "                 [--trace-out FILE] [--quiet]\n";
-  return 2;
-}
+constexpr std::string_view kUsage =
+    "usage: rankserve [--pages N] [--seed S] [--k K] [--alpha A]\n"
+    "                 [--duration T] [--interval T] [--capacity K]\n"
+    "                 [--clients C] [--servers S] [--think T]\n"
+    "                 [--topk K] [--topk-fraction F] [--zipf S]\n"
+    "                 [--load-seed S] [--metrics-out FILE]\n"
+    "                 [--trace-out FILE] [--quiet]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  opts.load.clients = 10000;
-  opts.load.servers = 64;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const auto need_value = [&](std::size_t& i) -> const std::string& {
-    if (i + 1 >= args.size()) {
-      std::cerr << "missing value for " << args[i] << '\n';
-      std::exit(usage(std::cerr));
-    }
-    return args[++i];
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    try {
-      if (a == "--pages") {
-        opts.pages = static_cast<std::uint32_t>(std::stoul(need_value(i)));
-      } else if (a == "--seed") {
-        opts.seed = std::stoull(need_value(i));
-      } else if (a == "--k") {
-        opts.k = static_cast<std::uint32_t>(std::stoul(need_value(i)));
-      } else if (a == "--alpha") {
-        opts.alpha = std::stod(need_value(i));
-      } else if (a == "--duration") {
-        opts.duration = std::stod(need_value(i));
-      } else if (a == "--interval") {
-        opts.interval = std::stod(need_value(i));
-      } else if (a == "--capacity") {
-        opts.top_k_capacity = std::stoul(need_value(i));
-      } else if (a == "--clients") {
-        opts.load.clients =
-            static_cast<std::uint32_t>(std::stoul(need_value(i)));
-      } else if (a == "--servers") {
-        opts.load.servers =
-            static_cast<std::uint32_t>(std::stoul(need_value(i)));
-      } else if (a == "--think") {
-        opts.load.think_mean = std::stod(need_value(i));
-      } else if (a == "--topk") {
-        opts.load.top_k = std::stoul(need_value(i));
-      } else if (a == "--topk-fraction") {
-        opts.load.topk_fraction = std::stod(need_value(i));
-      } else if (a == "--zipf") {
-        opts.load.zipf_exponent = std::stod(need_value(i));
-      } else if (a == "--load-seed") {
-        opts.load.seed = std::stoull(need_value(i));
-      } else if (a == "--metrics-out") {
-        opts.metrics_out = need_value(i);
-      } else if (a == "--trace-out") {
-        opts.trace_out = need_value(i);
-      } else if (a == "--quiet") {
-        opts.quiet = true;
-      } else {
-        std::cerr << "unknown argument: " << a << '\n';
-        return usage(std::cerr);
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << a << '\n';
-      return usage(std::cerr);
-    }
-  }
+  util::Flags flags(argc, argv, kUsage);
+  const auto pages = flags.get<std::uint32_t>("pages", 2000);
+  const auto seed = flags.get<std::uint64_t>("seed", 42);
+  const auto k = flags.get<std::uint32_t>("k", 16);
+  const double alpha = flags.get<double>("alpha", 0.85);
+  const double duration = flags.get<double>("duration", 60.0);  // virtual time
+  const double interval = flags.get<double>("interval", 1.0);  // publish cadence
+  const auto top_k_capacity = flags.get<std::uint64_t>("capacity", 16);
+  serve::LoadGenOptions load;
+  load.clients = flags.get<std::uint32_t>("clients", 10000);
+  load.servers = flags.get<std::uint32_t>("servers", 64);
+  load.think_mean = flags.get<double>("think", load.think_mean);
+  load.top_k = flags.get<std::uint64_t>("topk", load.top_k);
+  load.topk_fraction = flags.get<double>("topk-fraction", load.topk_fraction);
+  load.zipf_exponent = flags.get<double>("zipf", load.zipf_exponent);
+  load.seed = flags.get<std::uint64_t>("load-seed", load.seed);
+  const auto metrics_out = flags.get<std::string>("metrics-out", "");
+  const auto trace_out = flags.get<std::string>("trace-out", "");
+  const bool quiet = flags.flag("quiet");
+  flags.finish();
 
   try {
     util::Stopwatch wall;
     auto& pool = util::ThreadPool::shared();
     const tools::Experiment e =
-        tools::make_experiment(opts.pages, opts.seed, opts.k, opts.alpha, pool);
+        tools::make_experiment(pages, seed, k, alpha, pool);
     obs::MetricsRegistry metrics;
     obs::Tracer tracer;
-    const tools::ServeRun run = tools::serve_run(
-        e, opts.load, opts.interval, opts.top_k_capacity, opts.duration, pool,
-        &metrics, opts.trace_out.empty() ? nullptr : &tracer);
+    const tools::ServeRun run =
+        tools::serve_run(e, load, interval, top_k_capacity, duration, pool, &metrics,
+                         trace_out.empty() ? nullptr : &tracer);
     const serve::LoadGenReport& r = run.report;
 
-    if (!opts.quiet) {
-      std::cout << "graph: " << opts.pages << " pages, k=" << opts.k
-                << "; clients=" << opts.load.clients << " servers="
-                << opts.load.servers << " duration=" << opts.duration
+    if (!quiet) {
+      std::cout << "graph: " << pages << " pages, k=" << k
+                << "; clients=" << load.clients << " servers="
+                << load.servers << " duration=" << duration
                 << " (virtual)\n"
                 << "served " << r.completed << "/" << r.issued
                 << " queries (point=" << r.point_queries << " topk="
@@ -145,17 +90,17 @@ int main(int argc, char** argv) {
                 << ", " << wall.elapsed_seconds() << " s wall\n";
     }
 
-    if (!opts.metrics_out.empty()) {
-      std::ofstream out(opts.metrics_out);
-      if (!out) throw std::runtime_error("cannot write " + opts.metrics_out);
+    if (!metrics_out.empty()) {
+      std::ofstream out(metrics_out);
+      if (!out) throw std::runtime_error("cannot write " + metrics_out);
       metrics.write_json(out);
-      if (!opts.quiet) std::cout << "metrics written to " << opts.metrics_out << "\n";
+      if (!quiet) std::cout << "metrics written to " << metrics_out << "\n";
     }
-    if (!opts.trace_out.empty()) {
-      std::ofstream out(opts.trace_out);
-      if (!out) throw std::runtime_error("cannot write " + opts.trace_out);
+    if (!trace_out.empty()) {
+      std::ofstream out(trace_out);
+      if (!out) throw std::runtime_error("cannot write " + trace_out);
       tracer.write_chrome_json(out);
-      if (!opts.quiet) std::cout << "trace written to " << opts.trace_out << "\n";
+      if (!quiet) std::cout << "trace written to " << trace_out << "\n";
     }
 
     if (r.torn_reads != 0) {

@@ -47,6 +47,7 @@
 #include "check/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -57,41 +58,39 @@ using p2prank::check::Scenario;
 using p2prank::check::ScenarioResult;
 using p2prank::check::ScenarioRunner;
 
-int usage(std::ostream& err) {
-  err << "usage: scenario_fuzz [--seeds N] [--start S] [--seed X]\n"
-         "                     [--seeds-file PATH] [--replay PATH]\n"
-         "                     [--trace-dir DIR] [--broken] [--no-minimize]\n"
-         "                     [--threads T] [--tail-time T] [--quiet]\n"
-         "                     [--reliable] [--serve]\n"
-         "                     [--partition] [--full-rebuild]\n"
-         "                     [--metrics-out PATH] [--trace-out PATH]\n"
-         "                     [--smoke] [--unstable]\n"
-         "  --reliable  force every scenario onto the reliable exchange\n"
-         "              layer (epochs + retransmission + failure detection)\n"
-         "  --full-rebuild\n"
-         "              force every kGraphUpdate through the cold rebuild\n"
-         "              path even when it qualifies for the incremental\n"
-         "              frontier carry; the A/B twin of a plain run for the\n"
-         "              determinism gate (DESIGN.md §14)\n"
-         "  --serve     attach a rank-serving snapshot store to every\n"
-         "              scenario and probe the serving contract (snapshot\n"
-         "              availability, epoch consistency/monotonicity,\n"
-         "              top-K vs brute force, restore invalidation)\n"
-         "  --partition force recovery mode (eviction/rejoin supervisor +\n"
-         "              ledger cross-check) and guarantee every scenario a\n"
-         "              partition episode and a corruption burst. With\n"
-         "              --broken the supervisor's rejoin ledger update is\n"
-         "              deliberately skipped and every run must FAIL.\n"
-         "  --metrics-out PATH, --trace-out PATH\n"
-         "              record every selected scenario into one metrics\n"
-         "              registry and one virtual-time tracer; write the\n"
-         "              metrics snapshot (JSON) and the Chrome trace at the end\n"
-         "  --smoke     run each scenario twice with fresh sinks and fail\n"
-         "              unless the two metrics snapshots and the two traces\n"
-         "              are byte-identical; writes nothing\n"
-         "  --unstable  include pool-size-dependent counters in the snapshot\n";
-  return 2;
-}
+constexpr std::string_view kUsage =
+    "usage: scenario_fuzz [--seeds N] [--start S] [--seed X]\n"
+    "                     [--seeds-file PATH] [--replay PATH]\n"
+    "                     [--trace-dir DIR] [--broken] [--no-minimize]\n"
+    "                     [--threads T] [--tail-time T] [--quiet]\n"
+    "                     [--reliable] [--serve]\n"
+    "                     [--partition] [--full-rebuild]\n"
+    "                     [--metrics-out PATH] [--trace-out PATH]\n"
+    "                     [--smoke] [--unstable]\n"
+    "  --reliable  force every scenario onto the reliable exchange\n"
+    "              layer (epochs + retransmission + failure detection)\n"
+    "  --full-rebuild\n"
+    "              force every kGraphUpdate through the cold rebuild\n"
+    "              path even when it qualifies for the incremental\n"
+    "              frontier carry; the A/B twin of a plain run for the\n"
+    "              determinism gate (DESIGN.md §14)\n"
+    "  --serve     attach a rank-serving snapshot store to every\n"
+    "              scenario and probe the serving contract (snapshot\n"
+    "              availability, epoch consistency/monotonicity,\n"
+    "              top-K vs brute force, restore invalidation)\n"
+    "  --partition force recovery mode (eviction/rejoin supervisor +\n"
+    "              ledger cross-check) and guarantee every scenario a\n"
+    "              partition episode and a corruption burst. With\n"
+    "              --broken the supervisor's rejoin ledger update is\n"
+    "              deliberately skipped and every run must FAIL.\n"
+    "  --metrics-out PATH, --trace-out PATH\n"
+    "              record every selected scenario into one metrics\n"
+    "              registry and one virtual-time tracer; write the\n"
+    "              metrics snapshot (JSON) and the Chrome trace at the end\n"
+    "  --smoke     run each scenario twice with fresh sinks and fail\n"
+    "              unless the two metrics snapshots and the two traces\n"
+    "              are byte-identical; writes nothing\n"
+    "  --unstable  include pool-size-dependent counters in the snapshot\n";
 
 std::string scenario_label(const Scenario& s) {
   std::ostringstream out;
@@ -228,83 +227,28 @@ void force_partition_episode(Scenario& s, bool broken) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::uint64_t num_seeds = 20;
-  std::uint64_t start_seed = 1;
-  std::optional<std::uint64_t> single_seed;
-  std::string seeds_file;
-  std::string replay_path;
-  std::string trace_dir = ".";
-  bool broken = false;
-  bool minimize = true;
-  bool quiet = false;
-  bool force_reliable = false;
-  bool force_serve = false;
-  bool force_partition = false;
-  bool smoke = false;
-  bool include_unstable = false;
-  std::string metrics_out;
-  std::string trace_out;
-  std::size_t threads = 2;
+  p2prank::util::Flags flags(argc, argv, kUsage);
+  const auto num_seeds = flags.get<std::uint64_t>("seeds", 20);
+  const auto start_seed = flags.get<std::uint64_t>("start", 1);
+  const auto single_seed = flags.get<std::uint64_t>("seed");
+  const auto seeds_file = flags.get<std::string>("seeds-file", "");
+  const auto replay_path = flags.get<std::string>("replay", "");
+  const auto trace_dir = flags.get<std::string>("trace-dir", ".");
+  const auto threads = flags.get<std::uint64_t>("threads", 2);
   p2prank::check::RunnerOptions ropts;
-
-  const auto need_value = [&](std::size_t& i) -> const std::string& {
-    if (i + 1 >= args.size()) {
-      std::cerr << "missing value for " << args[i] << '\n';
-      std::exit(usage(std::cerr));
-    }
-    return args[++i];
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    try {
-      if (a == "--seeds") {
-        num_seeds = std::stoull(need_value(i));
-      } else if (a == "--start") {
-        start_seed = std::stoull(need_value(i));
-      } else if (a == "--seed") {
-        single_seed = std::stoull(need_value(i));
-      } else if (a == "--seeds-file") {
-        seeds_file = need_value(i);
-      } else if (a == "--replay") {
-        replay_path = need_value(i);
-      } else if (a == "--trace-dir") {
-        trace_dir = need_value(i);
-      } else if (a == "--threads") {
-        threads = std::stoul(need_value(i));
-      } else if (a == "--tail-time") {
-        ropts.tail_max_time = std::stod(need_value(i));
-      } else if (a == "--broken") {
-        broken = true;
-      } else if (a == "--no-minimize") {
-        minimize = false;
-      } else if (a == "--reliable") {
-        force_reliable = true;
-      } else if (a == "--full-rebuild") {
-        ropts.full_graph_rebuild = true;
-      } else if (a == "--serve") {
-        force_serve = true;
-      } else if (a == "--partition") {
-        force_partition = true;
-      } else if (a == "--metrics-out") {
-        metrics_out = need_value(i);
-      } else if (a == "--trace-out") {
-        trace_out = need_value(i);
-      } else if (a == "--smoke") {
-        smoke = true;
-      } else if (a == "--unstable") {
-        include_unstable = true;
-      } else if (a == "--quiet") {
-        quiet = true;
-      } else {
-        std::cerr << "unknown argument: " << a << '\n';
-        return usage(std::cerr);
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << a << '\n';
-      return usage(std::cerr);
-    }
-  }
+  ropts.tail_max_time = flags.get<double>("tail-time", ropts.tail_max_time);
+  ropts.full_graph_rebuild = flags.flag("full-rebuild");
+  const bool broken = flags.flag("broken");
+  const bool minimize = !flags.flag("no-minimize");
+  const bool force_reliable = flags.flag("reliable");
+  const bool force_serve = flags.flag("serve");
+  const bool force_partition = flags.flag("partition");
+  const auto metrics_out = flags.get<std::string>("metrics-out", "");
+  const auto trace_out = flags.get<std::string>("trace-out", "");
+  const bool smoke = flags.flag("smoke");
+  const bool include_unstable = flags.flag("unstable");
+  const bool quiet = flags.flag("quiet");
+  flags.finish();
   // --broken alone breaks the engine (skip-refresh); with --partition it
   // breaks the *supervisor* instead (rejoin ledger fault) — each self-test
   // proves its own checker has teeth.
