@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     engine::EngineOptions opts;
     opts.algorithm = s.dpr2 ? engine::Algorithm::kDPR2 : engine::Algorithm::kDPR1;
     opts.alpha = kAlpha;
-    opts.inner_epsilon = s.inner_eps;
+    if (!s.dpr2) opts.inner_epsilon = s.inner_eps;  // DPR2 never reads it
     opts.t1 = opts.t2 = 15.0;
     opts.seed = seed;
     engine::DistributedRanking sim(g, assignment, k, opts, pool);

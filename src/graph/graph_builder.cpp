@@ -18,33 +18,22 @@ PageId GraphBuilder::add_page(std::string_view url, std::string_view site) {
 }
 
 PageId GraphBuilder::intern(std::string_view url, std::string_view site) {
-  const auto it = url_to_page_.find(std::string(url));
-  if (it != url_to_page_.end()) {
-    if (site_names_[page_sites_[it->second]] != site) {
+  if (const auto id = urls_.find(url)) {
+    const std::string_view was = site_names_[page_sites_[*id]];
+    if (was != site) {
       throw std::invalid_argument("GraphBuilder: page '" + std::string(url) +
                                   "' re-added with conflicting site '" +
                                   std::string(site) + "' (was '" +
-                                  site_names_[page_sites_[it->second]] + "')");
+                                  std::string(was) + "')");
     }
-    return it->second;
+    return *id;
   }
   if (urls_.size() >= static_cast<std::size_t>(kInvalidPage)) {
     throw std::length_error("GraphBuilder: page id space exhausted");
   }
-  const auto id = static_cast<PageId>(urls_.size());
-  urls_.emplace_back(url);
-  page_sites_.push_back(intern_site(site));
+  const PageId id = urls_.insert(url).first;
+  page_sites_.push_back(site_names_.insert(site).first);
   external_out_.push_back(0);
-  url_to_page_.emplace(urls_.back(), id);
-  return id;
-}
-
-SiteId GraphBuilder::intern_site(std::string_view site) {
-  const auto it = site_to_id_.find(std::string(site));
-  if (it != site_to_id_.end()) return it->second;
-  const auto id = static_cast<SiteId>(site_names_.size());
-  site_names_.emplace_back(site);
-  site_to_id_.emplace(site_names_.back(), id);
   return id;
 }
 
@@ -63,9 +52,8 @@ void GraphBuilder::add_link(PageId from, PageId to) {
 
 void GraphBuilder::add_link_to_url(PageId from, std::string_view to_url) {
   check_page(from);
-  const auto it = url_to_page_.find(std::string(to_url));
-  if (it != url_to_page_.end()) {
-    links_.push_back({from, it->second});
+  if (const auto to = urls_.find(to_url)) {
+    links_.push_back({from, *to});
   } else {
     unresolved_links_.emplace_back(from, std::string(to_url));
   }
@@ -75,23 +63,20 @@ void GraphBuilder::add_external_link(PageId from, std::uint32_t count) {
   check_page(from);
   if (count > std::numeric_limits<std::uint32_t>::max() - external_out_[from]) {
     throw std::overflow_error("GraphBuilder: external out-degree overflow at '" +
-                              urls_[from] + "'");
+                              std::string(urls_[from]) + "'");
   }
   external_out_[from] += count;
 }
 
 std::optional<PageId> GraphBuilder::find(std::string_view url) const {
-  const auto it = url_to_page_.find(std::string(url));
-  if (it == url_to_page_.end()) return std::nullopt;
-  return it->second;
+  return urls_.find(url);
 }
 
 WebGraph GraphBuilder::build() && {
   // Resolve deferred targets: anything interned by now is internal.
-  for (auto& [from, url] : unresolved_links_) {
-    const auto it = url_to_page_.find(url);
-    if (it != url_to_page_.end()) {
-      links_.push_back({from, it->second});
+  for (const auto& [from, url] : unresolved_links_) {
+    if (const auto to = urls_.find(url)) {
+      links_.push_back({from, *to});
     } else {
       add_external_link(from);
     }
@@ -135,7 +120,7 @@ WebGraph GraphBuilder::build_from_stream(const EdgeSource& source) && {
         }
         if (cursor[e.from] >= g.out_offsets_[e.from + 1]) {
           throw std::logic_error("GraphBuilder: edge source replay mismatch at '" +
-                                 urls_[e.from] + "'");
+                                 std::string(urls_[e.from]) + "'");
         }
         g.out_targets_[cursor[e.from]++] = e.to;
       }
@@ -143,7 +128,7 @@ WebGraph GraphBuilder::build_from_stream(const EdgeSource& source) && {
     for (PageId u = 0; u < n; ++u) {
       if (cursor[u] != g.out_offsets_[u + 1]) {
         throw std::logic_error("GraphBuilder: edge source replay mismatch at '" +
-                               urls_[u] + "'");
+                               std::string(urls_[u]) + "'");
       }
     }
   }

@@ -28,9 +28,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "graph/name_table.hpp"
 #include "graph/web_graph.hpp"
 
 namespace p2prank::graph {
@@ -97,14 +98,12 @@ class GraphBuilder {
 
  private:
   PageId intern(std::string_view url, std::string_view site);
-  SiteId intern_site(std::string_view site);
   void check_page(PageId p) const;
 
-  std::vector<std::string> urls_;
+  // The page table under construction, handed to the graph at build.
+  NameTable urls_;
+  NameTable site_names_;
   std::vector<SiteId> page_sites_;
-  std::vector<std::string> site_names_;
-  std::unordered_map<std::string, PageId> url_to_page_;
-  std::unordered_map<std::string, SiteId> site_to_id_;
   std::vector<Edge> links_;
   std::vector<std::pair<PageId, std::string>> unresolved_links_;
   std::vector<std::uint32_t> external_out_;

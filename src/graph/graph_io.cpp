@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/graph_builder.hpp"
+#include "graph/name_table.hpp"
 #include "util/bytes.hpp"
 
 namespace p2prank::graph {
@@ -155,8 +156,25 @@ T need(std::optional<T> read) {
   return *read;
 }
 
-std::string read_string(util::ByteReader& r) {
-  return std::string(need(r.bytes(need(r.u32()))));
+/// Read `count` length-prefixed names into `table`, whose arena is sized
+/// once from a first pass over the length prefixes and so never exceeds
+/// the unread bytes. Returns the first name the table already held; the
+/// caller reports it once the rest of the stream has checked out.
+std::optional<std::string_view> read_names(util::ByteReader& r,
+                                           std::uint64_t count,
+                                           NameTable& table) {
+  util::ByteReader scan = r;
+  std::size_t bytes = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    bytes += need(scan.bytes(need(scan.u32()))).size();
+  }
+  table.reserve(static_cast<std::size_t>(count), bytes);
+  std::optional<std::string_view> repeat;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::string_view name = need(r.bytes(need(r.u32())));
+    if (!table.insert(name).second && !repeat) repeat = name;
+  }
+  return repeat;
 }
 
 /// Reject a header count before anything is sized from it: `count` items
@@ -188,13 +206,13 @@ class GraphBinaryIo {
     util::put_u64(buf, g.num_links());
     util::put_u64(buf, g.num_external_links());
     for (SiteId s = 0; s < g.num_sites(); ++s) {
-      const std::string& name = g.site_name(s);
+      const std::string_view name = g.site_name(s);
       util::put_u32(buf, static_cast<std::uint32_t>(name.size()));
       util::put_bytes(buf, name);
     }
     for (PageId p = 0; p < g.num_pages(); ++p) util::put_u32(buf, g.site(p));
     for (PageId p = 0; p < g.num_pages(); ++p) {
-      const std::string& url = g.url(p);
+      const std::string_view url = g.url(p);
       util::put_u32(buf, static_cast<std::uint32_t>(url.size()));
       util::put_bytes(buf, url);
     }
@@ -236,9 +254,8 @@ class GraphBinaryIo {
     // Smallest encodings: a site name is a u32 length, a page at least its
     // u32 site id and u32 url length, a link one varint byte.
     expect_fits(r, num_sites, 4, "site");
-    std::vector<std::string> site_names;
-    site_names.reserve(num_sites);
-    for (std::uint64_t s = 0; s < num_sites; ++s) site_names.push_back(read_string(r));
+    NameTable site_names;
+    const auto repeated_site = read_names(r, num_sites, site_names);
 
     expect_fits(r, n, 8, "page");
     std::vector<SiteId> sites(n);
@@ -249,9 +266,8 @@ class GraphBinaryIo {
       }
     }
 
-    std::vector<std::string> urls;
-    urls.reserve(n);
-    for (std::uint64_t p = 0; p < n; ++p) urls.push_back(read_string(r));
+    NameTable urls;
+    const auto repeated_url = read_names(r, n, urls);
 
     WebGraph g;
     g.external_out_.resize(n);
@@ -289,6 +305,16 @@ class GraphBinaryIo {
     }
     if (!r.at_end()) {
       throw std::runtime_error("load_graph_binary: trailing bytes");
+    }
+    // A repeat could not round-trip: find(), the text format and
+    // checkpoints identify pages and sites by name.
+    if (repeated_site) {
+      throw std::runtime_error("WebGraph: repeated site name '" +
+                               std::string(*repeated_site) + "'");
+    }
+    if (repeated_url) {
+      throw std::runtime_error("WebGraph: repeated url '" +
+                               std::string(*repeated_url) + "'");
     }
 
     // The out rows are already canonical; derive the in-rows as the builder

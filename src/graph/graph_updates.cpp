@@ -5,29 +5,30 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "graph/graph_builder.hpp"
+#include "graph/name_table.hpp"
 #include "graph/url.hpp"
 
 namespace p2prank::graph {
 
-LinkUpdate LinkUpdate::add_page(std::string url) {
-  return {Kind::kAddPage, std::move(url), {}};
+LinkUpdate LinkUpdate::add_page(std::string_view url) {
+  return {Kind::kAddPage, std::string(url), {}};
 }
-LinkUpdate LinkUpdate::add_link(std::string from, std::string to) {
-  return {Kind::kAddLink, std::move(from), std::move(to)};
+LinkUpdate LinkUpdate::add_link(std::string_view from, std::string_view to) {
+  return {Kind::kAddLink, std::string(from), std::string(to)};
 }
-LinkUpdate LinkUpdate::remove_link(std::string from, std::string to) {
-  return {Kind::kRemoveLink, std::move(from), std::move(to)};
+LinkUpdate LinkUpdate::remove_link(std::string_view from, std::string_view to) {
+  return {Kind::kRemoveLink, std::string(from), std::string(to)};
 }
-LinkUpdate LinkUpdate::add_external(std::string from) {
-  return {Kind::kAddExternal, std::move(from), {}};
+LinkUpdate LinkUpdate::add_external(std::string_view from) {
+  return {Kind::kAddExternal, std::string(from), {}};
 }
-LinkUpdate LinkUpdate::remove_external(std::string from) {
-  return {Kind::kRemoveExternal, std::move(from), {}};
+LinkUpdate LinkUpdate::remove_external(std::string_view from) {
+  return {Kind::kRemoveExternal, std::string(from), {}};
 }
 
 namespace {
@@ -38,8 +39,9 @@ struct CompiledDelta {
   std::map<std::pair<PageId, PageId>, long long> links;
   /// from -> net external-count change; zero-net entries are dropped.
   std::map<PageId, long long> externals;
-  /// Appended after existing pages, in first-mention order.
-  std::vector<std::string> new_pages;
+  /// Appended after existing pages, in first-mention order: new page i
+  /// gets id num_pages() + i.
+  NameTable new_pages;
 };
 
 /// Replay the batch in order, tracking effective counts so the sequential
@@ -48,14 +50,13 @@ struct CompiledDelta {
 CompiledDelta compile_updates(const WebGraph& g,
                               std::span<const LinkUpdate> updates) {
   CompiledDelta d;
-  std::unordered_map<std::string, PageId> new_index;
   const auto n_old = static_cast<PageId>(g.num_pages());
 
-  auto resolve = [&](const std::string& url) -> PageId {
+  auto resolve = [&](std::string_view url) -> PageId {
     if (const auto found = g.find(url)) return *found;
-    const auto it = new_index.find(url);
-    if (it != new_index.end()) return it->second;
-    throw std::invalid_argument("apply_updates: unknown page '" + url + "'");
+    if (const auto added = d.new_pages.find(url)) return n_old + *added;
+    throw std::invalid_argument("apply_updates: unknown page '" +
+                                std::string(url) + "'");
   };
   auto base_link_count = [&](PageId u, PageId v) -> long long {
     const auto row = g.out_links(u);
@@ -69,13 +70,11 @@ CompiledDelta compile_updates(const WebGraph& g,
   for (const auto& up : updates) {
     switch (up.kind) {
       case LinkUpdate::Kind::kAddPage: {
-        if (!g.find(up.from_url) && !new_index.contains(up.from_url)) {
+        if (!g.find(up.from_url) && !d.new_pages.find(up.from_url)) {
           if (n_old + d.new_pages.size() >= static_cast<std::size_t>(kInvalidPage)) {
             throw std::length_error("apply_updates: page id space exhausted");
           }
-          new_index.emplace(up.from_url,
-                            static_cast<PageId>(n_old + d.new_pages.size()));
-          d.new_pages.push_back(up.from_url);
+          d.new_pages.insert(up.from_url);
         }
         break;
       }
@@ -177,31 +176,25 @@ class GraphSplicer {
           g.num_links(), out.in_offsets_, out.in_sources_);
     }
 
-    if (d.new_pages.empty()) {
+    if (d.new_pages.size() == 0) {
       // Link-only delta: the page-identity state is unchanged — share it.
       out.table_ = g.table_;
     } else {
-      std::vector<std::string> urls;
-      urls.reserve(n_new);
-      std::vector<std::string> site_names;
+      // Copies of the two name tables, extended: a new site gets the next
+      // site id in first-seen order.
+      NameTable urls;
+      NameTable site_names;
       std::vector<SiteId> sites;
-      sites.reserve(n_new);
-      std::unordered_map<std::string, SiteId> site_index;
       if (g.table_ != nullptr) {
         urls = g.table_->urls;
         site_names = g.table_->site_names;
         sites = g.table_->sites;
-        for (SiteId s = 0; s < site_names.size(); ++s) {
-          site_index.emplace(site_names[s], s);
-        }
       }
-      for (auto& url : d.new_pages) {
-        const std::string site(site_of(url));
-        const auto [it, inserted] =
-            site_index.emplace(site, static_cast<SiteId>(site_names.size()));
-        if (inserted) site_names.push_back(site);
-        sites.push_back(it->second);
-        urls.push_back(std::move(url));
+      sites.reserve(n_new);
+      for (std::uint32_t i = 0; i < d.new_pages.size(); ++i) {
+        const std::string_view url = d.new_pages[i];
+        sites.push_back(site_names.insert(site_of(url)).first);
+        urls.insert(url);
       }
       out.table_ = WebGraph::make_table(std::move(urls), std::move(site_names),
                                         std::move(sites));
@@ -250,7 +243,7 @@ GraphUpdateResult apply_updates_delta(const WebGraph& g,
   CompiledDelta d = compile_updates(g, updates);
 
   GraphUpdateResult res;
-  res.incremental = d.new_pages.empty();
+  res.incremental = d.new_pages.size() == 0;
   for (const auto& [edge, net] : d.links) {
     (void)net;
     res.in_changed.push_back(edge.second);
@@ -290,22 +283,20 @@ WebGraph apply_updates_rebuild(const WebGraph& g,
   for (PageId u = 0; u < g.num_pages(); ++u) external[u] = g.external_out_degree(u);
 
   // New pages (appended after existing ones, in update order).
-  std::vector<std::string> new_pages;
-  std::unordered_map<std::string, PageId> new_index;
-  auto resolve = [&](const std::string& url) -> PageId {
+  NameTable new_pages;
+  auto resolve = [&](std::string_view url) -> PageId {
     if (const auto found = g.find(url)) return *found;
-    const auto it = new_index.find(url);
-    if (it != new_index.end()) return it->second;
-    throw std::invalid_argument("apply_updates: unknown page '" + url + "'");
+    if (const auto added = new_pages.find(url)) {
+      return static_cast<PageId>(g.num_pages()) + *added;
+    }
+    throw std::invalid_argument("apply_updates: unknown page '" +
+                                std::string(url) + "'");
   };
 
   for (const auto& up : updates) {
     switch (up.kind) {
       case LinkUpdate::Kind::kAddPage: {
-        if (!g.find(up.from_url) && !new_index.contains(up.from_url)) {
-          new_index.emplace(
-              up.from_url, static_cast<PageId>(g.num_pages() + new_pages.size()));
-          new_pages.push_back(up.from_url);
+        if (!g.find(up.from_url) && new_pages.insert(up.from_url).second) {
           external.push_back(0);
         }
         break;
@@ -343,7 +334,9 @@ WebGraph apply_updates_rebuild(const WebGraph& g,
   for (PageId p = 0; p < g.num_pages(); ++p) {
     builder.add_page(g.url(p), g.site_name(g.site(p)));
   }
-  for (const auto& url : new_pages) builder.add_page(url);
+  for (std::uint32_t i = 0; i < new_pages.size(); ++i) {
+    builder.add_page(new_pages[i]);
+  }
   for (const auto& [edge, count] : links) {
     for (std::uint32_t c = 0; c < count; ++c) builder.add_link(edge.first, edge.second);
   }

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/web_graph.hpp"
@@ -44,11 +45,12 @@ struct LinkUpdate {
   std::string from_url;  ///< the page URL for kAddPage
   std::string to_url;    ///< unused for kAddPage/k*External
 
-  [[nodiscard]] static LinkUpdate add_page(std::string url);
-  [[nodiscard]] static LinkUpdate add_link(std::string from, std::string to);
-  [[nodiscard]] static LinkUpdate remove_link(std::string from, std::string to);
-  [[nodiscard]] static LinkUpdate add_external(std::string from);
-  [[nodiscard]] static LinkUpdate remove_external(std::string from);
+  [[nodiscard]] static LinkUpdate add_page(std::string_view url);
+  [[nodiscard]] static LinkUpdate add_link(std::string_view from, std::string_view to);
+  [[nodiscard]] static LinkUpdate remove_link(std::string_view from,
+                                              std::string_view to);
+  [[nodiscard]] static LinkUpdate add_external(std::string_view from);
+  [[nodiscard]] static LinkUpdate remove_external(std::string_view from);
 };
 
 struct GraphUpdateResult {

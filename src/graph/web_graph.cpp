@@ -1,20 +1,16 @@
 #include "graph/web_graph.hpp"
 
-#include <stdexcept>
-#include <unordered_set>
+#include <utility>
 
 namespace p2prank::graph {
 
 std::optional<PageId> WebGraph::find(std::string_view url) const {
   if (table_ == nullptr) return std::nullopt;
-  const auto it = table_->url_index.find(url);
-  if (it == table_->url_index.end()) return std::nullopt;
-  return it->second;
+  return table_->urls.find(url);
 }
 
 std::shared_ptr<const WebGraph::PageTable> WebGraph::make_table(
-    std::vector<std::string> urls, std::vector<std::string> site_names,
-    std::vector<SiteId> sites) {
+    NameTable urls, NameTable site_names, std::vector<SiteId> sites) {
   auto table = std::make_shared<PageTable>();
   table->urls = std::move(urls);
   table->site_names = std::move(site_names);
@@ -22,34 +18,16 @@ std::shared_ptr<const WebGraph::PageTable> WebGraph::make_table(
 
   const std::size_t n = table->urls.size();
   const std::size_t num_sites = table->site_names.size();
-  {
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(num_sites);
-    for (const std::string& name : table->site_names) {
-      if (!seen.insert(name).second) {
-        throw std::runtime_error("WebGraph: repeated site name '" + name + "'");
-      }
-    }
-  }
   table->site_offsets.assign(num_sites + 1, 0);
   for (const SiteId s : table->sites) ++table->site_offsets[s + 1];
   for (std::size_t i = 0; i < num_sites; ++i) {
     table->site_offsets[i + 1] += table->site_offsets[i];
   }
   table->site_pages.resize(n);
-  {
-    std::vector<std::uint64_t> cursor(table->site_offsets.begin(),
-                                      table->site_offsets.end() - 1);
-    for (PageId p = 0; p < n; ++p) {
-      table->site_pages[cursor[table->sites[p]]++] = p;
-    }
-  }
-
-  table->url_index.reserve(n);
+  std::vector<std::uint64_t> cursor(table->site_offsets.begin(),
+                                    table->site_offsets.end() - 1);
   for (PageId p = 0; p < n; ++p) {
-    if (!table->url_index.emplace(table->urls[p], p).second) {
-      throw std::runtime_error("WebGraph: repeated url '" + table->urls[p] + "'");
-    }
+    table->site_pages[cursor[table->sites[p]]++] = p;
   }
   return table;
 }

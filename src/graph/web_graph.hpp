@@ -23,20 +23,21 @@
 // which is what lets the incremental update path promise bitwise-identical
 // rank vectors (DESIGN.md §14).
 //
-// The page-identity state (URLs, sites, the site→pages CSR, the URL index)
-// lives in an immutable PageTable shared via shared_ptr: an incremental
-// update that only changes links produces a new WebGraph that *shares* the
-// table with its predecessor instead of copying millions of URL strings.
+// The page-identity state (URLs and site names in two NameTables, the site
+// of every page, the site→pages CSR) lives in an immutable PageTable shared
+// via shared_ptr: an incremental update that only changes links produces a
+// new WebGraph that *shares* the table with its predecessor instead of
+// copying millions of URLs.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "graph/name_table.hpp"
 
 namespace p2prank::graph {
 
@@ -54,10 +55,9 @@ class WebGraph {
  public:
   WebGraph() = default;
 
-  // Move-only: the url index stores views into the page table's string
-  // storage, which sharing/moving preserves but memberwise copying of a
-  // rebuilt table would leave dangling. Link-only update paths share the
-  // table instead of copying (see GraphSplicer).
+  // Move-only: a copy would duplicate every CSR array. The page table is
+  // immutable and shared, never copied, by link-only updates (see
+  // GraphSplicer).
   WebGraph(const WebGraph&) = delete;
   WebGraph& operator=(const WebGraph&) = delete;
   WebGraph(WebGraph&&) = default;
@@ -113,8 +113,9 @@ class WebGraph {
   [[nodiscard]] bool is_dangling(PageId u) const noexcept { return out_degree(u) == 0; }
 
   [[nodiscard]] SiteId site(PageId u) const noexcept { return table_->sites[u]; }
-  [[nodiscard]] const std::string& url(PageId u) const { return table_->urls[u]; }
-  [[nodiscard]] const std::string& site_name(SiteId s) const {
+  /// Views into the page table: valid while any graph sharing it lives.
+  [[nodiscard]] std::string_view url(PageId u) const { return table_->urls[u]; }
+  [[nodiscard]] std::string_view site_name(SiteId s) const {
     return table_->site_names[s];
   }
 
@@ -140,25 +141,22 @@ class WebGraph {
   friend class GraphBinaryIo;
 
   /// Page-identity state, immutable once built and shared across link-only
-  /// graph updates. url_index keys are views into urls' heap buffers, which
-  /// stay put for the table's lifetime.
+  /// graph updates. Page and site ids are NameTable ids: the tables hold
+  /// no repeat, because find(), the text format and checkpoints identify
+  /// pages and sites by name.
   struct PageTable {
-    std::vector<std::string> urls;
-    std::vector<std::string> site_names;
+    NameTable urls;
+    NameTable site_names;
     std::vector<SiteId> sites;
     std::vector<std::uint64_t> site_offsets;  // size num_sites+1
     std::vector<PageId> site_pages;
-    std::unordered_map<std::string_view, PageId> url_index;
   };
 
-  /// Derive the site→pages CSR and URL index and freeze the identity state.
-  /// Shared by every construction path (GraphBuilder, the splicer, the
-  /// binary loader). Throws std::runtime_error naming a repeated URL or
-  /// site name: find(), the text format and checkpoints identify pages and
-  /// sites by name, so a repeat could not round-trip.
-  static std::shared_ptr<const PageTable> make_table(
-      std::vector<std::string> urls, std::vector<std::string> site_names,
-      std::vector<SiteId> sites);
+  /// Derive the site→pages CSR and freeze the identity state. Shared by
+  /// every construction path (GraphBuilder, the splicer, the binary loader).
+  static std::shared_ptr<const PageTable> make_table(NameTable urls,
+                                                     NameTable site_names,
+                                                     std::vector<SiteId> sites);
 
   /// Derive the in-CSR from the sorted out-rows (out_offsets_ sized n+1):
   /// an ascending-source scan leaves every in-row ascending. Shared by

@@ -225,6 +225,8 @@ WebGraph load_binary(const std::string& bytes) {
 // site names to 58, site ids to 66, urls to 88, external counts 7 and 0 at
 // 88-89, page 0's row (degree 2, gaps 1 and 0) at 90-92, page 1's row
 // (degree 1, target 0) at 93-94.
+constexpr std::size_t kFirstSiteLength = 40;
+constexpr std::size_t kFirstUrlLength = 66;
 constexpr std::size_t kFirstExternal = 88;
 constexpr std::size_t kSecondGap = 92;
 
@@ -302,6 +304,25 @@ TEST(GraphBinaryIo, RejectsForgedLinkCount) {
 TEST(GraphBinaryIo, RejectsForgedPageCount) {
   auto in = forged_header(std::uint64_t{1} << 31, 0, 0);
   EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+}
+
+TEST(GraphBinaryIo, RejectsNameLengthBeyondTheStream) {
+  // A length prefix of 2^32 - 1 claims more bytes than the stream holds:
+  // the loader's runtime_error, not an allocation sized from the claim.
+  const std::string bytes = binary_of(parallel_edges_and_externals());
+  ASSERT_EQ(bytes.substr(kFirstSiteLength + 4, 5), "s.edu");
+  ASSERT_EQ(bytes.substr(kFirstUrlLength + 4, 7), "s.edu/a");
+  for (const std::size_t at : {kFirstSiteLength, kFirstUrlLength}) {
+    std::string forged = bytes;
+    forged.replace(at, 4, std::string(4, '\xff'));
+    try {
+      (void)load_binary(forged);
+      ADD_FAILURE() << "loaded a name length of 2^32 - 1 at byte " << at;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("load_graph_binary: ", 0), 0u)
+          << e.what();
+    }
+  }
 }
 
 TEST(GraphBinaryIo, RejectsNonMinimalVarints) {
