@@ -4,21 +4,26 @@
 // loop. This is the one kernel micro-bench; select variants with
 // --benchmark_filter.
 //
-// Custom flags (stripped before google-benchmark sees argv):
+// Custom flags (read through util::Flags and stripped before
+// google-benchmark sees argv; a malformed value exits 2 naming the flag):
 //   --threads 1,2,8,16     register every pooled variant once per pool size
 //                          (each run records a "pool_threads" counter)
 //   --determinism-check [--pages N]
 //                          no benchmarks: solve the N-page graph dense and
-//                          with the worklist kernel on 1- and 2-thread
-//                          pools and exit 0 iff all four rank vectors are
-//                          bitwise identical (the tier-bench-smoke gate)
+//                          with the worklist kernel on 1-, 2- and 8-thread
+//                          pools and exit 0 iff all six rank vectors are
+//                          bitwise identical (the tier-bench-smoke gate); it
+//                          exits 1 when the graph has no row longer than
+//                          LinkMatrix::kBlockEdges, whose block path it
+//                          would then leave untested
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/reference.hpp"
@@ -29,6 +34,7 @@
 #include "rank/link_matrix.hpp"
 #include "rank/open_system.hpp"
 #include "transport/exchange.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -271,20 +277,28 @@ void register_pooled_benchmarks(const std::vector<unsigned>& thread_list) {
   }
 }
 
-/// Solve a small graph dense and with the worklist kernel on 1- and
-/// 2-thread pools; exit 0 iff all rank vectors are bitwise identical.
-/// This is the tier-bench-smoke CI gate — cheap enough for every PR.
+/// Solve a small graph dense and with the worklist kernel on 1-, 2- and
+/// 8-thread pools; exit 0 iff all rank vectors are bitwise identical, and 1
+/// when they differ or the graph has no blocked row. This is the
+/// tier-bench-smoke CI gate — cheap enough for every PR.
 int run_determinism_check(std::uint32_t pages) {
   const auto g =
       graph::generate_synthetic_web(graph::google2002_config(pages, 42));
   const auto m = rank::LinkMatrix::from_graph(g, 0.85);
+  if (m.num_blocks() == 0) {
+    std::cerr << "determinism-check: the " << pages
+              << "-page graph has no row longer than "
+              << rank::LinkMatrix::kBlockEdges
+              << " in-edges, so the block path would go untested\n";
+    return 1;
+  }
   const std::vector<double> forcing(m.dimension(), (1.0 - 0.85) * 1.0);
   rank::SolveOptions sopts;
   sopts.epsilon = 1e-10;
 
   std::vector<std::vector<double>> solutions;
   std::vector<std::string> names;
-  for (const unsigned threads : {1u, 2u}) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     auto dense = rank::solve_open_system(m, forcing, {}, sopts, pool);
     solutions.push_back(std::move(dense.ranks));
@@ -311,39 +325,47 @@ int run_determinism_check(std::uint32_t pages) {
   return ok ? 0 : 1;
 }
 
-std::vector<unsigned> parse_thread_list(const std::string& spec) {
-  std::vector<unsigned> out;
-  std::istringstream in(spec);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<unsigned>(std::stoul(item)));
-  }
-  return out;
-}
+/// Pool sizes above this are refused before any pool starts.
+constexpr std::uint64_t kMaxThreads = 1024;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<unsigned> thread_list;
-  bool determinism_check = false;
-  std::uint32_t det_pages = 2000;
+  // This program's own flags go through util::Flags, so their values parse
+  // in full; every other argument is google-benchmark's.
+  std::vector<std::string> own;
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      thread_list = parse_thread_list(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      thread_list = parse_thread_list(arg.substr(std::strlen("--threads=")));
-    } else if (arg == "--determinism-check") {
-      determinism_check = true;
-    } else if (arg == "--pages" && i + 1 < argc) {
-      det_pages = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    } else {
+    const std::string_view arg = argv[i];
+    const std::string_view name = arg.substr(0, arg.find('='));
+    if (name != "--threads" && name != "--pages" && name != "--determinism-check") {
       passthrough.push_back(argv[i]);
+      continue;
     }
+    own.emplace_back(arg);
+    if (arg == name && name != "--determinism-check" && i + 1 < argc &&
+        !std::string_view(argv[i + 1]).starts_with("--")) {
+      own.emplace_back(argv[++i]);
+    }
+  }
+  util::Flags flags(own);
+  const bool determinism_check = flags.flag("determinism-check");
+  const auto det_pages = flags.get<std::uint32_t>("pages", 2000);
+  const auto threads = flags.get_list("threads", {});
+  try {
+    flags.finish();
+    if (std::ranges::any_of(threads, [](std::uint64_t t) { return t > kMaxThreads; })) {
+      throw util::FlagError("--threads entries must be at most " +
+                            std::to_string(kMaxThreads));
+    }
+  } catch (const util::FlagError& e) {
+    std::cerr << "micro_kernels: " << e.what() << "\n";
+    return 2;
   }
   if (determinism_check) return run_determinism_check(det_pages);
 
+  std::vector<unsigned> thread_list;
+  for (const std::uint64_t t : threads) thread_list.push_back(static_cast<unsigned>(t));
   if (thread_list.empty()) thread_list = {0};  // shared hardware-sized pool
   register_pooled_benchmarks(thread_list);
   int pargc = static_cast<int>(passthrough.size());

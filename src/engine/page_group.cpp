@@ -42,6 +42,7 @@ void PageGroup::init_state() {
   ranks_.assign(members_.size(), 0.0);  // R0 = 0 (the proofs' S = 0)
   forcing_.assign(members_.size(), rank::beta_of(matrix_.alpha()));  // X = 0
   scratch_.assign(members_.size(), 0.0);
+  matrix_.fit_block_partials(wl_state_);
 }
 
 void PageGroup::set_ranks(std::span<const double> ranks) {
@@ -230,6 +231,9 @@ bool PageGroup::install_worklist_carry(
   wl_state_.grain_edges.assign(
       util::ThreadPool::num_grains(dim, matrix_.sweep_grain()), 0);
   wl_state_.active_grains.clear();
+  // The carried contributions summed over this matrix's blocks: a block's
+  // partial must be what a re-gather would give, as after a dense sweep.
+  matrix_.refresh_block_partials(wl_state_);
   wl_state_.primed = true;
   wl_state_.pair_a = ranks_.data();
   wl_state_.pair_b = scratch_.data();

@@ -202,7 +202,8 @@ class PageGroup {
     std::vector<double> held;
   };
 
-  /// Shared tail of both constructors: zero R and X, sweep buffers.
+  /// Shared tail of both constructors: zero R and X, sweep buffers, block
+  /// partials.
   void init_state();
   [[nodiscard]] const EfferentBlock* find_block(std::uint32_t dest_group) const;
   [[nodiscard]] EfferentBlock* find_block(std::uint32_t dest_group);

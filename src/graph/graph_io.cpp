@@ -233,12 +233,8 @@ class GraphBinaryIo {
     if (!out) throw std::runtime_error("save_graph_binary: write failed");
   }
 
-  static WebGraph load(std::istream& in) {
-    std::ostringstream staging;
-    staging << in.rdbuf();
-    const std::string bytes = std::move(staging).str();
-    util::ByteReader r(std::span(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+  static WebGraph load(std::span<const std::uint8_t> bytes) {
+    util::ByteReader r(bytes);
     if (need(r.bytes(kBinaryMagic.size())) != kBinaryMagic) {
       throw std::runtime_error("load_graph_binary: bad magic");
     }
@@ -336,12 +332,29 @@ void save_graph_binary_file(const WebGraph& g, const std::string& path) {
   save_graph_binary(g, out);
 }
 
-WebGraph load_graph_binary(std::istream& in) { return GraphBinaryIo::load(in); }
+WebGraph load_graph_binary(std::span<const std::uint8_t> bytes) {
+  return GraphBinaryIo::load(bytes);
+}
+
+WebGraph load_graph_binary(std::istream& in) {
+  std::ostringstream staging;
+  staging << in.rdbuf();
+  const std::string bytes = std::move(staging).str();
+  return GraphBinaryIo::load(
+      std::span(reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+}
 
 WebGraph load_graph_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("load_graph_binary_file: cannot open " + path);
-  return load_graph_binary(in);
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("load_graph_binary_file: cannot size " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    throw std::runtime_error("load_graph_binary_file: cannot read " + path);
+  }
+  return GraphBinaryIo::load(bytes);
 }
 
 }  // namespace p2prank::graph

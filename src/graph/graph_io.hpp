@@ -20,7 +20,9 @@
 // seconds (DESIGN.md §14).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "graph/web_graph.hpp"
@@ -40,11 +42,15 @@ void save_graph_file(const WebGraph& g, const std::string& path);
 void save_graph_binary(const WebGraph& g, std::ostream& out);
 void save_graph_binary_file(const WebGraph& g, const std::string& path);
 
-/// Parse the binary CSR format. Throws std::runtime_error on a bad magic,
-/// truncated stream, CSR that violates the canonical-form invariants, or a
-/// page table that repeats a URL or a site name (which find(), the text
-/// format and checkpoints could not tell apart).
+/// Parse the binary CSR format from bytes in memory: the one p2pgrb1
+/// decoder. Throws std::runtime_error on a bad magic, truncated input, CSR
+/// that violates the canonical-form invariants, or a page table that
+/// repeats a URL or a site name (which find(), the text format and
+/// checkpoints could not tell apart).
+[[nodiscard]] WebGraph load_graph_binary(std::span<const std::uint8_t> bytes);
+/// The same from a stream, copied whole into memory first.
 [[nodiscard]] WebGraph load_graph_binary(std::istream& in);
+/// The same from a file, read once into a buffer of the file's size.
 [[nodiscard]] WebGraph load_graph_binary_file(const std::string& path);
 
 }  // namespace p2prank::graph

@@ -22,6 +22,7 @@ void check_alpha(double alpha) {
 void LinkMatrix::finish_layout() {
   const std::size_t dim = dimension();
   out_offsets_.assign(dim + 1, 0);
+  block_begin_.assign(1, 0);
   if (dim == 0) {
     sweep_grain_ = 64;
     return;
@@ -39,18 +40,61 @@ void LinkMatrix::finish_layout() {
   sweep_grain_ = std::clamp<std::size_t>(kGrainBytes / per_row, 1, dim);
   sweep_grain_ = (sweep_grain_ + 63) / 64 * 64;
 
+  // Blocks: each row longer than kBlockEdges splits into blocks of
+  // kBlockEdges edges (the last may be shorter), numbered in row order. Only
+  // those rows are listed, so the index costs nothing per row.
+  if (dim > kBlockTag) {
+    throw std::length_error("LinkMatrix: row ids must fit in 31 bits");
+  }
+  std::size_t long_rows = 0;
+  for (std::size_t v = 0; v < dim; ++v) {
+    long_rows += offsets_[v + 1] - offsets_[v] > kBlockEdges ? 1 : 0;
+  }
+  blocked_rows_.reserve(long_rows);
+  block_begin_.reserve(long_rows + 1);
+  std::uint64_t blocks = 0;
+  for (std::size_t v = 0; v < dim; ++v) {
+    const std::uint64_t len = offsets_[v + 1] - offsets_[v];
+    if (len <= kBlockEdges) continue;
+    blocks += (len + kBlockEdges - 1) / kBlockEdges;
+    if (blocks > kBlockTag) {
+      throw std::length_error("LinkMatrix: block ids must fit in 31 bits");
+    }
+    blocked_rows_.push_back(static_cast<std::uint32_t>(v));
+    block_begin_.push_back(static_cast<std::uint32_t>(blocks));
+  }
+
   // Push CSR (the transpose: per source, its in-matrix destinations) via a
   // counting sort over the pull edges. Costs 4B/edge + 8B/row of memory and
   // one O(E) pass; the worklist kernel scatters frontier bits through it.
+  // An edge into a blocked row names its block instead of the row.
   for (const std::uint32_t u : sources_) ++out_offsets_[u + 1];
   for (std::size_t u = 0; u < dim; ++u) out_offsets_[u + 1] += out_offsets_[u];
   out_targets_.resize(sources_.size());
   std::vector<std::uint64_t> cursor(out_offsets_.begin(), out_offsets_.end() - 1);
+  std::size_t long_row = 0;
   for (std::size_t v = 0; v < dim; ++v) {
-    for (std::uint64_t e = offsets_[v]; e < offsets_[v + 1]; ++e) {
-      out_targets_[cursor[sources_[e]]++] = static_cast<std::uint32_t>(v);
+    const std::uint64_t begin = offsets_[v];
+    const std::uint64_t end = offsets_[v + 1];
+    if (end - begin <= kBlockEdges) {
+      for (std::uint64_t e = begin; e < end; ++e) {
+        out_targets_[cursor[sources_[e]]++] = static_cast<std::uint32_t>(v);
+      }
+      continue;
+    }
+    const std::uint32_t first = block_begin_[long_row++];
+    for (std::uint64_t e = begin; e < end; ++e) {
+      out_targets_[cursor[sources_[e]]++] =
+          kBlockTag | (first + static_cast<std::uint32_t>((e - begin) / kBlockEdges));
     }
   }
+}
+
+std::uint32_t LinkMatrix::target_row(std::uint32_t t) const noexcept {
+  if ((t & kBlockTag) == 0) return t;
+  const auto after =
+      std::upper_bound(block_begin_.begin(), block_begin_.end(), t & ~kBlockTag);
+  return blocked_rows_[static_cast<std::size_t>(after - block_begin_.begin()) - 1];
 }
 
 LinkMatrix LinkMatrix::from_graph(const graph::WebGraph& g, double alpha) {
@@ -133,13 +177,15 @@ LinkMatrix LinkMatrix::from_subset(const graph::WebGraph& g,
 
 namespace {
 
-// Both kernels accumulate rows with this exact two-lane pattern (even edges
-// into lane 0, odd into lane 1, lanes combined once at the end). Two
+constexpr std::uint64_t kBlock = LinkMatrix::kBlockEdges;
+
+// Every kernel sums a block of edges with this exact two-lane pattern (even
+// edges into lane 0, odd into lane 1, lanes combined once at the end). Two
 // in-flight adds hide the FP-add latency that a single serial chain exposes
-// on short rows, and sharing the pattern is what makes the dense and
-// worklist kernels bitwise-identical.
-inline double row_sum_contribution(const double* contrib, const std::uint32_t* sources,
-                                   std::uint64_t begin, std::uint64_t end) noexcept {
+// on short rows. The sum starts from +0.0, so it is never −0.0, and adding
+// it to 0.0 keeps its bits: a one-block row needs no outer add.
+inline double block_sum(const double* contrib, const std::uint32_t* sources,
+                        std::uint64_t begin, std::uint64_t end) noexcept {
   double acc0 = 0.0;
   double acc1 = 0.0;
   std::uint64_t e = begin;
@@ -151,7 +197,38 @@ inline double row_sum_contribution(const double* contrib, const std::uint32_t* s
   return acc0 + acc1;
 }
 
+// A row's value: its blocks' sums added in block order from 0.0. Sharing
+// this rule is what makes the dense and worklist kernels bitwise-identical.
+inline double row_sum(const double* contrib, const std::uint32_t* sources,
+                      std::uint64_t begin, std::uint64_t end) noexcept {
+  if (end - begin <= kBlock) return block_sum(contrib, sources, begin, end);
+  double acc = 0.0;
+  for (std::uint64_t e = begin; e < end; e += kBlock) {
+    acc += block_sum(contrib, sources, e, std::min(e + kBlock, end));
+  }
+  return acc;
+}
+
 }  // namespace
+
+void LinkMatrix::fit_block_partials(WorklistState& state) const {
+  state.partial.assign(num_blocks(), 0.0);
+  state.block_dirty.assign((num_blocks() + 63) / 64, 0);
+}
+
+void LinkMatrix::refresh_block_partials(WorklistState& state) const {
+  assert(state.contrib.size() == dimension());
+  fit_block_partials(state);
+  const double* const contrib = state.contrib.data();
+  for (std::size_t i = 0; i < blocked_rows_.size(); ++i) {
+    const std::uint64_t end = offsets_[blocked_rows_[i] + 1];
+    std::size_t blk = block_begin_[i];
+    for (std::uint64_t e = offsets_[blocked_rows_[i]]; e < end; e += kBlock) {
+      state.partial[blk++] =
+          block_sum(contrib, sources_.data(), e, std::min(e + kBlock, end));
+    }
+  }
+}
 
 SweepStats LinkMatrix::sweep_and_residual(std::span<const double> in,
                                           std::span<double> out,
@@ -181,8 +258,7 @@ SweepStats LinkMatrix::sweep_and_residual(std::span<const double> in,
         double l1 = 0.0;
         double linf = 0.0;
         for (std::size_t v = begin; v < end; ++v) {
-          double acc =
-              row_sum_contribution(contrib, sources, offsets_[v], offsets_[v + 1]);
+          double acc = row_sum(contrib, sources, offsets_[v], offsets_[v + 1]);
           if (force != nullptr) acc += force[v];
           const double diff = std::fabs(acc - in[v]);
           l1 += diff;
@@ -207,6 +283,18 @@ inline std::uint64_t bits_of(double v) noexcept {
   return std::bit_cast<std::uint64_t>(v);
 }
 
+/// Whether any bit of [begin, end) is set (begin < end).
+inline bool any_bit(const std::uint64_t* bits, std::size_t begin, std::size_t end) noexcept {
+  const std::size_t last = (end - 1) >> 6;
+  for (std::size_t w = begin >> 6; w <= last; ++w) {
+    std::uint64_t word = bits[w];
+    if (w == begin >> 6) word &= ~std::uint64_t{0} << (begin & 63);
+    if (w == last) word &= ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+    if (word != 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
@@ -227,13 +315,15 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
   scratch.partial_l1.assign(total, 0.0);
   scratch.partial_linf.assign(total, 0.0);
 
-  if (state.contrib.size() != dim || state.grain_edges.size() != total) {
+  if (state.contrib.size() != dim || state.grain_edges.size() != total ||
+      state.partial.size() != num_blocks()) {
     state.contrib.assign(dim, 0.0);
     state.differ.assign(words, 0);
     state.dirty.assign(words, 0);
     state.src_active.assign(words, 0);
     state.forcing_dirty.assign(words, 0);
     state.grain_edges.assign(total, 0);
+    fit_block_partials(state);
     state.primed = false;
   }
   // The differ bitmap is a statement about one specific buffer pair; an
@@ -255,6 +345,33 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
   std::uint64_t* const dirty = state.dirty.data();
   std::uint64_t* const src_active = state.src_active.data();
   const std::uint64_t* const out_off = out_offsets_.data();
+  double* const partial = state.partial.data();
+  std::uint64_t* const block_dirty = state.block_dirty.data();
+  // Row v's sum by the block rule. A blocked row first re-gathers each of
+  // its blocks that `stale` names into the block's partial, then adds all
+  // its partials in block order.
+  const auto row_value = [&](std::size_t v, auto&& stale) {
+    const std::uint64_t row_begin = offsets_[v];
+    const std::uint64_t row_end = offsets_[v + 1];
+    if (row_end - row_begin <= kBlock) {
+      return block_sum(contrib, sources, row_begin, row_end);
+    }
+    std::size_t blk = block_begin_[static_cast<std::size_t>(
+        std::lower_bound(blocked_rows_.begin(), blocked_rows_.end(), v) -
+        blocked_rows_.begin())];
+    double acc = 0.0;
+    for (std::uint64_t e = row_begin; e < row_end; e += kBlock, ++blk) {
+      if (stale(blk)) {
+        partial[blk] = block_sum(contrib, sources, e, std::min(e + kBlock, row_end));
+      }
+      acc += partial[blk];
+    }
+    return acc;
+  };
+  const auto block_is_dirty = [&](std::size_t blk) {
+    return ((block_dirty[blk >> 6] >> (blk & 63)) & 1) != 0;
+  };
+  const auto every_block = [](std::size_t) { return true; };
 
   bool dense = !state.primed;
 
@@ -280,6 +397,7 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
     // those lazily and tally which ones moved. Grains are 64-aligned, so
     // each active grain owns whole bitmap words.
     std::fill(state.dirty.begin(), state.dirty.end(), 0);
+    std::fill(state.block_dirty.begin(), state.block_dirty.end(), 0);
     std::fill(state.src_active.begin(), state.src_active.end(), 0);
     std::fill(state.grain_edges.begin(), state.grain_edges.end(), 0);
     state.active_grains.clear();
@@ -336,9 +454,12 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
         kPushDensity * static_cast<double>(num_entries())) {
       dense = true;
     } else {
-      // Push phase: scatter dirty bits along out-edges of active sources.
+      // Push phase: scatter dirty bits along out-edges of active sources —
+      // to the row, or to the block when the edge lands in a blocked row.
       // fetch_or is idempotent, so racing scatters commute and the final
-      // bitmap — all later phases' inputs — is deterministic.
+      // bitmaps — all later phases' inputs — are deterministic. Blocks of
+      // rows in two grains can share a block_dirty word, so it is cleared
+      // only serially, at the start of the next sparse sweep.
       for_grains_subset(
           active_edges,
           [&](std::size_t /*g*/, std::size_t begin, std::size_t end) {
@@ -351,14 +472,23 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
                 bits &= bits - 1;
                 const std::size_t u = w * 64 + static_cast<std::size_t>(b);
                 for (std::uint64_t e = out_off[u]; e < out_off[u + 1]; ++e) {
-                  const std::uint32_t t = out_targets_[e];
-                  std::atomic_ref<std::uint64_t> word(dirty[t >> 6]);
+                  const std::uint32_t t = out_targets_[e] & ~kBlockTag;
+                  std::uint64_t* const bitmap =
+                      (out_targets_[e] & kBlockTag) != 0 ? block_dirty : dirty;
+                  std::atomic_ref<std::uint64_t> word(bitmap[t >> 6]);
                   word.fetch_or(std::uint64_t{1} << (t & 63),
                                 std::memory_order_relaxed);
                 }
               }
             }
           });
+      // A blocked row is dirty when any of its blocks is.
+      for (std::size_t i = 0; i < blocked_rows_.size(); ++i) {
+        if (any_bit(block_dirty, block_begin_[i], block_begin_[i + 1])) {
+          const std::uint32_t v = blocked_rows_[i];
+          dirty[v >> 6] |= std::uint64_t{1} << (v & 63);
+        }
+      }
     }
   }
 
@@ -386,9 +516,11 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
 
     // Sparse sweep: recompute dirty rows, copy rows where the buffers still
     // disagree, skip the rest (their out already bitwise equals what a
-    // recompute would produce — see DESIGN.md §6 for the induction). Skipped
-    // rows have an exactly-zero residual, and partials of untouched grains
-    // stay +0.0, so the grain-order combine is bitwise the dense combine.
+    // recompute would produce — see DESIGN.md §6 for the induction). A
+    // blocked row re-gathers only its dirty blocks; every other block's
+    // partial already sums the contributions it would gather. Skipped rows
+    // have an exactly-zero residual, and residual partials of untouched
+    // grains stay +0.0, so the grain-order combine is bitwise the dense one.
     for_grains_subset(
         computed + copied,
         [&](std::size_t g, std::size_t begin, std::size_t end) {
@@ -405,8 +537,7 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
               const int b = std::countr_zero(bits);
               bits &= bits - 1;
               const std::size_t v = w * 64 + static_cast<std::size_t>(b);
-              double acc = row_sum_contribution(contrib, sources, offsets_[v],
-                                                offsets_[v + 1]);
+              double acc = row_value(v, block_is_dirty);
               if (force != nullptr) acc += force[v];
               const double diff = std::fabs(acc - in[v]);
               l1 += diff;
@@ -433,7 +564,8 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
     state.rows_copied += copied;
   } else {
     // Dense sweep: bitwise-identical row loop to sweep_and_residual, plus
-    // refreshing every contribution and rebuilding the differ bitmap.
+    // refreshing every contribution and block partial and rebuilding the
+    // differ bitmap.
     pool.parallel_for(dim, [&](std::size_t begin, std::size_t end) {
       for (std::size_t u = begin; u < end; ++u) contrib[u] = in[u] * sw[u];
     });
@@ -444,8 +576,7 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
           double linf = 0.0;
           std::uint64_t changed = 0;
           for (std::size_t v = begin; v < end; ++v) {
-            double acc = row_sum_contribution(contrib, sources, offsets_[v],
-                                              offsets_[v + 1]);
+            double acc = row_value(v, every_block);
             if (force != nullptr) acc += force[v];
             const double diff = std::fabs(acc - in[v]);
             l1 += diff;

@@ -12,8 +12,10 @@
 // Every edge weight is just α/d(source), so the matrix keeps one weight per
 // *source*, never per edge: a sweep first forms the contribution vector
 // contrib[u] = x[u]·(α/d(u)), and the edge loop then reads 12 bytes/edge
-// (4B source index + 8B gather). Two kernels run on this layout — the dense
-// fused sweep_and_residual and the residual-driven
+// (4B source index + 8B gather). A row longer than kBlockEdges is summed
+// block by block, so the frontier kernel can keep each block's sum and
+// re-gather only the blocks whose sources moved. Two kernels run on this
+// layout — the dense fused sweep_and_residual and the residual-driven
 // sweep_and_residual_worklist, which the engine runs — and they produce
 // bitwise-identical values and residuals for any pool size. See DESIGN.md
 // "Kernel layout".
@@ -59,6 +61,11 @@ struct WorklistState {
   std::vector<std::uint64_t> forcing_dirty;  // forcing[v] changed since last sweep
   std::vector<std::uint32_t> active_grains;  // frontier grain ids (scratch)
   std::vector<std::uint64_t> grain_edges;    // per-grain active out-edge tallies
+  /// Sum over `contrib` of each block of the rows longer than
+  /// LinkMatrix::kBlockEdges, as of the row's last recompute: a dirty long
+  /// row re-gathers only its dirty blocks and re-adds the rest.
+  std::vector<double> partial;
+  std::vector<std::uint64_t> block_dirty;    // blocks to re-gather (scratch)
   bool primed = false;
   // The buffer pair the differ bitmap talks about; a sweep on any other
   // pair auto-unprimes. std::swap of the vectors keeps the pointers valid.
@@ -98,6 +105,14 @@ struct PagePlacement {
 
 class LinkMatrix {
  public:
+  /// Edges per block. Row v's value is the sum of its blocks — edges
+  /// [k·B, (k+1)·B) of the row, each summed in the two-lane pattern — added
+  /// in block order starting from 0.0. A row of at most B edges is one
+  /// block. Every kernel and the test oracle sum rows this way.
+  static constexpr std::size_t kBlockEdges = 64;
+  /// Set on a push entry (out_targets) that names a block, not a row.
+  static constexpr std::uint32_t kBlockTag = std::uint32_t{1} << 31;
+
   /// Matrix over the whole crawl.
   [[nodiscard]] static LinkMatrix from_graph(const graph::WebGraph& g, double alpha);
 
@@ -152,11 +167,31 @@ class LinkMatrix {
   [[nodiscard]] std::size_t sweep_grain() const noexcept { return sweep_grain_; }
 
   /// Out-edges of local source u (push CSR: the transpose adjacency used to
-  /// scatter frontier bits). Exposed for tests.
+  /// scatter frontier bits), destinations ascending. An edge into a row of
+  /// at most kBlockEdges in-edges holds the row; one into a longer row holds
+  /// kBlockTag | the id of the block its pull position falls in. Blocks are
+  /// numbered in row order. Exposed for tests.
   [[nodiscard]] std::span<const std::uint32_t> out_targets(std::size_t u) const noexcept {
     return {out_targets_.data() + out_offsets_[u],
             out_targets_.data() + out_offsets_[u + 1]};
   }
+
+  /// The destination row of push entry t (decodes out_targets; for tests).
+  [[nodiscard]] std::uint32_t target_row(std::uint32_t t) const noexcept;
+
+  /// Blocks of the rows longer than kBlockEdges (rows of at most
+  /// kBlockEdges keep no partial).
+  [[nodiscard]] std::size_t num_blocks() const noexcept { return block_begin_.back(); }
+
+  /// Size state's block partials for this matrix. The worklist kernel
+  /// sizes a state it has not seen; a long-lived state is sized when its
+  /// owner is wired (PageGroup), not in its first sweep.
+  void fit_block_partials(WorklistState& state) const;
+
+  /// Set every block partial from state.contrib (which must hold one value
+  /// per source): a frontier carried onto this matrix keeps its
+  /// contributions, but its blocks are this matrix's.
+  void refresh_block_partials(WorklistState& state) const;
 
   /// In-edges of local row v: the local source index of each entry.
   [[nodiscard]] std::span<const std::uint32_t> row_sources(std::size_t v) const noexcept {
@@ -184,7 +219,9 @@ class LinkMatrix {
   std::vector<std::uint32_t> sources_;       // local source index per entry
   std::vector<double> source_weight_;        // alpha / d_global(u), per local source
   std::vector<std::uint64_t> out_offsets_;   // push CSR: size dim+1
-  std::vector<std::uint32_t> out_targets_;   // push CSR: destination per out-edge
+  std::vector<std::uint32_t> out_targets_;   // push CSR: row or tagged block per out-edge
+  std::vector<std::uint32_t> blocked_rows_;  // rows longer than kBlockEdges, ascending
+  std::vector<std::uint32_t> block_begin_;   // first block of each, then num_blocks()
   double alpha_ = 0.0;
   std::size_t sweep_grain_ = 1;              // rows per grain (fixed per matrix)
 };

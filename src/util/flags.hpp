@@ -1,6 +1,6 @@
 // The one command-line reader: every program in tools/, bench/ and examples/
-// that takes flags reads argv through Flags (bench/micro_kernels excepted,
-// which hands its flags to Google Benchmark's own parser).
+// that takes flags reads argv through Flags (bench/micro_kernels reads its
+// own flags through it and hands the rest to Google Benchmark's parser).
 //
 // An argument is `--name=value`, `--name value` (the next token, unless it
 // starts with "--") or a bare `--name` switch; `--help` (or `-h`) asks for

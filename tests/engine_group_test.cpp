@@ -318,6 +318,9 @@ void check_frontier_matches_dense_twin(std::size_t threads) {
   }
   PageGroup group(g, members, kAlpha);
   group.finalize_efferents();
+  // Hub rows longer than one block keep partials that every entry point
+  // below must keep exact (the carry install rebuilds them).
+  ASSERT_GT(group.matrix().num_blocks(), 0u) << at << "no blocked row";
   DenseTwin twin(group.matrix());
 
   const auto sweeps = [&](PageGroup& grp, DenseTwin& tw, int n,

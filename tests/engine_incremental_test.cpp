@@ -39,6 +39,16 @@ std::vector<graph::LinkUpdate> link_only_batch(const graph::WebGraph& g) {
   return ups;
 }
 
+/// Every fixture gives the block path work: some group's matrix has a row
+/// longer than kBlockEdges, whose partials the carry install rebuilds.
+void expect_blocked_row(const DistributedRanking& sim) {
+  std::size_t blocks = 0;
+  for (std::uint32_t g = 0; g < sim.num_groups(); ++g) {
+    blocks += sim.group(g).matrix().num_blocks();
+  }
+  ASSERT_GT(blocks, 0u) << "no group has a row longer than kBlockEdges";
+}
+
 /// Run the incremental-vs-rebuild experiment on one thread pool and demand
 /// bitwise-identical rank vectors (DESIGN.md §14's determinism contract).
 void expect_incremental_matches_rebuild(std::size_t pool_threads) {
@@ -51,6 +61,7 @@ void expect_incremental_matches_rebuild(std::size_t pool_threads) {
   // Predecessor engine: run long enough for the worklist kernel to prime
   // and partially converge, then retire it.
   DistributedRanking sim0(g, assignment, 4, dpr1_options(), pool);
+  expect_blocked_row(sim0);
   sim0.set_reference(open_system_reference(g, kAlpha, pool));
   (void)sim0.run(30.0, 30.0);
   const auto ranks = sim0.global_ranks();
@@ -107,6 +118,7 @@ TEST(EngineIncremental, InvalidCarryFallsBackToDenseWarmStart) {
       partition::make_hash_url_partitioner()->partition(g, 4);
 
   DistributedRanking sim0(g, assignment, 4, dpr1_options(), pool);
+  expect_blocked_row(sim0);
   sim0.set_reference(open_system_reference(g, kAlpha, pool));
   (void)sim0.run(20.0, 20.0);
   const auto ranks = sim0.global_ranks();
@@ -144,6 +156,7 @@ TEST(EngineIncremental, SizeMismatchThrows) {
   const auto assignment =
       partition::make_hash_url_partitioner()->partition(g, 2);
   DistributedRanking sim(g, assignment, 2, dpr1_options(), pool);
+  expect_blocked_row(sim);
   std::vector<double> wrong(g.num_pages() + 1, 0.0);
   EXPECT_THROW(sim.warm_start_incremental(
                    wrong, DistributedRanking::WorklistCarrySet{}, {}, {}),

@@ -1,5 +1,6 @@
 // The engine's wiring against naive oracles. Each group's local matrix must
-// equal a filter of the crawl's in_links by the assignment, and after a few
+// equal a filter of the crawl's in_links by the assignment, its push CSR the
+// blocked transpose of those rows (test::push_oracle), and after a few
 // steps each Y slice must equal, bit for bit, one computed from efferent
 // blocks built the engine's original way (test::oracle_efferents). Runs over
 // hash-site, hash-URL and random partitions at K = 1, 7 and 64; at K = 64
@@ -35,7 +36,9 @@ std::vector<std::uint32_t> as_vector(std::span<const std::uint32_t> s) {
   return {s.begin(), s.end()};
 }
 
-void check_wiring(const partition::Partitioner& partitioner, std::uint32_t k) {
+/// Adds to `blocked_groups` the groups whose matrix has a blocked row.
+void check_wiring(const partition::Partitioner& partitioner, std::uint32_t k,
+                  std::size_t& blocked_groups) {
   SCOPED_TRACE(std::string(partitioner.name()) + " K=" + std::to_string(k));
   const auto& g = crawl();
   const auto assignment = partitioner.partition(g, k);
@@ -76,10 +79,18 @@ void check_wiring(const partition::Partitioner& partitioner, std::uint32_t k) {
       const auto d = g.out_degree(v);
       EXPECT_EQ(m.source_weights()[i], d > 0 ? kAlpha / static_cast<double>(d) : 0.0);
     }
-    // Push rows: the same edges, per source, destinations ascending.
+    // Push rows: the same edges, per source, rows ascending, each entry
+    // decoding to its row; an edge into a row longer than kBlockEdges holds
+    // the tagged block of its pull position (test::push_oracle).
+    const auto push = test::push_oracle(m);
     for (std::uint32_t u = 0; u < members[grp].size(); ++u) {
-      ASSERT_EQ(as_vector(m.out_targets(u)), out_naive[u]) << "source " << u;
+      const auto entries = as_vector(m.out_targets(u));
+      ASSERT_EQ(entries, push[u]) << "source " << u;
+      std::vector<std::uint32_t> rows;
+      for (const std::uint32_t t : entries) rows.push_back(m.target_row(t));
+      ASSERT_EQ(rows, out_naive[u]) << "source " << u;
     }
+    blocked_groups += m.num_blocks() > 0 ? 1 : 0;
 
     // Y slices: same destinations, same entries, same bits.
     const auto blocks = test::oracle_efferents(g, assignment, grp, kAlpha);
@@ -122,9 +133,13 @@ TEST(EngineWiring, MatchesNaiveFilterAndOracleBlocks) {
   const auto hash_site = partition::make_hash_site_partitioner();
   const auto hash_url = partition::make_hash_url_partitioner();
   const auto random = partition::make_random_partitioner(5);
+  std::size_t blocked_groups = 0;
   for (const partition::Partitioner* p : {hash_site.get(), hash_url.get(), random.get()}) {
-    for (const std::uint32_t k : {1u, 7u, 64u}) check_wiring(*p, k);
+    for (const std::uint32_t k : {1u, 7u, 64u}) check_wiring(*p, k, blocked_groups);
   }
+  // The push check covers tagged block entries: the whole crawl (K = 1)
+  // has rows longer than kBlockEdges.
+  EXPECT_GT(blocked_groups, 0u);
   // The run covers groups with no pages, which own no blocks and receive
   // none: 100 sites hashed onto 64 groups miss some.
   const auto sites_at_64 = hash_site->partition(crawl(), 64);

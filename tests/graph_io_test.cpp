@@ -5,6 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -216,9 +219,30 @@ std::string binary_of(const WebGraph& g) {
   return buffer.str();
 }
 
+/// Loads `bytes` through both entries — the byte-span decoder and the
+/// stream entry that stages into it — and requires one outcome: the same
+/// graph, or the same std::runtime_error (rethrown).
 WebGraph load_binary(const std::string& bytes) {
+  std::optional<WebGraph> from_span;
+  std::string span_error;
+  try {
+    from_span = load_graph_binary(std::span(
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+  } catch (const std::runtime_error& e) {
+    span_error = e.what();
+  }
   std::stringstream in(bytes);
-  return load_graph_binary(in);
+  try {
+    WebGraph g = load_graph_binary(in);
+    EXPECT_TRUE(from_span.has_value()) << "only the span entry threw: " << span_error;
+    if (from_span) {
+      EXPECT_EQ(binary_of(*from_span), binary_of(g));
+    }
+    return g;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(span_error, e.what()) << "the entries disagree";
+    throw;
+  }
 }
 
 // parallel_edges_and_externals() encodes to 95 bytes: the 40-byte header,
@@ -255,55 +279,58 @@ TEST(GraphBinaryIo, FileRoundTrip) {
 }
 
 TEST(GraphBinaryIo, RejectsBadMagic) {
-  std::stringstream in("notmagic and then some bytes");
-  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+  EXPECT_THROW((void)load_binary("notmagic and then some bytes"), std::runtime_error);
 }
 
 TEST(GraphBinaryIo, RejectsTruncatedAndTrailingStreams) {
-  std::stringstream buffer;
-  save_graph_binary(test::two_cycle(), buffer);
-  const std::string bytes = buffer.str();
+  const std::string bytes = binary_of(test::two_cycle());
+  EXPECT_THROW((void)load_binary(bytes.substr(0, bytes.size() - 3)), std::runtime_error);
+  EXPECT_THROW((void)load_binary(bytes + "x"), std::runtime_error);
+}
 
-  std::stringstream truncated(bytes.substr(0, bytes.size() - 3));
-  EXPECT_THROW((void)load_graph_binary(truncated), std::runtime_error);
-
-  std::stringstream trailing(bytes + "x");
-  EXPECT_THROW((void)load_graph_binary(trailing), std::runtime_error);
+TEST(GraphBinaryIo, FileEntryRejectsTruncatedFiles) {
+  // The file entry reads the whole file and decodes it with the same
+  // decoder: a truncated file fails as a truncated stream does.
+  const std::string bytes = binary_of(test::two_cycle());
+  const std::string path = ::testing::TempDir() + "/p2prank_io_truncated.bin";
+  std::ofstream(path, std::ios::binary) << bytes.substr(0, bytes.size() - 3);
+  EXPECT_THROW((void)load_graph_binary_file(path), std::runtime_error);
+  EXPECT_THROW((void)load_graph_binary_file(path + ".absent"), std::runtime_error);
 }
 
 /// A p2pgrb1 header claiming `pages` / `sites` / `links` (no externals)
 /// with nothing behind it. The loader must reject the claim with its
 /// documented runtime_error before sizing an allocation from it — not
 /// with bad_alloc or length_error, and not after zero-filling gigabytes.
-std::stringstream forged_header(std::uint64_t pages, std::uint64_t sites,
-                                std::uint64_t links) {
+std::string forged_header(std::uint64_t pages, std::uint64_t sites,
+                          std::uint64_t links) {
   std::string bytes("p2pgrb1\n");
   for (const std::uint64_t count : {pages, sites, links, std::uint64_t{0}}) {
     char raw[8];
     std::memcpy(raw, &count, 8);
     bytes.append(raw, 8);
   }
-  return std::stringstream(bytes);
+  return bytes;
 }
 
 TEST(GraphBinaryIo, RejectsForgedSiteCount) {
-  auto in = forged_header(0, std::uint64_t{1} << 40, 0);
-  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+  EXPECT_THROW((void)load_binary(forged_header(0, std::uint64_t{1} << 40, 0)),
+               std::runtime_error);
 }
 
 TEST(GraphBinaryIo, RejectsForgedSiteCountBeyondVectorMaxSize) {
-  auto in = forged_header(0, std::uint64_t{1} << 62, 0);
-  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+  EXPECT_THROW((void)load_binary(forged_header(0, std::uint64_t{1} << 62, 0)),
+               std::runtime_error);
 }
 
 TEST(GraphBinaryIo, RejectsForgedLinkCount) {
-  auto in = forged_header(0, 0, std::uint64_t{1} << 60);
-  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+  EXPECT_THROW((void)load_binary(forged_header(0, 0, std::uint64_t{1} << 60)),
+               std::runtime_error);
 }
 
 TEST(GraphBinaryIo, RejectsForgedPageCount) {
-  auto in = forged_header(std::uint64_t{1} << 31, 0, 0);
-  EXPECT_THROW((void)load_graph_binary(in), std::runtime_error);
+  EXPECT_THROW((void)load_binary(forged_header(std::uint64_t{1} << 31, 0, 0)),
+               std::runtime_error);
 }
 
 TEST(GraphBinaryIo, RejectsNameLengthBeyondTheStream) {

@@ -69,22 +69,62 @@ inline graph::WebGraph leaky_pair() {
 }
 
 /// y = A·x, one row at a time straight off the pull CSR: every edge u -> v
-/// adds x[u]·α/d(u). Edges alternate between two accumulators (even edges
-/// of a row in lane 0, odd in lane 1, summed at the end) — the order the
-/// kernels use — so a kernel's y must equal this bit for bit.
+/// adds x[u]·α/d(u). A row is cut into blocks of LinkMatrix::kBlockEdges
+/// edges; within a block edges alternate between two accumulators (even
+/// edges in lane 0, odd in lane 1, summed at the end), and the block sums
+/// are added in block order starting from 0.0 — the order the kernels use —
+/// so a kernel's y must equal this bit for bit.
 inline std::vector<double> naive_multiply(const rank::LinkMatrix& m,
                                           std::span<const double> x) {
+  constexpr std::size_t kBlock = rank::LinkMatrix::kBlockEdges;
   const auto weight = m.source_weights();
   std::vector<double> y(m.dimension());
   for (std::size_t v = 0; v < y.size(); ++v) {
     const auto sources = m.row_sources(v);
-    double lane[2] = {0.0, 0.0};
-    for (std::size_t e = 0; e < sources.size(); ++e) {
-      lane[e % 2] += x[sources[e]] * weight[sources[e]];
+    double row = 0.0;
+    for (std::size_t first = 0; first < sources.size(); first += kBlock) {
+      double lane[2] = {0.0, 0.0};
+      for (std::size_t e = first; e < std::min(first + kBlock, sources.size()); ++e) {
+        lane[(e - first) % 2] += x[sources[e]] * weight[sources[e]];
+      }
+      row += lane[0] + lane[1];
     }
-    y[v] = lane[0] + lane[1];
+    y[v] = row;
   }
   return y;
+}
+
+/// In-edges of the matrix's longest row: a fixture that means to test the
+/// block path checks this is above LinkMatrix::kBlockEdges.
+inline std::size_t longest_row(const rank::LinkMatrix& m) {
+  std::size_t longest = 0;
+  for (std::size_t v = 0; v < m.dimension(); ++v) {
+    longest = std::max(longest, m.row_sources(v).size());
+  }
+  return longest;
+}
+
+/// The push CSR the matrix must hold, from its pull rows: per source, one
+/// entry per edge, rows ascending. An edge into a row of at most kBlockEdges
+/// in-edges holds the row; an edge into a longer row holds kBlockTag | the
+/// block its pull position falls in, blocks numbered from 0 over the longer
+/// rows in row order, kBlockEdges positions each.
+inline std::vector<std::vector<std::uint32_t>> push_oracle(const rank::LinkMatrix& m) {
+  constexpr std::size_t kBlock = rank::LinkMatrix::kBlockEdges;
+  std::vector<std::vector<std::uint32_t>> targets(m.dimension());
+  std::uint32_t next_block = 0;
+  for (std::size_t v = 0; v < m.dimension(); ++v) {
+    const auto sources = m.row_sources(v);
+    const bool blocked = sources.size() > kBlock;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      targets[sources[i]].push_back(
+          blocked ? rank::LinkMatrix::kBlockTag |
+                        (next_block + static_cast<std::uint32_t>(i / kBlock))
+                  : static_cast<std::uint32_t>(v));
+    }
+    if (blocked) next_block += static_cast<std::uint32_t>((sources.size() + kBlock - 1) / kBlock);
+  }
+  return targets;
 }
 
 /// One group's cut edges into one destination group, in summation order.

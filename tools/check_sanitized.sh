@@ -17,12 +17,19 @@ cd "$(dirname "$0")/.."
 
 cmake --preset tsan
 cmake --build --preset tsan \
-  --target util_thread_pool_test rank_sweep_test serve_snapshot_test \
-  scenario_fuzz -j"$(nproc)"
+  --target util_thread_pool_test rank_sweep_test engine_group_test \
+  engine_incremental_test serve_snapshot_test scenario_fuzz -j"$(nproc)"
 
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/util_thread_pool_test "$@"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/rank_sweep_test "$@"
 echo "TSan: thread-pool and rank-sweep suites clean"
+
+# The frontier kernel inside a page group, at pools 2 and 8: carries,
+# warm starts and forcing marks drive the block scatter, whose block bits
+# rows of two grains can share, and the partial rebuild of a carry install.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_group_test "$@"
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_incremental_test "$@"
+echo "TSan: engine group and incremental suites clean"
 
 # The serving layer's epoch-swap path: real reader threads racing a real
 # publisher over the double-buffered SnapshotStore. TSan is the proof that
