@@ -84,16 +84,15 @@ void BM_WorklistDenseFull(benchmark::State& state, util::ThreadPool& pool) {
   const auto& g = bench_graph();
   const auto m = rank::LinkMatrix::from_graph(g, 0.85);
   std::vector<double> x(m.dimension(), 1.0);
-  std::vector<double> y(m.dimension());
   const std::vector<double> forcing(m.dimension(), 0.15);
   rank::SweepScratch scratch;
   rank::WorklistState wstate;
   state.counters["pool_threads"] = static_cast<double>(pool.size());
   for (auto _ : state) {
     wstate.reset();
-    auto stats = m.sweep_and_residual_worklist(x, y, forcing, scratch, wstate, pool);
+    auto stats = m.sweep_and_residual_worklist(x, forcing, scratch, wstate, pool);
     benchmark::DoNotOptimize(stats.l1_delta);
-    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(m.num_entries()));
@@ -108,14 +107,12 @@ void BM_WorklistContracted(benchmark::State& state, util::ThreadPool& pool) {
   const auto& g = bench_graph();
   const auto m = rank::LinkMatrix::from_graph(g, 0.85);
   const std::size_t n = m.dimension();
-  std::vector<double> a(n, 1.0);
-  std::vector<double> b(n);
+  std::vector<double> x(n, 1.0);
   std::vector<double> forcing(n, 0.15);
   rank::SweepScratch scratch;
   rank::WorklistState wstate;
   for (int warm = 0; warm < 2000; ++warm) {
-    auto stats = m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, pool);
-    std::swap(a, b);
+    auto stats = m.sweep_and_residual_worklist(x, forcing, scratch, wstate, pool);
     if (stats.l1_delta == 0.0) break;
   }
   state.counters["pool_threads"] = static_cast<double>(pool.size());
@@ -127,9 +124,8 @@ void BM_WorklistContracted(benchmark::State& state, util::ThreadPool& pool) {
       forcing[row] += delta;
       wstate.mark_forcing_dirty(row);
     }
-    auto stats = m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, pool);
+    auto stats = m.sweep_and_residual_worklist(x, forcing, scratch, wstate, pool);
     benchmark::DoNotOptimize(stats.l1_delta);
-    std::swap(a, b);
   }
   state.counters["rows_per_sweep"] =
       wstate.sweeps == 0 ? 0.0
@@ -303,10 +299,11 @@ int run_determinism_check(std::uint32_t pages) {
     auto dense = rank::solve_open_system(m, forcing, {}, sopts, pool);
     solutions.push_back(std::move(dense.ranks));
     names.push_back("dense/t" + std::to_string(threads));
+    std::vector<double> sparse(m.dimension(), 0.0);
+    rank::SweepScratch scratch;
     rank::WorklistState wstate;
-    auto sparse =
-        rank::solve_open_system_worklist(m, forcing, {}, sopts, wstate, pool);
-    solutions.push_back(std::move(sparse.ranks));
+    (void)rank::iterate_open_system(m, forcing, sparse, sopts, scratch, pool, &wstate);
+    solutions.push_back(std::move(sparse));
     names.push_back("worklist/t" + std::to_string(threads));
   }
 

@@ -41,8 +41,6 @@ void PageGroup::init_state() {
   assert(std::is_sorted(members_.begin(), members_.end()));
   ranks_.assign(members_.size(), 0.0);  // R0 = 0 (the proofs' S = 0)
   forcing_.assign(members_.size(), rank::beta_of(matrix_.alpha()));  // X = 0
-  scratch_.assign(members_.size(), 0.0);
-  matrix_.fit_block_partials(wl_state_);
 }
 
 void PageGroup::set_ranks(std::span<const double> ranks) {
@@ -122,6 +120,10 @@ void PageGroup::finalize_efferents() {
   efferent_dests_.clear();
   efferent_dests_.reserve(blocks_.size());
   for (const auto& b : blocks_) efferent_dests_.push_back(b.dest_group);
+  // The frontier is sized here, once the edge staging above is freed, not
+  // at the start of wiring: a process that wires and runs engine after
+  // engine then keeps a lower peak RSS (DESIGN.md §6).
+  matrix_.fit_frontier(wl_state_);
   finalized_ = true;
 }
 
@@ -188,13 +190,9 @@ void PageGroup::refresh_x(std::uint32_t source_group, const YSlice& slice) {
 
 PageGroup::WorklistCarry PageGroup::export_worklist_carry() const {
   WorklistCarry carry;
-  if (!wl_state_.primed) return carry;
-  // The differ bitmap is a statement about this exact buffer pair; if the
-  // state talks about some other pair the frontier is not exportable.
-  const bool pair_ok =
-      (wl_state_.pair_a == ranks_.data() && wl_state_.pair_b == scratch_.data()) ||
-      (wl_state_.pair_a == scratch_.data() && wl_state_.pair_b == ranks_.data());
-  if (!pair_ok) return carry;
+  // The differ bitmap is a statement about one rank vector; a frontier
+  // that is unprimed or bound to another vector is not exportable.
+  if (!wl_state_.primed || wl_state_.bound != ranks_.data()) return carry;
   carry.valid = true;
   carry.contrib = wl_state_.contrib;
   carry.differ = wl_state_.differ;
@@ -220,23 +218,16 @@ bool PageGroup::install_worklist_carry(
     return false;
   }
   ranks_.assign(ranks.begin(), ranks.end());
-  scratch_.assign(ranks.begin(), ranks.end());
+  // Sized and cleared as the kernel would, so the next sweep keeps the
+  // installed frontier.
+  matrix_.fit_frontier(wl_state_);
   wl_state_.contrib = std::move(carry.contrib);
   wl_state_.differ = std::move(carry.differ);
-  // Pre-size every derived bitmap exactly as the kernel's own prime does,
-  // so the next sweep's sizing check keeps the installed frontier.
-  wl_state_.dirty.assign(words, 0);
-  wl_state_.src_active.assign(words, 0);
-  wl_state_.forcing_dirty.assign(words, 0);
-  wl_state_.grain_edges.assign(
-      util::ThreadPool::num_grains(dim, matrix_.sweep_grain()), 0);
-  wl_state_.active_grains.clear();
   // The carried contributions summed over this matrix's blocks: a block's
   // partial must be what a re-gather would give, as after a dense sweep.
   matrix_.refresh_block_partials(wl_state_);
   wl_state_.primed = true;
-  wl_state_.pair_a = ranks_.data();
-  wl_state_.pair_b = scratch_.data();
+  wl_state_.bound = ranks_.data();
   // Sources whose 1/d(u) weight changed: their propagated contribution is
   // stale, so the next sweep's rescan phase must revisit them.
   for (const std::uint32_t row : changed_sources_local) {
@@ -258,24 +249,21 @@ void PageGroup::mark_all_received_dirty() {
 std::size_t PageGroup::solve_to_convergence(double epsilon,
                                             std::size_t max_iterations,
                                             util::ThreadPool& pool) {
-  // Iterate in place on the persistent ranks_/scratch_ pair: no per-step
-  // allocation, and the frontier survives across outer steps, so after the
-  // first solve later solves only touch rows reached from refreshed forcing
-  // entries.
+  // Iterate in place on the persistent ranks_: no per-step allocation, and
+  // the frontier survives across outer steps, so after the first solve
+  // later solves only touch rows reached from refreshed forcing entries.
   rank::SolveOptions opts;
   opts.epsilon = epsilon;
   opts.max_iterations = max_iterations;
-  return rank::iterate_open_system(matrix_, forcing_, ranks_, scratch_, opts,
-                                   sweep_scratch_, pool, &wl_state_)
+  return rank::iterate_open_system(matrix_, forcing_, ranks_, opts, sweep_scratch_,
+                                   pool, &wl_state_)
       .iterations;
 }
 
 void PageGroup::sweep_once(util::ThreadPool& pool) {
-  last_sweep_delta_ = matrix_
-                          .sweep_and_residual_worklist(ranks_, scratch_, forcing_,
-                                                       sweep_scratch_, wl_state_, pool)
-                          .l1_delta;
-  std::swap(ranks_, scratch_);
+  last_sweep_delta_ =
+      matrix_.sweep_and_residual_worklist(ranks_, forcing_, sweep_scratch_, wl_state_, pool)
+          .l1_delta;
 }
 
 YSlice PageGroup::compute_y(std::uint32_t dest_group, double threshold) const {

@@ -76,7 +76,7 @@ class PageGroup {
   void add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_local,
                          std::uint32_t src_local);
   /// Sort every block's edges by destination page and pack them into runs,
-  /// after all edges are added.
+  /// after all edges are added; then size the frontier. This ends wiring.
   void finalize_efferents();
 
   /// Destination groups this group ships Y slices to.
@@ -111,8 +111,8 @@ class PageGroup {
   };
 
   /// Snapshot the frontier for an incremental graph swap. Returns an
-  /// invalid carry when the frontier is not primed on the current buffer
-  /// pair (callers then fall back to a dense warm start).
+  /// invalid carry when the frontier is not primed on the current rank
+  /// vector (callers then fall back to a dense warm start).
   [[nodiscard]] WorklistCarry export_worklist_carry() const;
 
   /// Adopt rank state plus a predecessor's frontier after a link-only graph
@@ -202,8 +202,7 @@ class PageGroup {
     std::vector<double> held;
   };
 
-  /// Shared tail of both constructors: zero R and X, sweep buffers, block
-  /// partials.
+  /// Shared tail of both constructors: zero R and X.
   void init_state();
   [[nodiscard]] const EfferentBlock* find_block(std::uint32_t dest_group) const;
   [[nodiscard]] EfferentBlock* find_block(std::uint32_t dest_group);
@@ -215,9 +214,8 @@ class PageGroup {
   rank::LinkMatrix matrix_;
   std::vector<double> ranks_;           // R, local
   std::vector<double> forcing_;         // βE + X, X the sum of latest slices
-  std::vector<double> scratch_;         // sweep target
   rank::SweepScratch sweep_scratch_;    // residual partials
-  rank::WorklistState wl_state_;        // frontier bitmaps, pinned to ranks_/scratch_
+  rank::WorklistState wl_state_;        // frontier bitmaps, bound to ranks_
   double last_sweep_delta_ = 0.0;       // L1 residual of the last sweep_once
   std::vector<EfferentBlock> blocks_;   // sorted by dest_group once finalized
   // blocks_ index per destination group (kNoBlock: no cut edges into it).

@@ -35,13 +35,11 @@ std::size_t centralized_iterations_to_error(const graph::WebGraph& g, double alp
   const std::vector<double> forcing(matrix.dimension(),
                                     rank::beta_of(alpha) * 1.0);
   std::vector<double> ranks(matrix.dimension(), 0.0);
-  std::vector<double> next(matrix.dimension(), 0.0);
   rank::SweepScratch scratch;
   const double ref_norm = util::l1_norm(reference);
 
   for (std::size_t it = 1; it <= max_iterations; ++it) {
-    (void)matrix.sweep_and_residual(ranks, next, forcing, scratch, pool);
-    std::swap(ranks, next);
+    (void)matrix.sweep_and_residual(ranks, ranks, forcing, scratch, pool);
     if (util::l1_distance(ranks, reference) <= threshold * ref_norm) return it;
   }
   throw std::runtime_error(

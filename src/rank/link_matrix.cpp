@@ -211,14 +211,23 @@ inline double row_sum(const double* contrib, const std::uint32_t* sources,
 
 }  // namespace
 
-void LinkMatrix::fit_block_partials(WorklistState& state) const {
+void LinkMatrix::fit_frontier(WorklistState& state) const {
+  const std::size_t words = (dimension() + 63) / 64;
+  state.contrib.assign(dimension(), 0.0);
+  state.differ.assign(words, 0);
+  state.dirty.assign(words, 0);
+  state.src_active.assign(words, 0);
+  state.forcing_dirty.assign(words, 0);
+  state.active_grains.clear();
+  state.grain_edges.assign(util::ThreadPool::num_grains(dimension(), sweep_grain_), 0);
   state.partial.assign(num_blocks(), 0.0);
   state.block_dirty.assign((num_blocks() + 63) / 64, 0);
+  state.reset();
 }
 
 void LinkMatrix::refresh_block_partials(WorklistState& state) const {
   assert(state.contrib.size() == dimension());
-  fit_block_partials(state);
+  assert(state.partial.size() == num_blocks());
   const double* const contrib = state.contrib.data();
   for (std::size_t i = 0; i < blocked_rows_.size(); ++i) {
     const std::uint64_t end = offsets_[blocked_rows_[i] + 1];
@@ -238,7 +247,6 @@ SweepStats LinkMatrix::sweep_and_residual(std::span<const double> in,
   const std::size_t dim = dimension();
   assert(in.size() == dim && out.size() == dim);
   assert(forcing.empty() || forcing.size() == dim);
-  assert(in.data() != out.data());
   scratch.contrib.resize(dim);
   const std::size_t total = util::ThreadPool::num_grains(dim, sweep_grain_);
   scratch.partial_l1.assign(total, 0.0);
@@ -246,6 +254,8 @@ SweepStats LinkMatrix::sweep_and_residual(std::span<const double> in,
 
   double* const contrib = scratch.contrib.data();
   const double* const sw = source_weight_.data();
+  // Every contribution is formed before any row is written, so a row never
+  // reads another row's new value and `out` may be `in`.
   pool.parallel_for(dim, [&](std::size_t begin, std::size_t end) {
     for (std::size_t u = begin; u < end; ++u) contrib[u] = in[u] * sw[u];
   });
@@ -297,16 +307,14 @@ inline bool any_bit(const std::uint64_t* bits, std::size_t begin, std::size_t en
 
 }  // namespace
 
-SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
-                                                   std::span<double> out,
+SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<double> ranks,
                                                    std::span<const double> forcing,
                                                    SweepScratch& scratch,
                                                    WorklistState& state,
                                                    util::ThreadPool& pool) const {
   const std::size_t dim = dimension();
-  assert(in.size() == dim && out.size() == dim);
+  assert(ranks.size() == dim);
   assert(forcing.empty() || forcing.size() == dim);
-  assert(in.data() != out.data());
   SweepStats stats;
   if (dim == 0) return stats;
 
@@ -317,24 +325,13 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
 
   if (state.contrib.size() != dim || state.grain_edges.size() != total ||
       state.partial.size() != num_blocks()) {
-    state.contrib.assign(dim, 0.0);
-    state.differ.assign(words, 0);
-    state.dirty.assign(words, 0);
-    state.src_active.assign(words, 0);
-    state.forcing_dirty.assign(words, 0);
-    state.grain_edges.assign(total, 0);
-    fit_block_partials(state);
-    state.primed = false;
+    fit_frontier(state);
   }
-  // The differ bitmap is a statement about one specific buffer pair; an
-  // unfamiliar pair (fresh solve, reallocated vectors) forces a dense sweep.
-  const bool pair_ok =
-      (state.pair_a == in.data() && state.pair_b == out.data()) ||
-      (state.pair_a == out.data() && state.pair_b == in.data());
-  if (!pair_ok) {
+  // The differ bitmap is a statement about one rank vector; another vector
+  // (a fresh solve, a reallocated buffer) forces a dense sweep.
+  if (state.bound != ranks.data()) {
     state.primed = false;
-    state.pair_a = in.data();
-    state.pair_b = out.data();
+    state.bound = ranks.data();
   }
 
   const double* const sw = source_weight_.data();
@@ -394,8 +391,9 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
   if (!dense) {
     // Phase A (frontier pull side): exactly the rows whose value changed
     // last sweep — the differ bits — can have a new contribution. Refresh
-    // those lazily and tally which ones moved. Grains are 64-aligned, so
-    // each active grain owns whole bitmap words.
+    // those lazily and tally which ones moved, clearing each differ word as
+    // it is read: the sweep below sets the bits of the rows it moves. Grains
+    // are 64-aligned, so each active grain owns whole bitmap words.
     std::fill(state.dirty.begin(), state.dirty.end(), 0);
     std::fill(state.block_dirty.begin(), state.block_dirty.end(), 0);
     std::fill(state.src_active.begin(), state.src_active.end(), 0);
@@ -423,12 +421,13 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
           const std::size_t w_end = (end + 63) / 64;
           for (std::size_t w = w_begin; w < w_end; ++w) {
             std::uint64_t bits = differ[w];
+            differ[w] = 0;
             std::uint64_t active = 0;
             while (bits != 0) {
               const int b = std::countr_zero(bits);
               bits &= bits - 1;
               const std::size_t u = w * 64 + static_cast<std::size_t>(b);
-              const double c = in[u] * sw[u];
+              const double c = ranks[u] * sw[u];
               // A source propagates when its contribution changed bitwise.
               if (bits_of(c) != bits_of(contrib[u])) {
                 contrib[u] = c;
@@ -495,64 +494,53 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
   if (!dense) {
     // Rows whose forcing changed must recompute even with a quiet frontier.
     std::uint64_t computed = 0;
-    std::uint64_t copied = 0;
     for (std::size_t w = 0; w < words; ++w) {
       dirty[w] |= state.forcing_dirty[w];
       computed += static_cast<std::uint64_t>(std::popcount(dirty[w]));
-      copied += static_cast<std::uint64_t>(std::popcount(differ[w] & ~dirty[w]));
     }
     state.active_grains.clear();
     for (std::size_t g = 0; g < total; ++g) {
       const std::size_t w_begin = g * sweep_grain_ / 64;
       const std::size_t w_end =
           std::min(words, (std::min(dim, (g + 1) * sweep_grain_) + 63) / 64);
-      for (std::size_t w = w_begin; w < w_end; ++w) {
-        if ((dirty[w] | differ[w]) != 0) {
-          state.active_grains.push_back(static_cast<std::uint32_t>(g));
-          break;
-        }
+      if (std::any_of(dirty + w_begin, dirty + w_end,
+                      [](std::uint64_t word) { return word != 0; })) {
+        state.active_grains.push_back(static_cast<std::uint32_t>(g));
       }
     }
 
-    // Sparse sweep: recompute dirty rows, copy rows where the buffers still
-    // disagree, skip the rest (their out already bitwise equals what a
-    // recompute would produce — see DESIGN.md §6 for the induction). A
-    // blocked row re-gathers only its dirty blocks; every other block's
-    // partial already sums the contributions it would gather. Skipped rows
-    // have an exactly-zero residual, and residual partials of untouched
-    // grains stay +0.0, so the grain-order combine is bitwise the dense one.
+    // Sparse sweep: recompute dirty rows and skip the rest (each already
+    // holds bitwise what a recompute would write — see DESIGN.md §6 for the
+    // induction). A row's old value is read before it is overwritten: the
+    // residual and the row's differ bit compare against it. A blocked row
+    // re-gathers only its dirty blocks; every other block's partial already
+    // sums the contributions it would gather. Skipped rows have an
+    // exactly-zero residual, and residual partials of untouched grains stay
+    // +0.0, so the grain-order combine is bitwise the dense one.
     for_grains_subset(
-        computed + copied,
+        computed,
         [&](std::size_t g, std::size_t begin, std::size_t end) {
           double l1 = 0.0;
           double linf = 0.0;
           const std::size_t w_begin = begin / 64;
           const std::size_t w_end = (end + 63) / 64;
           for (std::size_t w = w_begin; w < w_end; ++w) {
-            const std::uint64_t recompute = dirty[w];
-            const std::uint64_t carry = differ[w] & ~recompute;
             std::uint64_t changed = 0;
-            std::uint64_t bits = recompute;
+            std::uint64_t bits = dirty[w];
             while (bits != 0) {
               const int b = std::countr_zero(bits);
               bits &= bits - 1;
               const std::size_t v = w * 64 + static_cast<std::size_t>(b);
               double acc = row_value(v, block_is_dirty);
               if (force != nullptr) acc += force[v];
-              const double diff = std::fabs(acc - in[v]);
+              const double old = ranks[v];
+              const double diff = std::fabs(acc - old);
               l1 += diff;
               if (diff > linf) linf = diff;
-              out[v] = acc;
-              if (bits_of(acc) != bits_of(in[v])) {
+              ranks[v] = acc;
+              if (bits_of(acc) != bits_of(old)) {
                 changed |= std::uint64_t{1} << b;
               }
-            }
-            bits = carry;
-            while (bits != 0) {
-              const int b = std::countr_zero(bits);
-              bits &= bits - 1;
-              const std::size_t v = w * 64 + static_cast<std::size_t>(b);
-              out[v] = in[v];
             }
             differ[w] = changed;
           }
@@ -561,13 +549,12 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
         });
 
     state.rows_computed += computed;
-    state.rows_copied += copied;
   } else {
     // Dense sweep: bitwise-identical row loop to sweep_and_residual, plus
     // refreshing every contribution and block partial and rebuilding the
     // differ bitmap.
     pool.parallel_for(dim, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t u = begin; u < end; ++u) contrib[u] = in[u] * sw[u];
+      for (std::size_t u = begin; u < end; ++u) contrib[u] = ranks[u] * sw[u];
     });
     pool.parallel_for_grains(
         dim, sweep_grain_,
@@ -578,11 +565,12 @@ SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
           for (std::size_t v = begin; v < end; ++v) {
             double acc = row_value(v, every_block);
             if (force != nullptr) acc += force[v];
-            const double diff = std::fabs(acc - in[v]);
+            const double old = ranks[v];
+            const double diff = std::fabs(acc - old);
             l1 += diff;
             if (diff > linf) linf = diff;
-            out[v] = acc;
-            if (bits_of(acc) != bits_of(in[v])) {
+            ranks[v] = acc;
+            if (bits_of(acc) != bits_of(old)) {
               changed |= std::uint64_t{1} << (v & 63);
             }
             if ((v & 63) == 63 || v + 1 == end) {

@@ -47,15 +47,16 @@ struct SweepScratch {
 };
 
 /// Persistent frontier state for sweep_and_residual_worklist. Owned by the
-/// caller (one per ping-pong buffer pair); reset() forces the next sweep
-/// dense, which re-primes every derived bitmap. All bitmaps are 64 rows per
-/// word, and sweep grains are 64-aligned so parallel grains own whole words.
+/// caller (one per rank vector it sweeps in place); reset() forces the next
+/// sweep dense, which re-primes every derived bitmap. LinkMatrix::fit_frontier
+/// sizes it. All bitmaps are 64 rows per word, and sweep grains are
+/// 64-aligned so parallel grains own whole words.
 struct WorklistState {
   /// Last *propagated* contribution per source: updated whenever a source's
   /// contribution changes bitwise (every source, in a dense sweep). Rows
   /// recompute by gathering these.
   std::vector<double> contrib;
-  std::vector<std::uint64_t> differ;         // out-buffer != in-buffer, per row
+  std::vector<std::uint64_t> differ;         // row moved in the last sweep
   std::vector<std::uint64_t> dirty;          // rows to recompute (per-sweep scratch)
   std::vector<std::uint64_t> src_active;     // sources that propagated (scratch)
   std::vector<std::uint64_t> forcing_dirty;  // forcing[v] changed since last sweep
@@ -67,24 +68,23 @@ struct WorklistState {
   std::vector<double> partial;
   std::vector<std::uint64_t> block_dirty;    // blocks to re-gather (scratch)
   bool primed = false;
-  // The buffer pair the differ bitmap talks about; a sweep on any other
-  // pair auto-unprimes. std::swap of the vectors keeps the pointers valid.
-  const void* pair_a = nullptr;
-  const void* pair_b = nullptr;
+  // The rank vector the differ bitmap talks about; a sweep on any other
+  // vector auto-unprimes.
+  const double* bound = nullptr;
   // Cumulative tallies, deterministic across pool sizes (derived from the
-  // bitmaps, which depend only on the values swept).
+  // bitmaps, which depend only on the values swept). rows_copied stays 0: a
+  // sweep updates the ranks in place and copies no row.
   std::uint64_t sweeps = 0;
   std::uint64_t dense_sweeps = 0;
   std::uint64_t rows_computed = 0;
   std::uint64_t rows_copied = 0;
 
   /// Drop all frontier knowledge: the next sweep runs dense. Required after
-  /// any out-of-band change to the rank buffers (warm start, checkpoint
+  /// any out-of-band change to the rank vector (warm start, checkpoint
   /// restore, group rebuild).
   void reset() noexcept {
     primed = false;
-    pair_a = nullptr;
-    pair_b = nullptr;
+    bound = nullptr;
   }
 
   /// Record that forcing[row] changed, so the row must recompute next sweep
@@ -138,25 +138,26 @@ class LinkMatrix {
 
   /// Fused Jacobi sweep: out = A·in + forcing (forcing may be empty = zero),
   /// returning the L1/L∞ norms of (out − in) accumulated during the sweep —
-  /// no second pass over the vectors. in/out must not alias. The residual is
-  /// combined from per-grain partials in grain order, and grains depend only
-  /// on the matrix, so the result (y *and* stats) is bitwise-deterministic
-  /// across runs and pool sizes.
+  /// no second pass over the vectors. `out` may be `in`: every contribution
+  /// is formed before any row is written, so the sweep is the same in place.
+  /// The residual is combined from per-grain partials in grain order, and
+  /// grains depend only on the matrix, so the result (y *and* stats) is
+  /// bitwise-deterministic across runs and pool sizes.
   SweepStats sweep_and_residual(std::span<const double> in, std::span<double> out,
                                 std::span<const double> forcing,
                                 SweepScratch& scratch, util::ThreadPool& pool) const;
 
-  /// Residual-driven worklist sweep: like sweep_and_residual, but rows whose
-  /// inputs did not change bitwise since they last recomputed are skipped
-  /// (their value is carried over), and when the frontier is small the
+  /// Residual-driven worklist sweep of `ranks` in place: like
+  /// sweep_and_residual(ranks, ranks, …), but rows whose inputs did not
+  /// change bitwise since they last recomputed are skipped (they already
+  /// hold what a recompute would write), and when the frontier is small the
   /// dirty set is built by *pushing* along out-edges of active sources
   /// instead of scanning all rows. Every sweep — values and residual — is
   /// bitwise-identical to sweep_and_residual for any pool size. `state`
-  /// must persist alongside the in/out ping-pong pair; the kernel unprimes
-  /// itself (one dense sweep) whenever it sees an unfamiliar pair, and
-  /// state.reset() forces the next sweep dense.
-  SweepStats sweep_and_residual_worklist(std::span<const double> in,
-                                         std::span<double> out,
+  /// must persist alongside `ranks`; the kernel unprimes itself (one dense
+  /// sweep) whenever it sees another vector, and state.reset() forces the
+  /// next sweep dense.
+  SweepStats sweep_and_residual_worklist(std::span<double> ranks,
                                          std::span<const double> forcing,
                                          SweepScratch& scratch, WorklistState& state,
                                          util::ThreadPool& pool) const;
@@ -183,14 +184,16 @@ class LinkMatrix {
   /// kBlockEdges keep no partial).
   [[nodiscard]] std::size_t num_blocks() const noexcept { return block_begin_.back(); }
 
-  /// Size state's block partials for this matrix. The worklist kernel
-  /// sizes a state it has not seen; a long-lived state is sized when its
-  /// owner is wired (PageGroup), not in its first sweep.
-  void fit_block_partials(WorklistState& state) const;
+  /// Size every array of `state` for this matrix, zeroed, and unprime it.
+  /// The one place a frontier is sized: the worklist kernel fits a state of
+  /// another shape, and a long-lived state is fitted when its owner is
+  /// wired (PageGroup), not in its first sweep.
+  void fit_frontier(WorklistState& state) const;
 
   /// Set every block partial from state.contrib (which must hold one value
   /// per source): a frontier carried onto this matrix keeps its
-  /// contributions, but its blocks are this matrix's.
+  /// contributions, but its blocks are this matrix's. `state` must be
+  /// fitted to this matrix.
   void refresh_block_partials(WorklistState& state) const;
 
   /// In-edges of local row v: the local source index of each entry.

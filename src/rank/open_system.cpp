@@ -3,24 +3,23 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace p2prank::rank {
 
 SolveStats iterate_open_system(const LinkMatrix& A, std::span<const double> forcing,
-                               std::vector<double>& ranks, std::vector<double>& next,
-                               const SolveOptions& opts, SweepScratch& scratch,
-                               util::ThreadPool& pool, WorklistState* frontier) {
+                               std::span<double> ranks, const SolveOptions& opts,
+                               SweepScratch& scratch, util::ThreadPool& pool,
+                               WorklistState* frontier) {
   SolveStats stats;
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     // Fused sweeps: the L1 residual is accumulated inside the sweep, so
     // there is no second full pass over R per iteration.
     const double delta =
         frontier == nullptr
-            ? A.sweep_and_residual(ranks, next, forcing, scratch, pool).l1_delta
-            : A.sweep_and_residual_worklist(ranks, next, forcing, scratch, *frontier,
-                                            pool)
+            ? A.sweep_and_residual(ranks, ranks, forcing, scratch, pool).l1_delta
+            : A.sweep_and_residual_worklist(ranks, forcing, scratch, *frontier, pool)
                   .l1_delta;
-    std::swap(ranks, next);
     ++stats.iterations;
     stats.final_delta = delta;
     if (opts.record_residuals) stats.residual_history.push_back(delta);
@@ -32,13 +31,9 @@ SolveStats iterate_open_system(const LinkMatrix& A, std::span<const double> forc
   return stats;
 }
 
-namespace {
-
-/// Shared front end of the allocating solvers: validate sizes, then run the
-/// loop on a fresh buffer pair seeded from `initial` (empty = zero vector).
-SolveResult solve_from(const LinkMatrix& A, std::span<const double> forcing,
-                       std::span<const double> initial, const SolveOptions& opts,
-                       util::ThreadPool& pool, WorklistState* frontier) {
+SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forcing,
+                              std::span<const double> initial,
+                              const SolveOptions& opts, util::ThreadPool& pool) {
   const std::size_t n = A.dimension();
   if (forcing.size() != n) {
     throw std::invalid_argument("solve_open_system: forcing size mismatch");
@@ -48,28 +43,9 @@ SolveResult solve_from(const LinkMatrix& A, std::span<const double> forcing,
   }
   std::vector<double> ranks(initial.begin(), initial.end());
   if (ranks.empty()) ranks.assign(n, 0.0);
-  std::vector<double> next(n, 0.0);
   SweepScratch scratch;
-  SolveStats stats =
-      iterate_open_system(A, forcing, ranks, next, opts, scratch, pool, frontier);
+  SolveStats stats = iterate_open_system(A, forcing, ranks, opts, scratch, pool, nullptr);
   return {std::move(stats), std::move(ranks)};
-}
-
-}  // namespace
-
-SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forcing,
-                              std::span<const double> initial,
-                              const SolveOptions& opts, util::ThreadPool& pool) {
-  return solve_from(A, forcing, initial, opts, pool, nullptr);
-}
-
-SolveResult solve_open_system_worklist(const LinkMatrix& A,
-                                       std::span<const double> forcing,
-                                       std::span<const double> initial,
-                                       const SolveOptions& opts,
-                                       WorklistState& state,
-                                       util::ThreadPool& pool) {
-  return solve_from(A, forcing, initial, opts, pool, &state);
 }
 
 SolveResult solve_open_system_uniform(const LinkMatrix& A, double e_value,

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "rank/link_matrix.hpp"
 #include "rank/rank_types.hpp"
@@ -18,20 +17,16 @@ namespace p2prank::rank {
 
 /// The one Jacobi loop behind every open-system solve: iterate
 /// ranks ← A·ranks + forcing (`forcing` is βE + X, composed by the caller)
-/// until the L1 delta is <= opts.epsilon or max_iterations is hit. It
-/// iterates in place on the caller's buffer pair: the iterate is in `ranks`
-/// on entry and on return, `next` (same size) is the sweep target, and the
-/// two are swapped after every sweep.
+/// in place until the L1 delta is <= opts.epsilon or max_iterations is hit.
 ///
 /// With `frontier` null every sweep is the dense fused kernel. Otherwise it
 /// is the worklist kernel, carrying `*frontier` across sweeps — and across
-/// calls, while the caller keeps the same buffer pair. The two kernels give
+/// calls, while the caller keeps the same rank vector. The two kernels give
 /// bitwise the same iterates and residuals, so the loop stops at the same
 /// sweep either way.
 [[nodiscard]] SolveStats iterate_open_system(const LinkMatrix& A,
                                              std::span<const double> forcing,
-                                             std::vector<double>& ranks,
-                                             std::vector<double>& next,
+                                             std::span<double> ranks,
                                              const SolveOptions& opts,
                                              SweepScratch& scratch,
                                              util::ThreadPool& pool,
@@ -45,14 +40,6 @@ namespace p2prank::rank {
                                             std::span<const double> initial,
                                             const SolveOptions& opts,
                                             util::ThreadPool& pool);
-
-/// Worklist variant of solve_open_system: iterates with the residual-driven
-/// frontier kernel, carrying `state` across sweeps. The iterate sequence is
-/// bitwise-identical to solve_open_system.
-[[nodiscard]] SolveResult solve_open_system_worklist(
-    const LinkMatrix& A, std::span<const double> forcing,
-    std::span<const double> initial, const SolveOptions& opts,
-    WorklistState& state, util::ThreadPool& pool);
 
 /// Convenience: uniform forcing βE with E(v) = e_value for all v, X = 0 —
 /// the whole-crawl "centralized open-system" reference of Section 5 (what

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <system_error>
@@ -13,13 +14,17 @@ namespace {
 
 /// The whole of `text` as a T, or nothing: std::from_chars reads no sign
 /// into an unsigned type, no exponent into an integer, and reports a value
-/// outside T's range; a byte it does not consume fails the parse.
+/// outside T's range; a byte it does not consume fails the parse. It reads
+/// "nan" and "inf" into a double, and those fail too: no flag means them.
 template <typename T>
 std::optional<T> parse_number(std::string_view text) {
   T value{};
   const char* const end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc{} || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
   return value;
 }
 
@@ -32,7 +37,7 @@ constexpr std::string_view expected() {
   } else if constexpr (std::is_same_v<T, int>) {
     return "an int";
   } else {
-    return "a number";
+    return "a finite number";
   }
 }
 

@@ -6,7 +6,8 @@
 // starts with "--") or a bare `--name` switch; `--help` (or `-h`) asks for
 // the usage. A value parses in full for the type it is read as, through
 // std::from_chars: no trailing bytes, no exponent in an integer, no sign on
-// an unsigned type, nothing outside the type's range.
+// an unsigned type, nothing outside the type's range, and no NaN or
+// infinity in a double.
 //
 // Reads never throw. The first problem — a token that is no flag, a name
 // given twice, a switch given a value, a missing or malformed value — is

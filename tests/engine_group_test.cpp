@@ -124,6 +124,28 @@ TEST(PageGroup, InstallCarryRejectsRowPastTheGroup) {
   EXPECT_NEAR(fresh.ranks()[1], 1.0, 1e-10);
 }
 
+TEST(PageGroup, CarryIsInvalidAfterSetRanksOrResetState) {
+  // A carry is a statement about the frontier on the group's rank vector:
+  // once R is overwritten or wiped, the group has nothing to export until
+  // a sweep re-primes it.
+  const auto g = test::chain(4);
+  PageGroup group(g, {0, 1, 2, 3}, kAlpha);
+  group.finalize_efferents();
+  EXPECT_FALSE(group.export_worklist_carry().valid) << "never swept";
+  group.sweep_once(pool());
+  group.sweep_once(pool());
+  ASSERT_TRUE(group.export_worklist_carry().valid);
+
+  const std::vector<double> ranks(group.ranks().begin(), group.ranks().end());
+  group.set_ranks(ranks);
+  EXPECT_FALSE(group.export_worklist_carry().valid) << "after set_ranks";
+  group.sweep_once(pool());
+  ASSERT_TRUE(group.export_worklist_carry().valid) << "re-primed";
+
+  group.reset_state();
+  EXPECT_FALSE(group.export_worklist_carry().valid) << "after reset_state";
+}
+
 TEST(PageGroup, SlicesFromDifferentSourcesAccumulate) {
   const auto g = test::two_cycle();
   PageGroup group(g, {0, 1}, kAlpha);

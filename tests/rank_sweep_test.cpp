@@ -2,9 +2,10 @@
 // must produce y bitwise-identical to the naive oracle (test::naive_multiply)
 // and residuals bitwise-identical across pool sizes, on adversarial shapes
 // (empty rows, dangling-heavy graphs, 1-row and 0-row matrices, rows on
-// either side of a block boundary); the worklist kernel at epsilon 0 must
-// match the dense kernel and the oracle sweep by sweep, including when a
-// long row's moved sources sit in one of its blocks only.
+// either side of a block boundary), and the same in place as into a second
+// buffer; the worklist kernel at epsilon 0, sweeping in place, must match
+// the dense kernel and the oracle sweep by sweep, including when a long
+// row's moved sources sit in one of its blocks only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -233,6 +234,36 @@ TEST(RankSweep, SweepGrainIsMatrixDerived) {
   EXPECT_LT((grains - 1) * m.sweep_grain(), m.dimension());
 }
 
+TEST(RankSweep, DenseKernelInPlaceMatchesTwoBuffers) {
+  // sweep_and_residual(x, x, …) forms every contribution before it writes a
+  // row, so sweeping in place must give the two-buffer iterates and
+  // residuals bit for bit, sweep after sweep, blocked rows included.
+  const auto g = graph::generate_synthetic_web(graph::google2002_config(4000, 5));
+  const auto m = LinkMatrix::from_graph(g, kAlpha);
+  ASSERT_GT(test::longest_row(m), kB) << "fixture has no blocked row";
+  const std::size_t n = m.dimension();
+  std::vector<double> forcing(n);
+  for (std::size_t i = 0; i < n; ++i) forcing[i] = 0.15 + 0.01 * static_cast<double>(i % 5);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    util::ThreadPool pool(threads);
+    SweepScratch scratch;
+    std::vector<double> in_place = varied_x(n);
+    std::vector<double> cur = in_place;
+    std::vector<double> nxt(n, 0.0);
+    for (int k = 0; k < 6; ++k) {
+      const std::string at =
+          "pool " + std::to_string(threads) + ", sweep " + std::to_string(k);
+      const SweepStats want = m.sweep_and_residual(cur, nxt, forcing, scratch, pool);
+      std::swap(cur, nxt);
+      const SweepStats got =
+          m.sweep_and_residual(in_place, in_place, forcing, scratch, pool);
+      expect_bitwise_equal(in_place, cur, at);
+      ASSERT_EQ(got.l1_delta, want.l1_delta) << at;
+      ASSERT_EQ(got.linf_delta, want.linf_delta) << at;
+    }
+  }
+}
+
 // --- Worklist / frontier kernel (DESIGN.md §6) -----------------------------
 
 graph::WebGraph chain_graph(int pages, bool close_cycle) {
@@ -246,11 +277,11 @@ graph::WebGraph chain_graph(int pages, bool close_cycle) {
   return std::move(b).build();
 }
 
-/// Drive the dense and worklist kernels through the same ping-pong
-/// iteration — including a mid-run forcing change, and a WorklistState
-/// reset before sweep `reset_at` (0: none after the priming sweep) that
-/// forces a dense re-prime mid-trajectory — and require bitwise identical
-/// values *and* residuals at every sweep, for pool sizes 1/2/8.
+/// Drive the dense kernel (ping-pong) and the worklist kernel (in place)
+/// through the same iteration — including a mid-run forcing change, and a
+/// WorklistState reset before sweep `reset_at` (0: none after the priming
+/// sweep) that forces a dense re-prime mid-trajectory — and require bitwise
+/// identical values *and* residuals at every sweep, for pool sizes 1/2/8.
 void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
                                   std::size_t reset_at) {
   const std::size_t n = m.dimension();
@@ -290,7 +321,6 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
     WorklistState state;
     SweepScratch scratch;
     std::vector<double> cur = varied_x(n);
-    std::vector<double> nxt(n, 0.0);
     std::vector<double> f = base_forcing;
     for (std::size_t s = 0; s < sweeps; ++s) {
       if (s == sweeps / 2 && n > 0) {
@@ -299,12 +329,10 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
       }
       if (s == reset_at) state.reset();
       const std::uint64_t dense_before = state.dense_sweeps;
-      const SweepStats stats =
-          m.sweep_and_residual_worklist(cur, nxt, f, scratch, state, pool);
+      const SweepStats stats = m.sweep_and_residual_worklist(cur, f, scratch, state, pool);
       if (s == reset_at && n > 0) {
         ASSERT_EQ(state.dense_sweeps, dense_before + 1) << label << " re-prime";
       }
-      std::swap(cur, nxt);
       expect_bitwise_equal(cur, ref_y[s], label + " sweep " + std::to_string(s));
       ASSERT_EQ(stats.l1_delta, ref_stats[s].l1_delta) << label << " sweep " << s;
       ASSERT_EQ(stats.linf_delta, ref_stats[s].linf_delta) << label << " sweep " << s;
@@ -363,30 +391,24 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   SweepScratch scratch;
   util::ThreadPool pool(2);
   std::vector<double> cur = varied_x(n);
-  std::vector<double> nxt(n, 0.0);
 
   // Iterate to the exact (bitwise) fixed point; the frontier dies with it.
   std::size_t s = 0;
   for (; s < 2000; ++s) {
-    const auto stats =
-        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
-    std::swap(cur, nxt);
+    const auto stats = m.sweep_and_residual_worklist(cur, forcing, scratch, state, pool);
     if (stats.l1_delta == 0.0) break;
   }
   ASSERT_LT(s, 2000u) << "no exact fixed point reached";
 
   // At the fixed point a sweep computes no rows at all.
   const std::uint64_t settled = state.rows_computed;
-  (void)m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
-  std::swap(cur, nxt);
+  (void)m.sweep_and_residual_worklist(cur, forcing, scratch, state, pool);
   EXPECT_EQ(state.rows_computed, settled);
 
   // Perturb a single page's forcing: exactly that one row recomputes.
   forcing[n - 1] += 0.5;
   state.mark_forcing_dirty(n - 1);
-  const auto stats =
-      m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
-  std::swap(cur, nxt);
+  const auto stats = m.sweep_and_residual_worklist(cur, forcing, scratch, state, pool);
   EXPECT_EQ(state.rows_computed, settled + 1);
   EXPECT_NEAR(stats.l1_delta, 0.5, 1e-12);
 
@@ -396,10 +418,8 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   std::vector<double> dnxt(n, 0.0);
   SweepScratch dscratch;
   for (int k = 0; k < 10; ++k) {
-    const auto ws =
-        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
+    const auto ws = m.sweep_and_residual_worklist(cur, forcing, scratch, state, pool);
     const auto ds = m.sweep_and_residual(dcur, dnxt, forcing, dscratch, pool);
-    std::swap(cur, nxt);
     std::swap(dcur, dnxt);
     expect_bitwise_equal(cur, dcur, "post-perturb sweep " + std::to_string(k));
     ASSERT_EQ(ws.l1_delta, ds.l1_delta) << "post-perturb sweep " << k;
@@ -419,12 +439,9 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   SweepScratch scratch;
   util::ThreadPool pool(2);
   std::vector<double> cur = varied_x(n);
-  std::vector<double> nxt(n, 0.0);
   std::size_t s = 0;
   for (; s < 2000; ++s) {
-    const auto stats =
-        m1.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
-    std::swap(cur, nxt);
+    const auto stats = m1.sweep_and_residual_worklist(cur, forcing, scratch, state, pool);
     if (stats.l1_delta == 0.0) break;
   }
   ASSERT_LT(s, 2000u);
@@ -435,16 +452,64 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   SweepScratch dscratch;
   const std::uint64_t dense_before = state.dense_sweeps;
   for (int k = 0; k < 40; ++k) {
-    const auto ws =
-        m2.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
+    const auto ws = m2.sweep_and_residual_worklist(cur, forcing, scratch, state, pool);
     const auto ds = m2.sweep_and_residual(dcur, dnxt, forcing, dscratch, pool);
     if (k == 0) {
       EXPECT_EQ(state.dense_sweeps, dense_before + 1);  // reset forces a re-prime
     }
-    std::swap(cur, nxt);
     std::swap(dcur, dnxt);
     expect_bitwise_equal(cur, dcur, "post-update sweep " + std::to_string(k));
     ASSERT_EQ(ws.l1_delta, ds.l1_delta) << "post-update sweep " << k;
+  }
+}
+
+TEST(RankSweep, WorklistRebindingSweepsDenseOnce) {
+  // The differ bitmap speaks of the one rank vector the state is bound to.
+  // A state primed at the bitwise fixed point and swept on another vector
+  // holding the same values must re-prime with exactly one dense sweep
+  // (bound to its old vector, it would sweep nothing), then keep to the
+  // dense trajectory bit for bit once forcing moves.
+  const auto g = graph::generate_synthetic_web(graph::google2002_config(4000, 5));
+  const auto m = LinkMatrix::from_graph(g, kAlpha);
+  ASSERT_GT(test::longest_row(m), kB) << "fixture has no blocked row";
+  const std::size_t n = m.dimension();
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    util::ThreadPool pool(threads);
+    const std::string label = "pool " + std::to_string(threads);
+    std::vector<double> forcing(n, 0.15);
+    WorklistState state;
+    SweepScratch scratch;
+    std::vector<double> first = varied_x(n);
+    std::size_t s = 0;
+    for (; s < 2000; ++s) {
+      if (m.sweep_and_residual_worklist(first, forcing, scratch, state, pool).l1_delta ==
+          0.0) {
+        break;
+      }
+    }
+    ASSERT_LT(s, 2000u) << label << ": no exact fixed point reached";
+
+    std::vector<double> second = first;
+    std::vector<double> dcur = first;
+    std::vector<double> dnxt(n, 0.0);
+    SweepScratch dscratch;
+    const std::uint64_t dense_before = state.dense_sweeps;
+    for (int k = 0; k < 8; ++k) {
+      const std::string at = label + ", sweep " + std::to_string(k) + " after rebinding";
+      if (k == 1) {
+        forcing[n / 3] += 0.5;
+        state.mark_forcing_dirty(n / 3);
+      }
+      const auto ws = m.sweep_and_residual_worklist(second, forcing, scratch, state, pool);
+      const auto ds = m.sweep_and_residual(dcur, dnxt, forcing, dscratch, pool);
+      std::swap(dcur, dnxt);
+      if (k == 0) {
+        ASSERT_EQ(state.dense_sweeps, dense_before + 1) << at;
+      }
+      expect_bitwise_equal(second, dcur, at);
+      ASSERT_EQ(ws.l1_delta, ds.l1_delta) << at;
+      ASSERT_EQ(ws.linf_delta, ds.linf_delta) << at;
+    }
   }
 }
 
@@ -465,12 +530,15 @@ TEST(RankSweep, WorklistSolveMatchesDenseSolve) {
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
+    std::vector<double> ranks(n, 0.0);
+    SweepScratch scratch;
     WorklistState state;
-    const SolveResult got = solve_open_system_worklist(m, forcing, {}, opts, state, pool);
+    const SolveStats got =
+        iterate_open_system(m, forcing, ranks, opts, scratch, pool, &state);
     EXPECT_TRUE(got.converged);
     EXPECT_EQ(got.iterations, dense.iterations) << threads;
     EXPECT_EQ(got.final_delta, dense.final_delta) << threads;
-    expect_bitwise_equal(got.ranks, dense.ranks,
+    expect_bitwise_equal(ranks, dense.ranks,
                          "worklist solve, pool " + std::to_string(threads));
   }
 }
@@ -532,12 +600,10 @@ void check_bump_stays_exact(const LinkMatrix& m, const std::vector<std::uint32_t
     SweepScratch scratch;
     SweepScratch dense_scratch;
     std::vector<double> cur = varied_x(n);
-    std::vector<double> nxt(n, 0.0);
     std::vector<double> dense_out(n, 0.0);
     std::size_t s = 0;
     for (; s < 2000; ++s) {
-      const auto stats = m.sweep_and_residual_worklist(cur, nxt, f, scratch, state, pool);
-      std::swap(cur, nxt);
+      const auto stats = m.sweep_and_residual_worklist(cur, f, scratch, state, pool);
       if (stats.l1_delta == 0.0) break;
     }
     ASSERT_LT(s, 2000u) << label << ": no exact fixed point reached";
@@ -554,14 +620,12 @@ void check_bump_stays_exact(const LinkMatrix& m, const std::vector<std::uint32_t
       for (std::size_t i = 0; i < n; ++i) oracle[i] += f[i];
       const SweepStats ds = m.sweep_and_residual(cur, dense_out, f, dense_scratch, pool);
       const std::uint64_t dense_sweeps = state.dense_sweeps;
-      const SweepStats ws =
-          m.sweep_and_residual_worklist(cur, nxt, f, scratch, state, pool);
+      const SweepStats ws = m.sweep_and_residual_worklist(cur, f, scratch, state, pool);
       sparse += state.dense_sweeps == dense_sweeps ? 1 : 0;
-      expect_bitwise_equal(nxt, dense_out, at + ", against dense");
-      expect_bitwise_equal(nxt, oracle, at + ", against the oracle");
+      expect_bitwise_equal(cur, dense_out, at + ", against dense");
+      expect_bitwise_equal(cur, oracle, at + ", against the oracle");
       ASSERT_EQ(ws.l1_delta, ds.l1_delta) << at;
       ASSERT_EQ(ws.linf_delta, ds.linf_delta) << at;
-      std::swap(cur, nxt);
     }
     EXPECT_GT(sparse, 0u) << label << ": no sweep took the sparse path";
     if (sparse_only) {

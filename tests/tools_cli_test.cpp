@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace p2prank::tools {
@@ -115,6 +116,32 @@ TEST(Cli, PlanMatchesTable1Headline) {
   // h = log16(1000) ~ 2.49 -> ~7480 s ~ 2.08 h.
   EXPECT_NE(r.out.find("min iteration interval"), std::string::npos);
   EXPECT_NE(r.out.find("h"), std::string::npos);
+}
+
+TEST(Cli, PlanRejectsNonPositiveInputsBeforePrinting) {
+  // Each used to print the table and half the interval line, then fail.
+  for (const auto& [arg, flag] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--pages=0", "--pages"},
+           {"--pages=-5", "--pages"},
+           {"--record-bytes=0", "--record-bytes"},
+           {"--bisection-mbps=0", "--bisection-mbps"},
+           {"--rankers=0.5", "--rankers"}}) {
+    const auto r = cli({"plan", arg});
+    EXPECT_EQ(r.code, 2) << arg;
+    EXPECT_EQ(r.out, "") << arg;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << arg << ": " << r.err;
+  }
+}
+
+TEST(Cli, NonFiniteFlagValueFailsBeforeOpeningTheCrawl) {
+  // The crawl does not exist: reaching it would exit 1, and --t-end=inf
+  // would never end the run.
+  const auto r = cli({"simulate", "--crawl=/nonexistent/file", "--t-end=inf"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--t-end expects a finite number, got 'inf'"), std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.out, "");
 }
 
 TEST(Cli, RankTopZeroSkipsTable) {

@@ -106,8 +106,21 @@ TEST(Flags, DoublesTakeExponents) {
   EXPECT_EQ(flags.get<double>("pages", 0.0), 1e6);
   EXPECT_EQ(flags.get<double>("tau", 0.0), 2.5e-7);
   EXPECT_EQ(finish_error(flags), "");
-  EXPECT_EQ(value_error<double>("1e6x"), "--v expects a number, got '1e6x'");
+  EXPECT_EQ(value_error<double>("1e6x"), "--v expects a finite number, got '1e6x'");
   EXPECT_NE(value_error<double>("1e999"), "");
+}
+
+TEST(Flags, DoublesMustBeFinite) {
+  // std::from_chars reads these into a double; a flag refuses them.
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    EXPECT_EQ(value_error<double>(bad),
+              std::string("--v expects a finite number, got '") + bad + "'");
+  }
+  const std::vector<std::string> args{"--t-end", "inf"};
+  Flags flags(args);
+  EXPECT_EQ(flags.get<double>("t-end", 60.0), 60.0);
+  EXPECT_EQ(finish_error(flags), "--t-end expects a finite number, got 'inf'");
+  EXPECT_EQ(value_error<double>("-1.5e300"), "");
 }
 
 TEST(Flags, ListsParseEachElementStrictly) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cost/capacity_model.hpp"
@@ -184,13 +186,29 @@ int cmd_simulate(util::Flags& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_plan(util::Flags& flags, std::ostream& out, std::ostream&) {
+int cmd_plan(util::Flags& flags, std::ostream& out, std::ostream& err) {
   cost::CostParameters p;
   p.total_pages = flags.get<double>("pages", 3e9);
   p.record_bytes = flags.get<double>("record-bytes", 100.0);
-  p.bisection_bandwidth = flags.get<double>("bisection-mbps", 100.0) * 1e6;
+  const double mbps = flags.get<double>("bisection-mbps", 100.0);
+  p.bisection_bandwidth = mbps * 1e6;
   const double n = flags.get<double>("rankers", 1000.0);
   flags.finish();
+  // Checked before the report starts, so a bad value prints nothing on
+  // stdout: every figure below scales with or divides by these.
+  const std::pair<std::string_view, double> positive[] = {
+      {"pages", p.total_pages}, {"record-bytes", p.record_bytes},
+      {"bisection-mbps", mbps}};
+  for (const auto& [name, value] : positive) {
+    if (!(value > 0.0)) {
+      err << "plan: --" << name << " must be positive, got " << value << '\n';
+      return 2;
+    }
+  }
+  if (!(n >= 1.0)) {
+    err << "plan: --rankers must be at least 1, got " << n << '\n';
+    return 2;
+  }
   const double h = std::max(1.0, cost::pastry_expected_hops(n));
 
   const auto dt = cost::direct_cost(n, h, p);
